@@ -2,8 +2,7 @@
 
 Subcommands: template tables, universal coefficient tables, node counts for
 a polygon given as JSON, self-contained verification suites, and power
-series printing.  Template enumeration results are cached on disk as hashed
-JSON so repeated runs skip the expensive search.
+series printing.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 bad input.
@@ -12,20 +11,20 @@ bad input.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .coeffs import a_series, cor_doubleprime, template_coefficients, template_data
-from .graphs import LongEdgeGraph
-from .orderings import LinearForm
+from .coeffs import (
+    a_series,
+    cor_doubleprime,
+    template_coefficients,
+    template_data,
+    use_disk_cache,
+)
 from .polygon import HTPolygon, polygon_from_dict, polygon_stats, toric_invariants
 from .reference import COEFF_ROWS, TABLE1
 from .series import (
@@ -39,103 +38,12 @@ from .series import (
 )
 from .severi import METHODS, n_bruteforce, n_from_q, q_geometric, q_polygon, report
 
-CACHE_VERSION = 1
-
-
-def cache_dir() -> Path:
-    env = os.environ.get("LONGEDGE_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "longedge"
-
-
-def _canonical_json(data: object) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached template search: the graphs, their fitted linear forms,
-    and the coefficient table they aggregate to, all for a single cogenus."""
-
-    delta: int
-    payload: dict
-    digest: str
-
-    @staticmethod
-    def digest_of(payload: dict) -> str:
-        return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-
-    @classmethod
-    def build(cls, delta: int) -> "CacheEntry":
-        rows = []
-        for t, form in template_data(delta):
-            rows.append(
-                {
-                    "edges": [[e.lo, e.hi, e.weight] for e in t.edges],
-                    "eta": [str(c) for c in form.eta],
-                }
-            )
-        payload = {
-            "version": CACHE_VERSION,
-            "delta": delta,
-            "templates": rows,
-            "table": template_coefficients(delta).as_dict(),
-        }
-        return cls(delta, payload, cls.digest_of(payload))
-
-    def to_json(self) -> str:
-        return _canonical_json({**self.payload, "hash": self.digest})
-
-
-def _cache_path(delta: int) -> Path:
-    return cache_dir() / f"templates-v{CACHE_VERSION}-delta{delta}.json"
-
-
-def load_cached(delta: int) -> CacheEntry | None:
-    try:
-        raw = json.loads(_cache_path(delta).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(raw, dict):
-        return None
-    digest = raw.pop("hash", None)
-    if raw.get("version") != CACHE_VERSION or raw.get("delta") != delta:
-        return None
-    if digest != CacheEntry.digest_of(raw):
-        return None
-    return CacheEntry(delta, raw, digest)
-
-
-def store_cached(entry: CacheEntry) -> None:
-    path = _cache_path(entry.delta)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(entry.to_json())
-    os.replace(tmp, path)
-
-
-def template_entry(delta: int, use_cache: bool = True) -> CacheEntry:
-    if use_cache:
-        hit = load_cached(delta)
-        if hit is not None:
-            return hit
-    entry = CacheEntry.build(delta)
-    if use_cache:
-        store_cached(entry)
-    return entry
-
-
-def _template_rows(entry: CacheEntry) -> list[dict]:
+def _template_rows(delta: int) -> list[dict]:
     rows = []
-    for item in entry.payload["templates"]:
-        g = LongEdgeGraph([tuple(e) for e in item["edges"]])
-        form = LinearForm(eta=tuple(Fraction(c) for c in item["eta"]))
+    for g, form in template_data(delta):
         rows.append(
             {
-                "edges": [list(e) for e in item["edges"]],
+                "edges": [[e.lo, e.hi, e.weight] for e in g.edges],
                 "delta": g.cogenus,
                 "ell": g.length,
                 "mu": g.multiplicity,
@@ -190,9 +98,7 @@ COEFF_COLUMNS = ("delta", "A", "L", "H", "D", "C", "Ctilde", "b")
 def cmd_templates(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
-    rows = [] if args.delta == 0 else _template_rows(
-        template_entry(args.delta, use_cache=not args.no_cache)
-    )
+    rows = [] if args.delta == 0 else _template_rows(args.delta)
     if args.format == "json":
         text = json.dumps(rows, indent=2)
     else:
@@ -204,10 +110,7 @@ def cmd_templates(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
-    rows = [
-        template_entry(d, use_cache=not args.no_cache).payload["table"]
-        for d in range(1, args.delta + 1)
-    ]
+    rows = [template_coefficients(d).as_dict() for d in range(1, args.delta + 1)]
     if args.format == "json":
         text = json.dumps(rows, indent=2)
     else:
@@ -261,8 +164,7 @@ def _verify_table1() -> list[Check]:
     checks: list[Check] = []
     computed: dict[tuple, dict] = {}
     for delta in (1, 2):
-        entry = CacheEntry.build(delta)
-        rows = _template_rows(entry)
+        rows = _template_rows(delta)
         expected = sum(1 for ref in TABLE1 if ref["delta"] == delta)
         checks.append((f"delta={delta}: {expected} templates", len(rows) == expected))
         for row in rows:
@@ -358,12 +260,8 @@ def _oracle_one(name: str, p: HTPolygon, top: int) -> list[Check]:
     return checks
 
 
-def _verify_oracle(threads: int) -> list[Check]:
-    corpus = _oracle_corpus()
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(_oracle_one, *item) for item in corpus]
-        results = [f.result() for f in futures]
-    return [check for group in results for check in group]
+def _verify_oracle() -> list[Check]:
+    return [check for item in _oracle_corpus() for check in _oracle_one(*item)]
 
 
 def _random_polygon(rng: random.Random) -> HTPolygon:
@@ -395,17 +293,13 @@ def _toric_one(index: int, p: HTPolygon) -> list[Check]:
     return checks
 
 
-def _verify_toric(threads: int) -> list[Check]:
+def _verify_toric() -> list[Check]:
     rng = random.Random(20260814)
     polys = [_random_polygon(rng) for _ in range(50)]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(_toric_one, i, p) for i, p in enumerate(polys)]
-        results = [f.result() for f in futures]
-    return [check for group in results for check in group]
+    return [check for i, p in enumerate(polys) for check in _toric_one(i, p)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    threads = args.threads or os.cpu_count() or 1
     if args.suite == "table1":
         checks = _verify_table1()
     elif args.suite == "coeffs":
@@ -413,9 +307,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "gyz":
         checks = _verify_gyz(args.order)
     elif args.suite == "oracle":
-        checks = _verify_oracle(threads)
+        checks = _verify_oracle()
     elif args.suite == "toric":
-        checks = _verify_toric(threads)
+        checks = _verify_toric()
     else:  # pragma: no cover - argparse rejects unknown suites first
         raise ValueError(f"unknown suite: {args.suite}")
     failures = 0
@@ -462,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", choices=("table1", "coeffs", "gyz", "oracle", "toric"))
     v.add_argument("--order", type=int, help="depth for suites that take one")
-    v.add_argument("--threads", type=int, help="worker threads (default: cpu count)")
     v.set_defaults(func=cmd_verify)
 
     se = sub.add_parser("series", help="print coefficients of a named power series")
@@ -476,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    use_disk_cache(not getattr(args, "no_cache", False))
     try:
         return args.func(args)
     except ValueError as exc:

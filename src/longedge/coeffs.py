@@ -3,14 +3,20 @@
 Everything in this module is an exact rational derived from the templates of
 a fixed cogenus: the log-side width-sequence sums, their linearization, the
 five linear-form coefficients, the end-of-range correction DiffQ, and the
-singular corrections COR and COR''.
+singular corrections COR and COR''.  The fitted templates behind them are
+also kept on disk, one hash-stamped JSON file per cogenus, so a process fits
+only what no earlier process has.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .graphs import Template, enumerate_templates
@@ -61,10 +67,103 @@ def beta_stats(beta: Sequence[int]) -> BetaStats:
     return BetaStats(area, ll, m, idet)
 
 
+CACHE_VERSION = 2
+_disk_cache = True
+
+TemplateData = tuple[tuple[Template, LinearForm], ...]
+
+
+def use_disk_cache(enabled: bool) -> None:
+    """Turn reads and writes of the on-disk template cache on or off."""
+    global _disk_cache
+    _disk_cache = enabled
+
+
+def _cache_path(delta: int) -> Path:
+    directory = os.environ.get("LONGEDGE_CACHE_DIR")
+    if not directory:
+        xdg = os.environ.get("XDG_CACHE_HOME")
+        directory = (Path(xdg) if xdg else Path.home() / ".cache") / "longedge"
+    return Path(directory) / f"templates-v{CACHE_VERSION}-delta{delta}.json"
+
+
+def _canonical_json(data: object) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: dict) -> str:
+    # hashlib loads OpenSSL (about 4 MB resident): only a process that uses
+    # the cache pays for it, not one that runs only the direct route.
+    import hashlib
+
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+
+
+def _load_templates(delta: int) -> TemplateData | None:
+    """The cached templates of one cogenus; None for a missing, stale,
+    tampered or malformed file."""
+    try:
+        raw = json.loads(_cache_path(delta).read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(raw, dict):
+        return None
+    digest = raw.pop("hash", None)
+    if raw.get("version") != CACHE_VERSION or raw.get("delta") != delta:
+        return None
+    if digest != _digest(raw):
+        return None
+    data = []
+    try:
+        for item in raw["templates"]:
+            t = Template(tuple(tuple(e) for e in item["edges"]))
+            eta = tuple(Fraction(c) for c in item["eta"])
+            if t.cogenus != delta or len(eta) != t.length + 1:
+                return None
+            data.append((t, LinearForm(eta, minv=t.minv)))
+    except (KeyError, TypeError, ValueError):
+        return None
+    return tuple(data)
+
+
+def _store_templates(delta: int, data: TemplateData) -> None:
+    """Write one cogenus atomically; an unusable directory skips the write."""
+    rows = [
+        {
+            "edges": [[e.lo, e.hi, e.weight] for e in t.edges],
+            "eta": [str(c) for c in form.eta],
+        }
+        for t, form in data
+    ]
+    payload = {"version": CACHE_VERSION, "delta": delta, "templates": rows}
+    path = _cache_path(delta)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = tempfile.NamedTemporaryFile(
+            "w", dir=path.parent, prefix=path.name, suffix=".tmp", delete=False
+        )
+    except OSError:
+        return
+    try:
+        with tmp:
+            tmp.write(_canonical_json({**payload, "hash": _digest(payload)}))
+        os.replace(tmp.name, path)
+    except OSError:
+        Path(tmp.name).unlink(missing_ok=True)
+
+
 @lru_cache(maxsize=None)
-def template_data(delta: int) -> tuple[tuple[Template, LinearForm], ...]:
-    """Templates of one cogenus with their fitted linear forms, cached."""
-    return tuple((t, fit_linear_phi(t)) for t in enumerate_templates(delta))
+def template_data(delta: int) -> TemplateData:
+    """Templates of one cogenus with their fitted linear forms.
+
+    Kept in memory and in the on-disk cache; fitted only on a miss.
+    """
+    data = _load_templates(delta) if _disk_cache else None
+    if data is None:
+        data = tuple((t, fit_linear_phi(t)) for t in enumerate_templates(delta))
+        if _disk_cache:
+            _store_templates(delta, data)
+    return data
 
 
 def _shift_range(t: Template, m: int) -> range:
@@ -164,6 +263,7 @@ def b_coeffs(delta: int, i: int) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
 def diffq(p: int, delta: int) -> Fraction:
     """Deviation of the true sum from its linearization at widths p*(0,1,...,delta)."""
     if p < 0:

@@ -558,6 +558,8 @@ def polygon_to_dict(p: HTPolygon) -> dict:
 
 
 def polygon_from_dict(data: dict) -> HTPolygon:
+    if not isinstance(data, dict):
+        raise ValueError("polygon JSON must be an object")
     if "vertices" in data:
         return from_vertices(data["vertices"])
     try:

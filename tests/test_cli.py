@@ -1,5 +1,6 @@
-"""End-to-end checks of the command line interface and its disk cache."""
+"""End-to-end checks of the command line interface and the template cache."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import longedge
-from longedge import cli
+from longedge import cli, coeffs
+from longedge.coeffs import template_data
 from longedge.reference import COEFF_ROWS
 
 
@@ -101,34 +103,122 @@ class TestCoeffs:
         assert lines[2] == "2\t-21\t39/2\t0\t4\t-38\t-36\t-9/2,1"
 
 
+def longedge_process(argv, cache_dir, script=None):
+    """Run the command line in a fresh interpreter with its own cache.
+
+    The child imports the same longedge as this session, whether that is a
+    source checkout on PYTHONPATH or an installed copy.
+    """
+    package_root = str(Path(longedge.__file__).resolve().parents[1])
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "LONGEDGE_CACHE_DIR": str(cache_dir),
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, pythonpath])),
+    }
+    entry = ["-c", script] if script else ["-m", "longedge.cli"]
+    return subprocess.run(
+        [sys.executable, *entry, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+# Runs the command line and prints how many templates it fitted.
+COUNT_FITS = """
+import sys
+from longedge import cli, coeffs
+fits = []
+fit = coeffs.fit_linear_phi
+coeffs.fit_linear_phi = lambda t: fits.append(t) or fit(t)
+assert cli.main(sys.argv[1:]) == 0
+print(len(fits))
+"""
+
+
+def cache_digest(payload):
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 class TestCache:
-    def test_file_created_and_reused(self, isolated_cache, capsys):
-        run(["templates", "--delta", "1"], capsys)
-        path = isolated_cache / "templates-v1-delta1.json"
+    """The on-disk template cache behind `template_data`."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        # Nothing fitted in memory and disk access on, as in a new process.
+        template_data.cache_clear()
+        coeffs.use_disk_cache(True)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        fit = coeffs.fit_linear_phi
+        counting = lambda t: calls.append(t) or fit(t)
+        monkeypatch.setattr(coeffs, "fit_linear_phi", counting)
+        return calls
+
+    def test_file_created_and_reused(self, isolated_cache, fits):
+        template_data(1)
+        path = isolated_cache / "templates-v2-delta1.json"
         assert path.exists()
         first = path.read_bytes()
-        run(["templates", "--delta", "1"], capsys)
+        template_data.cache_clear()
+        template_data(1)
+        assert path.read_bytes() == first
+        assert len(fits) == 2  # the second call read the file
+
+    def test_rebuild_is_deterministic(self, isolated_cache):
+        template_data(2)
+        path = isolated_cache / "templates-v2-delta2.json"
+        first = path.read_bytes()
+        path.unlink()
+        template_data.cache_clear()
+        template_data(2)
         assert path.read_bytes() == first
 
-    def test_rebuild_is_deterministic(self):
-        assert cli.CacheEntry.build(2).digest == cli.CacheEntry.build(2).digest
-
-    def test_tampered_payload_is_discarded(self, isolated_cache, capsys):
-        run(["coeffs", "--delta", "1"], capsys)
-        path = isolated_cache / "templates-v1-delta1.json"
+    def test_tampered_payload_is_discarded(self, isolated_cache, fits):
+        fresh = template_data(1)
+        path = isolated_cache / "templates-v2-delta1.json"
         data = json.loads(path.read_text())
-        data["table"]["A"] = "999"
+        data["templates"][0]["eta"][0] = "999"
         path.write_text(json.dumps(data))
-        assert cli.load_cached(1) is None
-        code, out, _ = run(["coeffs", "--delta", "1"], capsys)
-        assert code == 0
-        assert json.loads(out)[0]["A"] == "3"
+        template_data.cache_clear()
+        assert template_data(1) == fresh
+        assert len(fits) == 4
         # the bad file was replaced by a freshly built one
-        assert cli.load_cached(1) is not None
+        template_data.cache_clear()
+        assert template_data(1) == fresh
+        assert len(fits) == 4
+
+    @pytest.mark.parametrize(
+        "templates",
+        [
+            [{"edges": [[0, 1, 1]], "eta": ["0", "0"]}],
+            [{"edges": [[1, 2, 2]], "eta": ["0", "0"]}],
+            [{"edges": [[0, 1, 3]], "eta": ["0", "0"]}],
+            [{"edges": "x", "eta": ["0"]}],
+            [{"eta": ["0"]}],
+            [{"edges": [[0, 1, 2]], "eta": ["x", "0"]}],
+            "x",
+        ],
+    )
+    def test_hash_valid_malformed_file_is_recomputed(
+        self, isolated_cache, fits, templates
+    ):
+        payload = {"version": 2, "delta": 1, "templates": templates}
+        isolated_cache.mkdir(parents=True)
+        path = isolated_cache / "templates-v2-delta1.json"
+        path.write_text(json.dumps({**payload, "hash": cache_digest(payload)}))
+        assert len(template_data(1)) == 2
+        assert len(fits) == 2
+        assert json.loads(path.read_text())["templates"] != templates
 
     def test_garbage_file_is_ignored(self, isolated_cache, capsys):
         isolated_cache.mkdir(parents=True)
-        (isolated_cache / "templates-v1-delta1.json").write_text("not json")
+        (isolated_cache / "templates-v2-delta1.json").write_text("not json")
         code, out, _ = run(["templates", "--delta", "1"], capsys)
         assert code == 0
         assert len(json.loads(out)) == 2
@@ -136,7 +226,43 @@ class TestCache:
     def test_no_cache_flag_skips_disk(self, isolated_cache, capsys):
         code, _, _ = run(["templates", "--delta", "1", "--no-cache"], capsys)
         assert code == 0
-        assert not (isolated_cache / "templates-v1-delta1.json").exists()
+        assert not (isolated_cache / "templates-v2-delta1.json").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_directory_falls_back(self, tmp_path, monkeypatch, below):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        unusable = blocker / below
+        good = longedge_process(["coeffs", "--delta", "1"], tmp_path / "cache")
+        proc = longedge_process(["coeffs", "--delta", "1"], unusable)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == good.stdout
+        monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(unusable))
+        assert len(template_data(1)) == 2
+
+    def test_warm_output_matches_cold(self, tmp_path):
+        argv = ["coeffs", "--delta", "2", "--format", "json"]
+        cold = longedge_process(argv, tmp_path)
+        assert (tmp_path / "templates-v2-delta2.json").exists()
+        warm = longedge_process(argv, tmp_path)
+        assert cold.returncode == warm.returncode == 0
+        assert warm.stdout == cold.stdout
+
+    def test_severi_after_coeffs_fits_nothing(self, tmp_path):
+        polygon = tmp_path / "triangle.json"
+        polygon.write_text(json.dumps({"dt": 0, "left": [[0, 4]], "right": [[1, 4]]}))
+        out = str(tmp_path / "out.json")
+        fill = longedge_process(
+            ["coeffs", "--delta", "4", "--out", out], tmp_path, COUNT_FITS
+        )
+        assert fill.stdout.split() == ["137"], fill.stderr
+        severi = longedge_process(
+            ["severi", "--polygon", str(polygon), "--delta", "4", "--out", out],
+            tmp_path,
+            COUNT_FITS,
+        )
+        assert severi.stdout.split() == ["0"], severi.stderr
+        assert json.loads(Path(out).read_text())["agree"] is True
 
 
 class TestSeveri:
@@ -200,6 +326,12 @@ class TestSeveri:
         code, _, err = run(["severi", "--polygon", str(path), "--delta", "1"], capsys)
         assert code == 2
 
+    def test_non_object_polygon(self, tmp_path, capsys):
+        path = self._polygon_file(tmp_path, [1, 2])
+        code, _, err = run(["severi", "--polygon", str(path), "--delta", "1"], capsys)
+        assert code == 2
+        assert "must be an object" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["table1", "coeffs", "gyz", "oracle", "toric"])
@@ -208,10 +340,6 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
-
-    def test_threads_flag(self, capsys):
-        code, _, _ = run(["verify", "oracle", "--threads", "2"], capsys)
-        assert code == 0
 
     def test_failure_exits_nonzero(self, capsys, monkeypatch):
         broken = dict(COEFF_ROWS)
@@ -228,21 +356,6 @@ class TestVerify:
 
 
 def test_module_invocation(tmp_path):
-    # The child must import the same longedge as this session, whether that
-    # is a source checkout on PYTHONPATH or an installed copy.
-    package_root = str(Path(longedge.__file__).resolve().parents[1])
-    pythonpath = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "LONGEDGE_CACHE_DIR": str(tmp_path),
-        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, pythonpath])),
-    }
-    proc = subprocess.run(
-        [sys.executable, "-m", "longedge.cli", "series", "b1", "--order", "3"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = longedge_process(["series", "b1", "--order", "3"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1, -1, -5, 39"
