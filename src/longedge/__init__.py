@@ -31,7 +31,6 @@ from .coeffs import (
     CoeffTable,
     a_series,
     b_coeffs,
-    beta_stats,
     cor,
     cor_doubleprime,
     diffq,
@@ -43,7 +42,6 @@ from .coeffs import (
 from .series import (
     RatSeries,
     b1_b2,
-    check_g_identity,
     d2g2,
     dg2,
     disc,
@@ -62,6 +60,7 @@ from .polygon import (
     ToricInvariants,
     VLocalPiece,
     beta_of,
+    beta_stats,
     from_directions,
     from_vertices,
     internal_vertices,

@@ -4,39 +4,24 @@ Subcommands: template tables, universal coefficient tables, node counts for
 a polygon given as JSON, self-contained verification suites, and power
 series printing.
 
-Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
-bad input.
+Exit codes: 0 on success, 1 when a verification or cross-check fails or a
+suite runs no checks, 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .coeffs import (
-    a_series,
-    cor_doubleprime,
-    template_coefficients,
-    template_data,
-    use_disk_cache,
-)
-from .polygon import HTPolygon, polygon_from_dict, polygon_stats, toric_invariants
-from .reference import COEFF_ROWS, TABLE1
-from .series import (
-    b1_b2,
-    d2g2,
-    dg2,
-    disc,
-    g2,
-    gyz_check,
-    partition_series,
-)
-from .severi import METHODS, n_bruteforce, n_from_q, q_geometric, q_polygon, report
+from .coeffs import a_series, template_coefficients, template_data, use_disk_cache
+from .polygon import polygon_from_dict
+from .series import b1_b2, d2g2, dg2, disc, g2, partition_series
+from .severi import METHODS, report
+from .suites import SUITES
+
 
 def _template_rows(delta: int) -> list[dict]:
     rows = []
@@ -154,170 +139,14 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- verification suites ---
-
-Check = tuple[str, bool]
-
-
-def _verify_table1() -> list[Check]:
-    """Template tables for cogenus 1 and 2 against the hand-entered rows."""
-    checks: list[Check] = []
-    computed: dict[tuple, dict] = {}
-    for delta in (1, 2):
-        rows = _template_rows(delta)
-        expected = sum(1 for ref in TABLE1 if ref["delta"] == delta)
-        checks.append((f"delta={delta}: {expected} templates", len(rows) == expected))
-        for row in rows:
-            key = tuple(sorted(tuple(e) for e in row["edges"]))
-            computed[key] = row
-    for ref in TABLE1:
-        key = tuple(sorted(ref["edges"]))
-        row = computed.get(key)
-        name = f"template {list(key)}"
-        if row is None:
-            checks.append((name + ": present", False))
-            continue
-        ok = (
-            row["delta"] == ref["delta"]
-            and row["ell"] == ref["ell"]
-            and row["mu"] == ref["mu"]
-            and row["eps0"] == ref["eps0"]
-            and row["eps1"] == ref["eps1"]
-            and row["lam"] == list(ref["lam"])
-            and row["olam"] == list(ref["olam"])
-            and [Fraction(row[f"zeta{i}"]) for i in range(3)]
-            == [Fraction(ref[f"zeta{i}"]) for i in range(3)]
-            and Fraction(row["eta0"]) == Fraction(str(ref["eta"][0]))
-        )
-        checks.append((name, ok))
-    return checks
-
-
-def _verify_coeffs(order: int | None) -> list[Check]:
-    """Coefficient tables against the frozen rows, plus the internal
-    consistency facts that hold at every cogenus: H vanishes and the two
-    independent routes to L agree (the latter is enforced in the library,
-    so simply building the table exercises it)."""
-    top = order if order is not None else 3
-    if top < 1:
-        raise ValueError("order must be at least 1")
-    checks: list[Check] = []
-    for delta in range(1, top + 1):
-        table = template_coefficients(delta).as_dict()
-        if delta in COEFF_ROWS:
-            checks.append((f"delta={delta}: frozen row", table == COEFF_ROWS[delta]))
-        checks.append((f"delta={delta}: H = 0", Fraction(table["H"]) == 0))
-    return checks
-
-
-GYZ_SAMPLES: tuple[tuple, ...] = (
-    (1, 0, 0, 0, 0, ()),
-    (0, 1, 0, 0, 0, ()),
-    (0, 0, 1, 0, 0, ()),
-    (0, 0, 0, 1, 0, ()),
-    (Fraction(1, 2), Fraction(-1, 3), 2, -1, 1, (Fraction(2, 3),)),
-    (3, -2, Fraction(5, 6), 4, Fraction(-1, 2), (1, Fraction(1, 4))),
-)
-
-
-def _verify_gyz(order: int | None) -> list[Check]:
-    top = order if order is not None else 3
-    if top < 1:
-        raise ValueError("order must be at least 1")
-    checks = []
-    for sample in GYZ_SAMPLES:
-        x, y, z, w, s, s_higher = sample
-        label = f"order {top} at (x,y,z,w,s,...) = {sample}"
-        checks.append((label, gyz_check(top, x, y, z, w, s, s_higher)))
-    return checks
-
-
-def _oracle_corpus() -> list[tuple[str, HTPolygon, int]]:
-    tri = lambda d: HTPolygon(0, (0,) * d, (1,) * d)
-    rect = lambda a, b: HTPolygon(0, (0,) * b, (a,) * b)
-    return [
-        ("triangle side 3", tri(3), 2),
-        ("triangle side 4", tri(4), 2),
-        ("rectangle 2x2", rect(2, 2), 1),
-        ("rectangle 3x3", rect(3, 3), 2),
-        ("trapezoid", HTPolygon(2, (0, 0, 0, 0), (2, 2, 0, 0)), 2),
-        ("slanted", HTPolygon(0, (-1, -1, 0, 0), (2, 2, 0, 0)), 2),
-    ]
-
-
-def _oracle_one(name: str, p: HTPolygon, top: int) -> list[Check]:
-    qs = [q_polygon(p, d) for d in range(1, top + 1)]
-    direct = [n_bruteforce(p, d) for d in range(0, top + 1)]
-    from_closed = n_from_q(qs)
-    checks = [
-        (
-            f"{name}: direct count matches closed form through delta={top}",
-            direct == [Fraction(1)] + from_closed,
-        )
-    ]
-    geo = [q_geometric(p, d) for d in range(1, top + 1)]
-    checks.append((f"{name}: geometric form matches closed form", geo == qs))
-    return checks
-
-
-def _verify_oracle() -> list[Check]:
-    return [check for item in _oracle_corpus() for check in _oracle_one(*item)]
-
-
-def _random_polygon(rng: random.Random) -> HTPolygon:
-    while True:
-        m = rng.randint(1, 5)
-        dt = rng.randint(0, 3)
-        left = sorted(rng.randint(-3, 3) for _ in range(m))
-        right = sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)
-        try:
-            p = HTPolygon(dt, tuple(left), tuple(right))
-        except ValueError:
-            continue
-        return p
-
-
-def _toric_one(index: int, p: HTPolygon) -> list[Check]:
-    t = toric_invariants(p)
-    stats = polygon_stats(p)
-    expected = (
-        Fraction(12)
-        - t.Ksq
-        + cor_doubleprime(stats.tdet)
-        + cor_doubleprime(stats.bdet)
-    )
-    checks = [(f"polygon {index}: corner determinants sum to 12 - K^2 + corrections",
-               Fraction(stats.det) == expected)]
-    shifted = t.c2 + sum(i * n for i, n in t.S_i.items())
-    checks.append((f"polygon {index}: blown-up Euler number", t.c2tilde == shifted))
-    return checks
-
-
-def _verify_toric() -> list[Check]:
-    rng = random.Random(20260814)
-    polys = [_random_polygon(rng) for _ in range(50)]
-    return [check for i, p in enumerate(polys) for check in _toric_one(i, p)]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "table1":
-        checks = _verify_table1()
-    elif args.suite == "coeffs":
-        checks = _verify_coeffs(args.order)
-    elif args.suite == "gyz":
-        checks = _verify_gyz(args.order)
-    elif args.suite == "oracle":
-        checks = _verify_oracle()
-    elif args.suite == "toric":
-        checks = _verify_toric()
-    else:  # pragma: no cover - argparse rejects unknown suites first
-        raise ValueError(f"unknown suite: {args.suite}")
+    checks = SUITES[args.suite](args.order)
     failures = 0
     for label, ok in checks:
         print(f"{'pass' if ok else 'FAIL'}  {args.suite}: {label}")
         failures += not ok
     print(f"{args.suite}: {len(checks) - failures}/{len(checks)} checks passed")
-    return 1 if failures else 0
+    return 1 if failures or not checks else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_severi)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("suite", choices=("table1", "coeffs", "gyz", "oracle", "toric"))
+    v.add_argument("suite", choices=tuple(SUITES))
     v.add_argument("--order", type=int, help="depth for suites that take one")
     v.set_defaults(func=cmd_verify)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .graphs import Template, enumerate_templates
 from .orderings import LinearForm, fit_linear_phi, phi_beta
@@ -46,25 +46,6 @@ class CoeffTable:
             "Ctilde": str(self.Ctilde),
             "b": [str(v) for v in self.b],
         }
-
-
-class BetaStats(NamedTuple):
-    area: int
-    ll: int
-    height: int
-    idet: int
-
-
-def beta_stats(beta: Sequence[int]) -> BetaStats:
-    """Area, lattice length, height, and internal-determinant sum of widths."""
-    beta = tuple(beta)
-    m = len(beta) - 1
-    if m == 0:
-        raise ValueError("stats need height >= 1; a single width has no idet")
-    area = beta[0] + beta[m] + 2 * sum(beta[1:m])
-    ll = beta[0] + beta[m] + 2 * m
-    idet = (beta[1] - beta[0]) - (beta[m] - beta[m - 1])
-    return BetaStats(area, ll, m, idet)
 
 
 CACHE_VERSION = 2
@@ -148,6 +129,10 @@ def _store_templates(delta: int, data: TemplateData) -> None:
         with tmp:
             tmp.write(_canonical_json({**payload, "hash": _digest(payload)}))
         os.replace(tmp.name, path)
+        # files of other cache versions are never read again
+        for stale in path.parent.glob(f"templates-v*-delta{delta}.json"):
+            if stale != path:
+                stale.unlink()
     except OSError:
         Path(tmp.name).unlink(missing_ok=True)
 

@@ -21,11 +21,18 @@ from typing import Iterator, NamedTuple, Sequence
 from .orderings import BetaSeq, beta_from_divergence
 
 
+def _int(value: object, what: str) -> int:
+    """An integer input; a bool is rejected, not read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, not {value!r}")
+
+
 def _int_seq(values: Sequence[int], what: str) -> tuple[int, ...]:
-    try:
-        return tuple(operator.index(v) for v in values)
-    except TypeError as exc:
-        raise TypeError(f"{what} must be integers") from exc
+    return tuple(_int(v, what) for v in values)
 
 
 @dataclass(frozen=True)
@@ -41,9 +48,9 @@ class HTPolygon:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", operator.index(self.dt))
-        object.__setattr__(self, "left", _int_seq(self.left, "left directions"))
-        object.__setattr__(self, "right", _int_seq(self.right, "right directions"))
+        object.__setattr__(self, "dt", _int(self.dt, "top width"))
+        object.__setattr__(self, "left", _int_seq(self.left, "left direction"))
+        object.__setattr__(self, "right", _int_seq(self.right, "right direction"))
         if self.dt < 0:
             raise ValueError("top width must be nonnegative")
         if len(self.left) != len(self.right):
@@ -112,8 +119,8 @@ def from_directions(
         out: list[int] = []
         for run in runs:
             direction, length = run
-            direction = operator.index(direction)
-            length = operator.index(length)
+            direction = _int(direction, f"{what} direction")
+            length = _int(length, f"{what} run length")
             if length < 1:
                 raise ValueError(f"{what} run lengths must be positive")
             out.extend([direction] * length)
@@ -137,7 +144,7 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
     lattice polygon whose non-horizontal edges rise one unit per step, i.e.
     all edge normals have integral or infinite slope.
     """
-    pts = [(operator.index(x), operator.index(y)) for x, y in vertices]
+    pts = [(_int(x, "vertex x"), _int(y, "vertex y")) for x, y in vertices]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts.pop()
     # drop repeated points
@@ -248,11 +255,27 @@ class PolygonStats:
     ell: object  # min over internal and extremal edges; inf if no internal vertices
 
 
-def polygon_stats(p: HTPolygon) -> PolygonStats:
-    beta = p.beta()
-    m = p.height
+class BetaStats(NamedTuple):
+    area: int
+    ll: int
+    height: int
+    idet: int
+
+
+def beta_stats(beta: Sequence[int]) -> BetaStats:
+    """Area, lattice length, height, and internal-determinant sum of widths."""
+    beta = tuple(beta)
+    m = len(beta) - 1
+    if m == 0:
+        raise ValueError("stats need height >= 1; a single width has no idet")
     area = beta[0] + beta[m] + 2 * sum(beta[1:m])
-    ll = p.dt + p.db + 2 * m
+    ll = beta[0] + beta[m] + 2 * m
+    idet = (beta[1] - beta[0]) - (beta[m] - beta[m - 1])
+    return BetaStats(area, ll, m, idet)
+
+
+def polygon_stats(p: HTPolygon) -> PolygonStats:
+    area, ll, height, _ = beta_stats(p.beta())  # idet comes from the vertices
 
     internal = internal_vertices(p)
     tdet = (p.right[0] - p.left[0]) if p.dt == 0 else 0
@@ -282,7 +305,7 @@ def polygon_stats(p: HTPolygon) -> PolygonStats:
     return PolygonStats(
         area=area,
         ll=ll,
-        height=m,
+        height=height,
         idet=sum(v.det for v in internal),
         det=sum(v_all.elements()),
         tdet=tdet,
@@ -558,13 +581,16 @@ def polygon_to_dict(p: HTPolygon) -> dict:
 
 
 def polygon_from_dict(data: dict) -> HTPolygon:
+    """A polygon from its JSON form; any malformed input raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("polygon JSON must be an object")
-    if "vertices" in data:
-        return from_vertices(data["vertices"])
     try:
+        if "vertices" in data:
+            return from_vertices(data["vertices"])
         return from_directions(data["dt"], data["left"], data["right"])
     except KeyError as exc:
         raise ValueError(
             "polygon JSON needs either a 'vertices' list or 'dt'/'left'/'right'"
         ) from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed polygon JSON: {exc}") from exc

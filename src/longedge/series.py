@@ -212,32 +212,6 @@ def partition_series_in_power(order: int, i: int) -> RatSeries:
     return RatSeries(coeffs)
 
 
-def check_g_identity(order: int) -> bool:
-    """Reversion of the weight-2 generator equals the exp-transform series.
-
-    Checks both halves: revert(dg2) agrees with t * exp(-2 sum A(d) t^d), and
-    the b-coefficient generating series match log of the partition series
-    composed with powers of that reversion.
-    """
-    from .coeffs import a_series, b_coeffs  # deferred: coeffs imports series
-
-    a = a_series(order)
-    ta = a.shift(1)  # t * A(t)
-    if dg2(order).revert() != ta:
-        return False
-    for i in range(1, order + 1):
-        lhs = RatSeries(
-            [Fraction(0) if d < i else b_coeffs(d, i) for d in range(order + 1)]
-        )
-        inner = RatSeries.one(order)
-        for _ in range(i):
-            inner = inner * ta
-        rhs = partition_series(order).log().compose(inner)
-        if lhs != rhs:
-            return False
-    return True
-
-
 def b1_b2(order: int) -> tuple[RatSeries, RatSeries]:
     """The two exponential factors of the closed product formula."""
     from .coeffs import template_coefficients  # deferred: coeffs imports series

@@ -20,6 +20,7 @@ from .graphs import enumerate_graphs
 from .orderings import p_beta_strict
 from .polygon import (
     HTPolygon,
+    PolygonStats,
     polygon_stats,
     polygon_to_dict,
     reorderings,
@@ -182,16 +183,30 @@ def t_delta(delta: int) -> Poly:
     return _t_polys(delta)[delta]
 
 
+def _edge_shortfall(min_edge: int, method: str, delta: int) -> str | None:
+    """Why a route cannot reach this node count, or None if it can: the
+    direct count needs every edge of length >= delta - 1, the closed and
+    geometric forms need length >= delta."""
+    need = delta - 1 if method == "bruteforce" else delta
+    if min_edge >= need:
+        return None
+    return f"needs every edge of length >= {need}, shortest is {min_edge}"
+
+
+def _require_edges(p: HTPolygon, method: str, delta: int) -> PolygonStats:
+    lowest = 0 if method == "bruteforce" else 1
+    if delta < lowest:
+        raise ValueError(f"delta must be >= {lowest}")
+    stats = polygon_stats(p)
+    shortfall = _edge_shortfall(stats.min_edge, method, delta)
+    if shortfall:
+        raise ValueError(f"the {method} route {shortfall}")
+    return stats
+
+
 def n_bruteforce(p: HTPolygon, delta: int) -> int:
     """Direct count: reorderings paired with weighted graphs of the rest."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    stats = polygon_stats(p)
-    if stats.min_edge < delta - 1:
-        raise ValueError(
-            f"direct count needs every edge of length >= {delta - 1}; "
-            f"the shortest edge has length {stats.min_edge}"
-        )
+    _require_edges(p, "bruteforce", delta)
     total = 0
     for ro in reorderings(p, delta):
         rest = delta - ro.cogenus
@@ -208,8 +223,7 @@ def n_bruteforce(p: HTPolygon, delta: int) -> int:
 
 def q_polygon(p: HTPolygon, delta: int) -> Fraction:
     """Closed form in the polygon's width statistics."""
-    stats = polygon_stats(p)
-    _require_edges(stats.min_edge, delta)
+    stats = _require_edges(p, "closed", delta)
     tab = template_coefficients(delta)
     total = (
         tab.A * stats.area
@@ -226,8 +240,7 @@ def q_polygon(p: HTPolygon, delta: int) -> Fraction:
 
 def q_geometric(p: HTPolygon, delta: int) -> Fraction:
     """Universal linear form at the surface's intersection numbers."""
-    stats = polygon_stats(p)
-    _require_edges(stats.min_edge, delta)
+    stats = _require_edges(p, "geometric", delta)
     inv = toric_invariants(p)
     s_all = [Fraction(inv.S)] + [
         Fraction(inv.S_i.get(i, 0)) for i in range(1, delta)
@@ -236,16 +249,6 @@ def q_geometric(p: HTPolygon, delta: int) -> Fraction:
         inv.Lsq, inv.LK, inv.Ksq, inv.c2tilde, s_all
     )
     return value + cor(stats.tdet, delta) + cor(stats.bdet, delta)
-
-
-def _require_edges(min_edge: int, delta: int) -> None:
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    if min_edge < delta:
-        raise ValueError(
-            f"closed forms need every edge of length >= {delta}; "
-            f"the shortest edge has length {min_edge}"
-        )
 
 
 def n_from_q(q_values: Sequence[Rational]) -> list[Fraction]:
@@ -310,21 +313,14 @@ def report(
         ns: list = []
         qs: list = []
         for delta in range(1, delta_max + 1):
+            shortfall = _edge_shortfall(stats.min_edge, m, delta)
+            if shortfall:
+                reason = f"precondition unmet: {shortfall}"
+                skipped.setdefault(m, {})[str(delta)] = reason
+                break
             if m == "bruteforce":
-                if stats.min_edge < delta - 1:
-                    skipped.setdefault(m, {})[str(delta)] = (
-                        "precondition unmet: needs every edge of length "
-                        f">= {delta - 1}, shortest is {stats.min_edge}"
-                    )
-                    break
                 ns.append(Fraction(n_bruteforce(p, delta)))
             else:
-                if stats.min_edge < delta:
-                    skipped.setdefault(m, {})[str(delta)] = (
-                        "precondition unmet: needs every edge of length "
-                        f">= {delta}, shortest is {stats.min_edge}"
-                    )
-                    break
                 fn = q_polygon if m == "closed" else q_geometric
                 qs.append(fn(p, delta))
         if m == "bruteforce":

@@ -3,22 +3,18 @@
 Every check recomputes its target through the public interface and compares
 against hand-entered constants or an independent second route.  Verdicts
 are collected in VERDICTS and printed as a summary section by conftest.
-Set LONGEDGE_SLOW=1 to extend criteria 3 and 4 by one cogenus/order.
+Criteria 1, 2, 7, 8 and 9 run the suites that `longedge verify` runs.
 """
 
 import functools
-import os
-import random
 import time
 from collections import Counter
 from fractions import Fraction as F
 
-from longedge.cli import GYZ_SAMPLES
 from longedge.coeffs import (
     a_series,
     b_coeffs,
     cor,
-    cor_doubleprime,
     diffq,
     q_beta_delta,
     template_coefficients,
@@ -26,21 +22,12 @@ from longedge.coeffs import (
 )
 from longedge.graphs import conjugate, enumerate_graphs, enumerate_templates
 from longedge.orderings import fit_linear_phi, p_beta
-from longedge.polygon import (
-    HTPolygon,
-    beta_of,
-    internal_vertices,
-    polygon_stats,
-    reorderings,
-    toric_invariants,
-)
-from longedge.reference import TABLE1
-from longedge.series import RatSeries, dg2, gyz_check, partition_series
+from longedge.polygon import beta_of, internal_vertices, polygon_stats, reorderings
+from longedge.series import RatSeries, dg2, partition_series
 from longedge.severi import n_bruteforce, n_from_q, q_geometric, q_polygon
+from longedge.suites import SHARP, SUITES, TRAPEZOID, TWO_SIDED, triangle
 
 from oracles import brute_force_orderings
-
-RUN_SLOW = bool(os.environ.get("LONGEDGE_SLOW"))
 
 VERDICTS: list[tuple[int, str, bool, float]] = []
 
@@ -71,65 +58,27 @@ def criterion(number, label, budget=None):
     return wrap
 
 
-def triangle(d):
-    return HTPolygon(0, (0,) * d, (1,) * d)
-
-
-def rectangle(a, b):
-    return HTPolygon(0, (0,) * b, (a,) * b)
-
-
-TRAPEZOID = HTPolygon(2, (0, 0, 0, 0), (2, 2, 0, 0))
-TWO_SIDED = HTPolygon(2, (0, 0, 0, 1, 1, 1), (2, 2, 2, 0, 0, 0))
-SHARP = HTPolygon(0, (-1, -1, 0, 0), (2, 2, 0, 0))
+def assert_suite(name):
+    """Fail on any failed check of a named suite, and on an empty suite."""
+    checks = SUITES[name]()
+    assert checks, f"suite {name} ran no checks"
+    failed = [label for label, ok in checks if not ok]
+    assert not failed, failed
 
 
 @criterion(1, "template table at cogenus 1 and 2, every column", budget=1.0)
 def test_criterion_01_template_table():
-    computed = {}
-    for delta, expected in ((1, 2), (2, 7)):
-        ts = enumerate_templates(delta)
-        assert len(ts) == expected
-        for t in ts:
-            key = tuple(sorted((e.lo, e.hi, e.weight) for e in t.edges))
-            computed[key] = (t, fit_linear_phi(t))
-    assert len(computed) == len(TABLE1) == 9
-    for ref in TABLE1:
-        t, form = computed[tuple(sorted(ref["edges"]))]
-        assert t.cogenus == ref["delta"]
-        assert t.length == ref["ell"]
-        assert t.multiplicity == ref["mu"]
-        assert (t.epsilon0, t.epsilon1) == (ref["eps0"], ref["eps1"])
-        assert tuple(t.lambda_(j) for j in range(1, t.length + 1)) == ref["lam"]
-        assert tuple(t.olambda(j) for j in range(1, t.length + 1)) == ref["olam"]
-        assert form.eta == ref["eta"]
-        assert (form.zeta0, form.zeta1, form.zeta2) == (
-            ref["zeta0"],
-            ref["zeta1"],
-            ref["zeta2"],
-        )
+    assert_suite("table1")
 
 
 @criterion(2, "universal coefficients through cogenus 3", budget=10.0)
 def test_criterion_02_coefficient_table():
-    t1 = template_coefficients(1)
-    t2 = template_coefficients(2)
-    assert (t1.A, t1.L, t1.D, t1.C, t1.H) == (3, -2, 0, 4, 0)
-    assert (t2.A, t2.L, t2.D, t2.C, t2.H) == (-21, F(39, 2), 4, -38, 0)
-    assert (t1.Ctilde, t2.Ctilde) == (0, -36)
-    assert b_coeffs(1, 1) == 1
-    assert (b_coeffs(2, 1), b_coeffs(2, 2)) == (F(-9, 2), 1)
-    assert (b_coeffs(3, 1), b_coeffs(3, 2), b_coeffs(3, 3)) == (
-        F(130, 3),
-        -12,
-        1,
-    )
+    assert_suite("coeffs")
 
 
 @criterion(3, "height coefficient vanishes; both edge-length routes agree")
 def test_criterion_03_vanishing_and_agreement():
-    top = 4 if RUN_SLOW else 3
-    for delta in range(1, top + 1):
+    for delta in range(1, 5):
         table = template_coefficients(delta)
         assert table.H == 0
         # once via the eta constant terms, once via the crossing statistics
@@ -148,7 +97,7 @@ def test_criterion_03_vanishing_and_agreement():
 @criterion(4, "series identities; width coefficient at cogenus 3 is 230",
            budget=10.0)
 def test_criterion_04_series_cross_check():
-    order = 4 if RUN_SLOW else 3
+    order = 4
     g = dg2(order).revert()
     a = a_series(order)
     assert g == RatSeries([0, *a.coeffs[:order]])
@@ -193,47 +142,17 @@ def test_criterion_06_ground_truth():
 @criterion(7, "direct, closed, and geometric counts agree on the corpus",
            budget=600.0)
 def test_criterion_07_oracle_equivalence():
-    corpus = [triangle(d) for d in range(1, 6)]
-    corpus += [
-        rectangle(a, b) for a in range(1, 5) for b in range(a, 5)
-    ]
-    corpus += [TRAPEZOID, SHARP]
-    for p in corpus:
-        top = min(3, polygon_stats(p).min_edge)
-        assert n_bruteforce(p, 0) == 1
-        brute = [n_bruteforce(p, d) for d in range(1, top + 1)]
-        closed = n_from_q([q_polygon(p, d) for d in range(1, top + 1)])
-        geo = n_from_q([q_geometric(p, d) for d in range(1, top + 1)])
-        assert brute == closed == geo, p
+    assert_suite("oracle")
 
 
 @criterion(8, "determinant and Euler-number identities on random polygons")
 def test_criterion_08_toric_identities():
-    rng = random.Random(20260814)
-    produced = 0
-    while produced < 50:
-        m = rng.randint(1, 5)
-        dt = rng.randint(0, 3)
-        left = tuple(sorted(rng.randint(-3, 3) for _ in range(m)))
-        right = tuple(sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True))
-        try:
-            p = HTPolygon(dt, left, right)
-        except ValueError:
-            continue
-        produced += 1
-        stats = polygon_stats(p)
-        inv = toric_invariants(p)
-        assert stats.det == 12 - inv.Ksq + cor_doubleprime(
-            stats.tdet
-        ) + cor_doubleprime(stats.bdet)
-        assert inv.c2tilde == inv.c2 + sum(i * n for i, n in inv.S_i.items())
+    assert_suite("toric")
 
 
 @criterion(9, "closed product formula at six rational samples", budget=30.0)
 def test_criterion_09_product_formula():
-    for sample in GYZ_SAMPLES:
-        x, y, z, w, s, s_higher = sample
-        assert gyz_check(3, x, y, z, w, s, s_higher), sample
+    assert_suite("gyz")
 
 
 @criterion(10, "property slices: orderings, conjugation, bounds, linearity")

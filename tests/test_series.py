@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from longedge.series import (
     RatSeries,
     b1_b2,
-    check_g_identity,
     d2g2,
     dg2,
     disc,
@@ -159,10 +158,6 @@ def test_partition_series():
 
 def test_revert_of_weight_two_generator():
     assert dg2(4).revert() == series_from([0, 1, -6, 60, -748])
-
-
-def test_g_identity_through_order_three():
-    assert check_g_identity(3)
 
 
 def test_closed_form_factors():

@@ -12,7 +12,7 @@ from longedge.coeffs import (
     q_delta_linearized,
     template_coefficients,
 )
-from longedge.polygon import HTPolygon, beta_of, polygon_stats, reorderings, toric_invariants
+from longedge.polygon import beta_of, polygon_stats, reorderings, toric_invariants
 from longedge.severi import (
     METHODS,
     Poly,
@@ -25,19 +25,7 @@ from longedge.severi import (
     t_delta,
     that_delta,
 )
-
-
-def triangle(d):
-    return HTPolygon(0, (0,) * d, (1,) * d)
-
-
-def rectangle(a, b):
-    return HTPolygon(a, (0,) * b, (0,) * b)
-
-
-SHARP = HTPolygon(0, (-1, -1, 0, 0), (2, 2, 0, 0))
-TRAPEZOID = HTPolygon(2, (0, 0, 0, 0), (2, 2, 0, 0))
-TWO_SIDED = HTPolygon(2, (0, 0, 0, 1, 1, 1), (2, 2, 2, 0, 0, 0))
+from longedge.suites import SHARP, TRAPEZOID, TWO_SIDED, rectangle, triangle
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -126,7 +114,7 @@ class TestBruteForce:
             assert n_bruteforce(p, 0) == 1
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="shortest edge has length 1"):
+        with pytest.raises(ValueError, match="shortest is 1"):
             n_bruteforce(triangle(1), 3)
         with pytest.raises(ValueError):
             n_bruteforce(triangle(2), -1)
@@ -172,36 +160,7 @@ class TestClosedForms:
             q_polygon(triangle(3), 0)
 
 
-CORPUS = [
-    triangle(1),
-    triangle(2),
-    triangle(3),
-    triangle(4),
-    triangle(5),
-    rectangle(1, 1),
-    rectangle(2, 2),
-    rectangle(2, 3),
-    rectangle(3, 3),
-    rectangle(4, 4),
-    TRAPEZOID,
-    TWO_SIDED,
-    SHARP,
-]
-
-
 class TestMethodAgreement:
-    @pytest.mark.parametrize("p", CORPUS, ids=lambda p: f"dt{p.dt}h{p.height}")
-    def test_three_routes_agree(self, p):
-        max_delta = min(3, polygon_stats(p).min_edge)
-        if max_delta < 1:
-            pytest.skip("no delta satisfies the closed-form bound")
-        qs_closed = [q_polygon(p, d) for d in range(1, max_delta + 1)]
-        qs_geo = [q_geometric(p, d) for d in range(1, max_delta + 1)]
-        assert qs_closed == qs_geo
-        ns = n_from_q(qs_closed)
-        for d in range(1, max_delta + 1):
-            assert n_bruteforce(p, d) == ns[d - 1]
-
     @pytest.mark.parametrize("a,b", [(2, 3), (1, 4)])
     def test_rotation_invariance(self, a, b):
         tall, wide = rectangle(a, b), rectangle(b, a)
