@@ -5,8 +5,10 @@ Columns per row: edges, delta, ell, mu, eps0, eps1, lam (crossing weights at
 gaps 1..ell), olam (same minus the count of exact gap edges), eta (constant
 term plus one coefficient per width position), zeta0, zeta1, zeta2.
 
-COEFF_ROWS freezes the universal coefficient table for small cogenus, in the
-same string form the library serializes.
+COEFF_ROWS freezes the universal coefficient table for cogenus 1 to 6, in the
+same string form the library serializes.  Rows 4 to 6 were generated by
+summing phi over set partitions of each template's edges, and guard every
+later change to how phi is computed.
 """
 
 from fractions import Fraction as F
@@ -50,4 +52,13 @@ COEFF_ROWS = {
         "Ctilde": "-36", "b": ["-9/2", "1"]},
     3: {"delta": 3, "A": "230", "L": "-788/3", "H": "0", "D": "-83",
         "C": "1780/3", "Ctilde": "752", "b": ["130/3", "-12", "1"]},
+    4: {"delta": 4, "A": "-3015", "L": "15945/4", "H": "0", "D": "1576",
+        "C": "-10262", "Ctilde": "-14421",
+        "b": ["-2145/4", "315/2", "-18", "1"]},
+    5: {"delta": 5, "A": "217728/5", "L": "-321882/5", "H": "0",
+        "D": "-29493", "C": "921864/5", "Ctilde": "272340",
+        "b": ["37506/5", "-2252", "288", "-24", "1"]},
+    6: {"delta": 6, "A": "-668388", "L": "1080646", "H": "0",
+        "D": "3310265/6", "C": "-10137308/3", "Ctilde": "-5134642",
+        "b": ["-112826", "102676/3", "-9237/2", "456", "-30", "1"]},
 }

@@ -368,6 +368,13 @@ class TestVerify:
         n = self.CHECKS[suite]
         assert out.endswith(f"{suite}: {n}/{n} checks passed\n")
 
+    def test_coeffs_suite_at_order_five(self, capsys):
+        code, out, _ = run(["verify", "coeffs", "--order", "5"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.count("frozen row") == 5
+        assert out.endswith("coeffs: 10/10 checks passed\n")
+
     def test_empty_suite_fails(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.SUITES, "table1", lambda order: [])
         code, out, _ = run(["verify", "table1"], capsys)
