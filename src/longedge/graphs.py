@@ -88,7 +88,7 @@ class LongEdgeGraph:
     def minv(self) -> int:
         if self.is_empty:
             raise ValueError("minv is undefined on the empty graph")
-        return min(e.lo for e in self.edges)
+        return self.edges[0].lo  # edges are sorted by their lower end first
 
     @property
     def maxv(self) -> int:

@@ -4,9 +4,12 @@ Given widths beta = (beta_0, ..., beta_M), a graph G is padded with
 beta_{j-1} - lambda_j(G) unweighted filler edges in each gap j, and P_beta(G)
 counts the total orderings of vertices and edges (each edge placed strictly
 between its endpoints) up to permuting indistinguishable edges.  phi_beta is
-the signed sum of P_beta products over ordered decompositions of the edge
-multiset; on the semiallowable region it is linear in beta, and
-fit_linear_phi recovers that linear form exactly.
+the log coefficient phi(S) = [x^S] log(sum_T P_beta(T) x^T) of the edge
+multiset S, the sum running over its sub-multisets T; it equals the signed
+sum of P_beta products over ordered decompositions of S, but is computed by
+an integer recurrence over the sub-multisets.  On the semiallowable region
+phi_beta is linear in beta, and fit_linear_phi recovers that linear form
+exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
-from typing import Iterator, Sequence
+from math import comb, factorial, lcm
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Edge, LongEdgeGraph
 
@@ -61,9 +64,10 @@ def allowability(g: LongEdgeGraph, beta: Sequence[int]) -> Allowability:
     m = len(beta) - 1
     if g.is_empty:
         return Allowability.STRICTLY_ALLOWABLE
-    if g.maxv > m + 1:
+    hi = g.maxv
+    if hi > m + 1:
         return Allowability.NOT_ALLOWABLE
-    if any(beta[j - 1] < g.lambda_(j) for j in range(g.minv + 1, g.maxv + 1)):
+    if any(beta[j - 1] < g.lambda_(j) for j in range(g.minv + 1, hi + 1)):
         return Allowability.NOT_ALLOWABLE
     # strictness looks at the ends of the ambient vertex range, not of g
     strict = all(e.weight == 1 for e in g.edges if e.lo == 0 or e.hi == m + 1)
@@ -93,11 +97,18 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _p_count(edges: tuple[Edge, ...], beta: tuple[int, ...]) -> int:
-    g = LongEdgeGraph(edges)
-    gaps = list(range(g.minv + 1, g.maxv + 1))
-    filler = {j: beta[j - 1] - g.lambda_(j) for j in gaps}
-    classes = sorted(Counter(edges).items())
+def _p_count(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
+    """P of a graph whose lowest vertex is 0, given as its edges' (lo, hi,
+    weight) run together, where gap j holds widths[j-1] edges in all.
+
+    P does not change when a graph is shifted or when widths outside its
+    span change, so all shifts of one shape at the same local widths share
+    one entry.  Plain integers keep the keys small and quick to hash.
+    """
+    g = LongEdgeGraph(tuple(zip(shape[0::3], shape[1::3], shape[2::3])))
+    gaps = range(1, g.maxv + 1)
+    filler = {j: widths[j - 1] - g.lambda_(j) for j in gaps}
+    classes = sorted(Counter(g.edges).items())
     # per class, all ways to spread its copies over the gaps it straddles
     spreads = []
     for e, mult in classes:
@@ -122,6 +133,13 @@ def _p_count(edges: tuple[Edge, ...], beta: tuple[int, ...]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _shared(value):
+    """The first value seen equal to this one, so that the many cache keys
+    and plans that hold equal values hold one object between them."""
+    return value
+
+
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
     beta = tuple(beta)
@@ -129,7 +147,9 @@ def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
         return 1
     if allowability(g, beta) is Allowability.NOT_ALLOWABLE:
         return 0
-    return _p_count(g.edges, beta)
+    lo = g.minv
+    shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
+    return _p_count(shape, _shared(beta[lo : g.maxv]))
 
 
 def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
@@ -139,49 +159,71 @@ def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     return p_beta(g, beta)
 
 
-@lru_cache(maxsize=None)
-def _edge_partitions(
-    edges: tuple[Edge, ...],
-) -> tuple[tuple[tuple[Edge, ...], ...], ...]:
-    """Unordered decompositions of the edge multiset into nonempty parts.
+class _LogPlan(NamedTuple):
+    """The nonempty sub-multisets T of an edge multiset S, smallest first
+    (S itself last), with the splits T = U + (T - U), 0 < U < T, that the
+    log recurrence reads, and the common denominator lcm(1..|S|)."""
 
-    Parts are canonical sorted tuples; identical edges are interchangeable, so
-    decompositions are deduplicated as multisets of parts.
-    """
-    if not edges:
-        return ((),)
-    first, rest = edges[0], edges[1:]
-    seen = set()
-    for r in range(len(rest) + 1):
-        for picks in set(itertools.combinations(rest, r)):
-            part = tuple(sorted((first, *picks)))
-            remaining = list(rest)
-            for x in picks:
-                remaining.remove(x)
-            for sub in _edge_partitions(tuple(remaining)):
-                seen.add(tuple(sorted((part, *sub))))
-    return tuple(seen)
+    graphs: tuple[LongEdgeGraph, ...]
+    # per T, the indices of U and of T - U for each split, flattened in pairs
+    splits: tuple[tuple[int, ...], ...]
+    scale: int
+
+
+@lru_cache(maxsize=None)
+def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
+    classes = sorted(Counter(edges).items())
+    # a sub-multiset is its vector of copies taken from each class
+    vectors = sorted(
+        itertools.product(*(range(mult + 1) for _, mult in classes)), key=sum
+    )[1:]
+    index = {v: i for i, v in enumerate(vectors)}
+    graphs = tuple(
+        _shared(LongEdgeGraph(tuple(
+            e for (e, _), c in zip(classes, v) for _ in range(c)
+        )))
+        for v in vectors
+    )
+    splits = tuple(
+        tuple(
+            i
+            for u in itertools.product(*(range(c + 1) for c in t))
+            if 0 < sum(u) < sum(t)
+            for i in (index[u], index[tuple(a - b for a, b in zip(t, u))])
+        )
+        for t in vectors
+    )
+    return _LogPlan(graphs, splits, lcm(*range(1, len(edges) + 1)))
 
 
 def _phi(g: LongEdgeGraph, beta: tuple[int, ...], count) -> Fraction:
+    """[x^S] log(sum over sub-multisets T of S of count(T) x^T), S = g.edges.
+
+    With h[T] = scale * phi(T), an integer, the log derivative gives
+    |T| h[T] = |T| scale count(T) - sum over 0 < U < T of |U| h[U] count(T - U).
+    """
     if g.is_empty:
         return Fraction(0)
-    total = Fraction(0)
-    for partition in _edge_partitions(g.edges):
-        pieces = [count(LongEdgeGraph(part), beta) for part in partition]
-        if 0 in pieces:
-            continue
-        i = len(partition)
-        # each unordered decomposition stands for i!/prod(mult!) ordered tuples
-        tuples = factorial(i) // prod(
-            factorial(m) for m in Counter(partition).values()
-        )
-        total += Fraction((-1) ** (i + 1) * tuples * prod(pieces), i)
-    return total
+    plan = _log_plan(g.edges)
+    p = [count(t, beta) for t in plan.graphs]
+    size_h: list[int] = []  # |T| h[T], in plan order
+    for t, p_t, split in zip(plan.graphs, p, plan.splits):
+        size = len(t)
+        acc = size * plan.scale * p_t
+        pairs = iter(split)
+        for u, rest in zip(pairs, pairs):
+            acc -= size_h[u] * p[rest]
+        h, r = divmod(acc, size)
+        if r:
+            raise ArithmeticError(
+                f"phi of {t} at {beta} is not a multiple of 1/{plan.scale}"
+            )
+        size_h.append(acc)
+    return Fraction(h, plan.scale)
 
 
 def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
-    """Signed decomposition sum of p_beta; the log-side weight of g."""
+    """Log coefficient of p_beta at g's edge multiset; the log-side weight of g."""
     return _phi(g, tuple(beta), p_beta)
 
 

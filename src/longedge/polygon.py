@@ -194,9 +194,14 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
             if ay == by == y:
                 xs.extend((ax, bx))
             elif min(ay, by) <= y <= max(ay, by) and dy != 0:
-                x = Fraction(ax) + Fraction(dx, dy) * (y - ay)
-                assert x.denominator == 1
-                xs.append(int(x))
+                num = ax * dy + dx * (y - ay)
+                x, rest = divmod(num, dy)
+                if rest:
+                    raise ValueError(
+                        f"not a lattice polygon: edge {(ax, ay)} -> {(bx, by)} "
+                        f"crosses height {y} at x = {Fraction(num, dy)}"
+                    )
+                xs.append(x)
         return min(xs), max(xs)
 
     bounds = [width_bounds(ytop - i) for i in range(m + 1)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .coeffs import cor_doubleprime, template_coefficients, template_data
 from .polygon import HTPolygon, polygon_stats, toric_invariants
@@ -73,7 +73,7 @@ def _depth(order: int | None) -> int:
     return 3 if order is None else order
 
 
-def table1(order: int | None = None) -> list[Check]:
+def table1() -> list[Check]:
     """Templates of cogenus 1 and 2 against TABLE1, every column."""
     checks: list[Check] = []
     computed = {}
@@ -135,7 +135,7 @@ def oracle_corpus() -> list[tuple[str, HTPolygon]]:
     ]
 
 
-def oracle(order: int | None = None) -> list[Check]:
+def oracle() -> list[Check]:
     """The three routes agree on every corpus polygon, as deep as its
     shortest edge allows up to delta = 3, with no count skipped."""
     checks: list[Check] = []
@@ -150,7 +150,7 @@ def oracle(order: int | None = None) -> list[Check]:
     return checks
 
 
-def toric(order: int | None = None) -> list[Check]:
+def toric() -> list[Check]:
     """Vertex-determinant and Euler-number identities on 50 random polygons."""
     rng = random.Random(20260814)
     checks: list[Check] = []
@@ -167,11 +167,18 @@ def toric(order: int | None = None) -> list[Check]:
     return checks
 
 
-# Every suite takes an optional depth; table1, oracle and toric ignore it.
-SUITES: dict[str, Callable[[int | None], list[Check]]] = {
-    "table1": table1,
-    "coeffs": coeffs,
-    "gyz": gyz,
-    "oracle": oracle,
-    "toric": toric,
+class Suite(NamedTuple):
+    """A suite's checks; one that takes a depth is called with it (or with
+    no argument, for its default), one that does not is called bare."""
+
+    run: Callable[..., list[Check]]
+    takes_depth: bool
+
+
+SUITES: dict[str, Suite] = {
+    "table1": Suite(table1, takes_depth=False),
+    "coeffs": Suite(coeffs, takes_depth=True),
+    "gyz": Suite(gyz, takes_depth=True),
+    "oracle": Suite(oracle, takes_depth=False),
+    "toric": Suite(toric, takes_depth=False),
 }

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, prod
 
 from longedge.graphs import LongEdgeGraph
 
@@ -49,3 +53,46 @@ def brute_force_orderings(g: LongEdgeGraph, beta) -> int:
         return total
 
     return count(0, symbols)
+
+
+@lru_cache(maxsize=None)
+def _edge_partitions(edges: tuple) -> frozenset[tuple]:
+    """Unordered decompositions of a sorted edge tuple into nonempty parts.
+
+    Parts are sorted tuples; identical edges are interchangeable, so each
+    decomposition appears once, as a sorted tuple of parts.
+    """
+    if not edges:
+        return frozenset({()})
+    first, rest = edges[0], edges[1:]
+    seen = set()
+    for r in range(len(rest) + 1):
+        for picks in set(itertools.combinations(rest, r)):
+            part = tuple(sorted((first, *picks)))
+            remaining = list(rest)
+            for x in picks:
+                remaining.remove(x)
+            for sub in _edge_partitions(tuple(remaining)):
+                seen.add(tuple(sorted((part, *sub))))
+    return frozenset(seen)
+
+
+def phi_by_partitions(g: LongEdgeGraph, beta, count) -> Fraction:
+    """phi as the signed sum over the set partitions of g's edge multiset:
+    a decomposition into i parts weighs (-1)^(i+1)/i times the number of
+    ordered tuples it stands for times the product of count over its parts.
+    """
+    beta = tuple(beta)
+    parts = {}  # count of each distinct part, computed once
+    total = Fraction(0)
+    for partition in _edge_partitions(g.edges) if g.edges else ():
+        for part in partition:
+            if part not in parts:
+                parts[part] = count(LongEdgeGraph(part), beta)
+        pieces = [parts[part] for part in partition]
+        i = len(partition)
+        tuples = factorial(i) // prod(
+            factorial(m) for m in Counter(partition).values()
+        )
+        total += Fraction((-1) ** (i + 1) * tuples * prod(pieces), i)
+    return total

@@ -60,7 +60,7 @@ def criterion(number, label, budget=None):
 
 def assert_suite(name):
     """Fail on any failed check of a named suite, and on an empty suite."""
-    checks = SUITES[name]()
+    checks = SUITES[name].run()
     assert checks, f"suite {name} ran no checks"
     failed = [label for label, ok in checks if not ok]
     assert not failed, failed

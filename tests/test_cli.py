@@ -13,6 +13,7 @@ import longedge
 from longedge import cli, coeffs
 from longedge.coeffs import template_data
 from longedge.reference import COEFF_ROWS
+from longedge.suites import Suite
 
 
 @pytest.fixture(autouse=True)
@@ -376,7 +377,7 @@ class TestVerify:
         assert out.endswith("coeffs: 10/10 checks passed\n")
 
     def test_empty_suite_fails(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.SUITES, "table1", lambda order: [])
+        monkeypatch.setitem(cli.SUITES, "table1", Suite(lambda: [], False))
         code, out, _ = run(["verify", "table1"], capsys)
         assert code == 1
         assert out == "table1: 0/0 checks passed\n"
@@ -393,6 +394,58 @@ class TestVerify:
         code, _, err = run(["verify", "gyz", "--order", "0"], capsys)
         assert code == 2
         assert "at least 1" in err
+
+
+BROKEN_ROW_1 = {**COEFF_ROWS, 1: {**COEFF_ROWS[1], "A": "999"}}
+ROUTE_OFF = lambda p, delta: 999  # noqa: E731
+
+# argv ({polygon}, {bad} and {missing} stand for files), a patch, the exit code:
+# 0 success, 1 a failed check or disagreement, 2 bad input
+EXIT_CODES = [
+    (["templates", "--delta", "1"], None, 0),
+    (["templates", "--delta", "-1"], None, 2),
+    (["templates", "--delta", "1", "--format", "xml"], None, 2),
+    (["coeffs", "--delta", "1"], None, 0),
+    (["coeffs", "--delta", "-1"], None, 2),
+    (["coeffs"], None, 2),
+    (["severi", "--polygon", "{polygon}", "--delta", "1"], None, 0),
+    (["severi", "--polygon", "{polygon}", "--delta", "1"],
+     ("longedge.severi.q_geometric", ROUTE_OFF), 1),
+    (["severi", "--polygon", "{missing}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{bad}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{polygon}", "--delta", "1", "--method", "x"], None, 2),
+    (["verify", "table1"], None, 0),
+    (["verify", "gyz", "--order", "2"], None, 0),
+    (["verify", "coeffs", "--order", "1"],
+     ("longedge.suites.COEFF_ROWS", BROKEN_ROW_1), 1),
+    (["verify", "gyz", "--order", "0"], None, 2),
+    (["verify", "table1", "--order", "3"], None, 2),
+    (["verify", "oracle", "--order", "3"], None, 2),
+    (["verify", "toric", "--order", "0"], None, 2),
+    (["verify", "nosuch"], None, 2),
+    (["series", "g", "--order", "2"], None, 0),
+    (["series", "g", "--order", "-1"], None, 2),
+    (["series", "nosuch", "--order", "2"], None, 2),
+]
+
+
+@pytest.mark.parametrize("argv, patch, expected", EXIT_CODES)
+def test_exit_codes(argv, patch, expected, tmp_path, monkeypatch, capsys):
+    polygon = tmp_path / "triangle.json"
+    polygon.write_text(json.dumps({"dt": 0, "left": [[0, 3]], "right": [[1, 3]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": [[0, 0], [1, 0], [0.5, 1]]}')  # not a lattice polygon
+    files = {"polygon": polygon, "bad": bad, "missing": tmp_path / "missing.json"}
+    if patch:
+        monkeypatch.setattr(*patch)
+    try:
+        code = cli.main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected == 2:
+        assert "error:" in err
 
 
 def test_module_invocation(tmp_path):

@@ -20,7 +20,7 @@ from longedge.orderings import (
 )
 from longedge.reference import TABLE1
 
-from oracles import brute_force_orderings
+from oracles import brute_force_orderings, phi_by_partitions
 
 EMPTY = LongEdgeGraph()
 WT2 = LongEdgeGraph([(0, 1, 2)])
@@ -145,6 +145,22 @@ def test_phi_two_parallel_arcs():
     for b0, b1 in [(4, 4), (5, 7), (6, 4)]:
         expected = Fraction(-3, 2) * b0 + Fraction(-3, 2) * b1 + 1
         assert phi_beta(g, (b0, b1)) == expected
+
+
+def test_phi_matches_partition_oracle():
+    for d in range(1, 5):
+        for g in enumerate_graphs(d, d + 1):
+            n = g.maxv
+            betas = [
+                (d + 2,) * n,  # semiallowable
+                tuple(d + 2 + i % 3 for i in range(n)),
+                tuple(1 + 2 * i % 5 for i in range(n + 1)),  # often not allowable
+                (1,) * n,
+                (d + 2,) * max(1, n - 2),  # maxv > M+1
+            ]
+            for beta in betas:
+                for count, phi in ((p_beta, phi_beta), (p_beta_strict, phi_beta_strict)):
+                    assert phi(g, beta) == phi_by_partitions(g, beta, count), (g, beta)
 
 
 def test_phi_empty_graph_is_zero():

@@ -91,6 +91,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"edge \(2, 0\) -> \(3, 2\)"):
             from_vertices([(0, 0), (2, 0), (3, 2), (0, 2)])
 
+    def test_from_vertices_rejects_non_lattice_polygons(self, monkeypatch):
+        with pytest.raises(TypeError, match="vertex x must be an integer"):
+            from_vertices([(0, 0), (1, 0), (Fraction(1, 2), 1)])
+        # With integral vertices the h-transverse check already keeps every
+        # boundary point at an integral height integral; switch it off to
+        # reach the integrality check behind it, which must hold under -O.
+        monkeypatch.setattr("longedge.polygon.gcd", lambda a, b: b)
+        with pytest.raises(ValueError, match=r"not a lattice polygon: edge \(3, 0\)"):
+            from_vertices([(0, 0), (3, 0), (0, 2)])
+
     @given(polygons())
     def test_vertices_round_trip(self, p):
         assert from_vertices(p.vertices()) == p
