@@ -83,7 +83,6 @@ from .severi import (
     q_geometric,
     q_polygon,
     report,
-    t_delta,
     that_delta,
 )
 

@@ -147,16 +147,21 @@ def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
         return 1
     if allowability(g, beta) is Allowability.NOT_ALLOWABLE:
         return 0
-    lo = g.minv
-    shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
-    return _p_count(shape, _shared(beta[lo : g.maxv]))
+    return _p_allowable(g, beta)
 
 
 def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     beta = tuple(beta)
     if allowability(g, beta) is not Allowability.STRICTLY_ALLOWABLE:
         return 0
-    return p_beta(g, beta)
+    return 1 if g.is_empty else _p_allowable(g, beta)
+
+
+def _p_allowable(g: LongEdgeGraph, beta: tuple[int, ...]) -> int:
+    """P for a nonempty graph already known to be allowable against beta."""
+    lo = g.minv
+    shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
+    return _p_count(shape, _shared(beta[lo : g.maxv]))
 
 
 class _LogPlan(NamedTuple):

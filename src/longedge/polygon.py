@@ -234,15 +234,11 @@ def _runs(values: Sequence[int]) -> list[tuple[int, int]]:
 
 def internal_vertices(p: HTPolygon) -> tuple[InternalVertex, ...]:
     """Direction-change vertices on both chains, top to bottom per side."""
-    found = []
-    for side, values in (("left", p.left), ("right", p.right)):
-        level = 0
-        runs = _runs(values)
-        for (a, la), (b, _) in zip(runs, runs[1:]):
-            level += la
-            det = b - a if side == "left" else a - b
-            found.append(InternalVertex(side, level, det))
-    return tuple(found)
+    return tuple(
+        v
+        for side, values in (("left", p.left), ("right", p.right))
+        for v, _ in _side_windows(values, side)
+    )
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,8 @@ class RatSeries:
 
     def revert(self) -> "RatSeries":
         """Compositional inverse via Lagrange inversion."""
+        if self.order < 1:
+            raise ValueError("reversion needs order >= 1")
         if self.coeffs[0] != 0:
             raise ValueError("reversion needs zero constant term")
         if self.coeffs[1] == 0:
@@ -242,9 +244,9 @@ def gyz_sides(
 ) -> tuple[RatSeries, RatSeries]:
     """Both sides of the closed product formula at one sampled variable tuple.
 
-    Left side: the exp-transformed universal polynomials evaluated at the
-    sample, summed against powers of the weight-2 generator.  Right side: the
-    quasimodular product with exact rational exponents.
+    Left side: the exp transform of the universal linear forms evaluated at
+    the sample, summed against powers of the weight-2 generator.  Right side:
+    the quasimodular product with exact rational exponents.
     """
     from .severi import that_delta  # deferred: severi imports series
 

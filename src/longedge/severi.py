@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .coeffs import b_coeffs, cor, diffq, template_coefficients
 from .graphs import enumerate_graphs
@@ -29,98 +29,23 @@ from .polygon import (
 from .series import RatSeries, log_exp_coeffs
 
 
-class Poly:
-    """Sparse multivariate polynomial over the rationals.
-
-    Terms are keyed by sorted ((name, power), ...) tuples; the empty key
-    holds the constant term.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping):
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c}
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls({(): c})
-
-    @classmethod
-    def variable(cls, name: str) -> "Poly":
-        return cls({((name, 1),): 1})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return Poly(terms)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        terms: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                powers = dict(ka)
-                for name, exp in kb:
-                    powers[name] = powers.get(name, 0) + exp
-                key = tuple(sorted(powers.items()))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return Poly(terms)
-
-    def scale(self, c) -> "Poly":
-        return Poly({k: v * Fraction(c) for k, v in self.terms.items()})
-
-    def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            term = c
-            for name, exp in key:
-                term *= Fraction(values.get(name, 0)) ** exp
-            total += term
-        return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"Poly({self.terms!r})"
-
-
-def _variables(delta: int) -> tuple[str, ...]:
-    return ("x", "y", "z", "w", "s") + tuple(f"s{i}" for i in range(1, delta))
-
-
 @dataclass(frozen=True)
 class UniversalPolynomial:
-    """Linear form giving Q at one node count, with its exp-transform mate."""
+    """Linear form giving the logarithmic count Q at one node count."""
 
     delta: int
-    linear: tuple  # ((variable, coefficient), ...) in canonical order
-    t_poly: Poly  # the degree-delta polynomial giving N at this node count
-
-    def coefficient(self, name: str) -> Fraction:
-        return dict(self.linear).get(name, Fraction(0))
+    linear: tuple  # ((variable, coefficient), ...) over x, y, z, w, s, s1, ...
 
     def evaluate(
         self, x, y, z, w, s_all: Sequence[Rational] = ()
     ) -> Fraction:
-        values = self._assignment(x, y, z, w, s_all)
+        """Value at the intersection numbers; missing s_i count as 0 and
+        extra ones are ignored."""
+        values = (x, y, z, w, *s_all)
         return sum(
-            (c * Fraction(values.get(name, 0)) for name, c in self.linear),
+            (c * Fraction(v) for (_, c), v in zip(self.linear, values)),
             Fraction(0),
         )
-
-    def evaluate_t(self, x, y, z, w, s_all: Sequence[Rational] = ()) -> Fraction:
-        return self.t_poly.evaluate(self._assignment(x, y, z, w, s_all))
-
-    @staticmethod
-    def _assignment(x, y, z, w, s_all) -> dict:
-        values = {"x": x, "y": y, "z": z, "w": w}
-        for i, v in enumerate(s_all):
-            values["s" if i == 0 else f"s{i}"] = v
-        return values
 
     def as_dict(self) -> dict:
         return {
@@ -130,8 +55,10 @@ class UniversalPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _hat_coeffs(delta: int) -> tuple:
-    """Canonical ((variable, coefficient), ...) of the linear form."""
+def that_delta(delta: int) -> UniversalPolynomial:
+    """The universal linear form for the logarithmic count."""
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     tab = template_coefficients(delta)
     b1 = tab.b[0]
     spine = Fraction(tab.Ctilde, 12)
@@ -143,44 +70,10 @@ def _hat_coeffs(delta: int) -> tuple:
         ("s", -b1),
     ]
     coeffs.extend((f"s{i - 1}", tab.b[i - 1]) for i in range(2, delta + 1))
-    return tuple((name, Fraction(c)) for name, c in coeffs)
-
-
-@lru_cache(maxsize=None)
-def that_delta(delta: int) -> UniversalPolynomial:
-    """The universal linear form for the logarithmic count, plus its mate."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     return UniversalPolynomial(
         delta=delta,
-        linear=_hat_coeffs(delta),
-        t_poly=_t_polys(delta)[delta],
+        linear=tuple((name, Fraction(c)) for name, c in coeffs),
     )
-
-
-@lru_cache(maxsize=None)
-def _t_polys(delta_max: int) -> tuple[Poly, ...]:
-    """Exp transform of the linear forms, as honest polynomials."""
-    hats = [Poly({})]
-    for d in range(1, delta_max + 1):
-        poly = Poly({})
-        for name, c in _hat_coeffs(d):
-            poly = poly + Poly.variable(name).scale(c)
-        hats.append(poly)
-    out = [Poly.constant(1)]
-    for n in range(1, delta_max + 1):
-        acc = Poly({})
-        for k in range(1, n + 1):
-            acc = acc + hats[k].scale(k) * out[n - k]
-        out.append(acc.scale(Fraction(1, n)))
-    return tuple(out)
-
-
-def t_delta(delta: int) -> Poly:
-    """Polynomial whose value at the intersection numbers is the plain count."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return _t_polys(delta)[delta]
 
 
 def _edge_shortfall(min_edge: int, method: str, delta: int) -> str | None:

@@ -425,6 +425,7 @@ EXIT_CODES = [
     (["verify", "nosuch"], None, 2),
     (["series", "g", "--order", "2"], None, 0),
     (["series", "g", "--order", "-1"], None, 2),
+    (["series", "g", "--order", "0"], None, 2),
     (["series", "nosuch", "--order", "2"], None, 2),
 ]
 

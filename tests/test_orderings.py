@@ -78,6 +78,21 @@ def test_p_beta_known_values():
     assert p_beta_strict(ARC, (2, 3)) == 5
 
 
+def test_p_beta_strict_checks_allowability_once(monkeypatch):
+    import longedge.orderings as orderings
+
+    calls = []
+
+    def counting(g, beta):
+        calls.append(g)
+        return allowability(g, beta)
+
+    monkeypatch.setattr(orderings, "allowability", counting)
+    assert allowability(ARC, (2, 3)) is Allowability.STRICTLY_ALLOWABLE
+    assert orderings.p_beta_strict(ARC, (2, 3)) == 5
+    assert calls == [ARC]
+
+
 def test_p_beta_matches_brute_force_on_fixed_cases():
     cases = [
         (WT2, (4,)),

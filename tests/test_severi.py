@@ -15,41 +15,17 @@ from longedge.coeffs import (
 from longedge.polygon import beta_of, polygon_stats, reorderings, toric_invariants
 from longedge.severi import (
     METHODS,
-    Poly,
     n_bruteforce,
     n_from_q,
     q_from_n,
     q_geometric,
     q_polygon,
     report,
-    t_delta,
     that_delta,
 )
 from longedge.suites import SHARP, TRAPEZOID, TWO_SIDED, rectangle, triangle
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-
-
-def hat_poly(delta):
-    out = Poly({})
-    for name, c in that_delta(delta).linear:
-        out = out + Poly.variable(name).scale(c)
-    return out
-
-
-class TestPoly:
-    def test_arithmetic_and_evaluation(self):
-        x, y = Poly.variable("x"), Poly.variable("y")
-        p = (x + y.scale(2)) * (x + Poly.constant(3))
-        assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == (2 + 1) * (2 + 3)
-        # absent variables count as zero
-        assert p.evaluate({"x": 1}) == 4
-        assert Poly.constant(0) == Poly({})
-        assert hash(x + y) == hash(y + x)
-
-    def test_repr_round_trip_terms(self):
-        p = Poly.variable("x") * Poly.variable("x")
-        assert p.terms == {(("x", 2),): Fraction(1)}
 
 
 class TestUniversalPolynomials:
@@ -71,30 +47,25 @@ class TestUniversalPolynomials:
             ("s", Fraction(9, 2)),
             ("s1", Fraction(1)),
         )
+        form = that_delta(2)
+        assert form.evaluate(1, 2, 3, 4, [5, 6]) == Fraction(-109, 2)
+        # missing s_i count as zero, extra ones are ignored
+        assert form.evaluate(1, 2, 3, 4, [5]) == form.evaluate(1, 2, 3, 4, [5, 0])
+        assert form.evaluate(1, 2, 3, 4, [5, 6, 7]) == Fraction(-109, 2)
 
     def test_as_dict_strings(self):
         d = that_delta(2).as_dict()
         assert d["delta"] == 2
         assert d["coefficients"]["y"] == "-39/2"
 
-    def test_exp_transform_identities(self):
-        h1, h2, h3 = hat_poly(1), hat_poly(2), hat_poly(3)
-        assert t_delta(0) == Poly.constant(1)
-        assert t_delta(1) == h1
-        assert t_delta(2) == h2 + (h1 * h1).scale(Fraction(1, 2))
-        assert t_delta(3) == h3 + h1 * h2 + (h1 * h1 * h1).scale(Fraction(1, 6))
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_one_node_count_on_smooth_plane_curves(self, d):
-        values = {"x": d * d, "y": -3 * d, "z": 9, "w": 3}
-        assert t_delta(1).evaluate(values) == 3 * (d - 1) ** 2
-        assert that_delta(1).evaluate_t(d * d, -3 * d, 9, 3) == 3 * (d - 1) ** 2
+        q1 = that_delta(1).evaluate(d * d, -3 * d, 9, 3)
+        assert n_from_q([q1]) == [3 * (d - 1) ** 2]
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             that_delta(0)
-        with pytest.raises(ValueError):
-            t_delta(-1)
 
 
 class TestBruteForce:
@@ -218,9 +189,10 @@ class TestWidthLevelIdentities:
 
 class TestTransforms:
     def test_first_orders(self):
-        q1, q2 = Fraction(5), Fraction(-3)
+        q1, q2, q3 = Fraction(5), Fraction(-3), Fraction(7, 2)
         assert n_from_q([q1]) == [q1]
         assert n_from_q([q1, q2]) == [q1, q2 + q1 * q1 / 2]
+        assert n_from_q([q1, q2, q3])[2] == q3 + q1 * q2 + q1**3 / 6
 
     @given(st.lists(rationals, min_size=1, max_size=6))
     @settings(max_examples=60)
