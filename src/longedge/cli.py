@@ -58,7 +58,10 @@ def _tsv(rows: Sequence[dict], columns: Sequence[str]) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 

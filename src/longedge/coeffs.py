@@ -19,8 +19,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .graphs import Template, enumerate_templates
-from .orderings import LinearForm, fit_linear_phi, phi_beta
+from .graphs import Template, conjugate, enumerate_templates
+from .orderings import LinearForm, check_linear_form, fit_linear_phi, phi_beta
 from .series import RatSeries, sigma
 
 
@@ -145,10 +145,25 @@ def template_data(delta: int) -> TemplateData:
     """
     data = _load_templates(delta) if _disk_cache else None
     if data is None:
-        data = tuple((t, fit_linear_phi(t)) for t in enumerate_templates(delta))
+        data = _fit_templates(delta)
         if _disk_cache:
             _store_templates(delta, data)
     return data
+
+
+def _fit_templates(delta: int) -> TemplateData:
+    """Fit the first template of each conjugate pair met in canonical order;
+    the other takes the reflected form, checked at the fit's probe widths."""
+    forms: dict[Template, LinearForm] = {}
+    for t in enumerate_templates(delta):
+        mirror = forms.get(conjugate(t))
+        if mirror is None:
+            forms[t] = fit_linear_phi(t)
+        else:
+            eta = mirror.eta
+            forms[t] = LinearForm((eta[0], *reversed(eta[1:])))
+            check_linear_form(t, forms[t])
+    return tuple(forms.items())
 
 
 def _shift_range(t: Template, m: int) -> range:

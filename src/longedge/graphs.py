@@ -209,11 +209,33 @@ def enumerate_templates(delta: int) -> list[Template]:
     A template of cogenus d has length at most d+1: each edge of span s
     contributes cogenus >= s-1, and covering the interior forces the spans
     to add up to at least the length.
+
+    Edges are added in canonical order, so their lower ends never decrease,
+    starting with an edge at vertex 0.  With reach the largest upper end so
+    far, every vertex strictly between 0 and reach is already covered.  An
+    edge with lo >= reach would make vertex reach interior, and neither it
+    nor any later edge could cover that vertex, so the loop stops there.
+    Every edge multiset that survives is a template, and depth-first order
+    over the sorted pool is the canonical order.
     """
     if delta < 1:
         return []
-    return [
-        Template(g.edges)
-        for g in enumerate_graphs(delta, delta + 1)
-        if g.is_template()
-    ]
+    pool = _edge_pool(delta, delta + 1)
+    out: list[Template] = []
+
+    def grow(start: int, chosen: list[Edge], remaining: int, reach: int):
+        if remaining == 0:
+            out.append(Template(tuple(chosen)))
+            return
+        for i in range(start, len(pool)):
+            e = pool[i]
+            if e.lo >= reach:
+                break
+            if e.cogenus > remaining:
+                continue
+            chosen.append(e)
+            grow(i, chosen, remaining - e.cogenus, max(reach, e.hi))
+            chosen.pop()
+
+    grow(0, [], delta, 1)  # reach 1 admits only edges at vertex 0 first
+    return out

@@ -157,11 +157,43 @@ def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     return 1 if g.is_empty else _p_allowable(g, beta)
 
 
+def _shape(edges: Sequence[Edge], lo: int) -> tuple[int, ...]:
+    """_p_count's key for sorted edges whose lowest vertex is lo."""
+    return tuple(x for e in edges for x in (e.lo - lo, e.hi - lo, e.weight))
+
+
 def _p_allowable(g: LongEdgeGraph, beta: tuple[int, ...]) -> int:
     """P for a nonempty graph already known to be allowable against beta."""
     lo = g.minv
-    shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
-    return _p_count(shape, _shared(beta[lo : g.maxv]))
+    return _p_count(_shape(g.edges, lo), _shared(beta[lo : g.maxv]))
+
+
+class _Sub(NamedTuple):
+    """A nonempty sub-multiset T as allowability and _p_count read it."""
+
+    size: int
+    lo: int
+    hi: int
+    # lambda_j(T) for j = lo+1..hi, to be met by the widths beta[lo:hi]
+    lams: tuple[int, ...]
+    shape: tuple[int, ...]
+    # lowest and highest vertex of T's weight >= 2 edges, or None: strictness
+    # fails when one of them is an end of the ambient range 0..M+1
+    heavy: tuple[int, int] | None
+
+
+def _sub(edges: tuple[Edge, ...]) -> _Sub:
+    g = LongEdgeGraph(edges)
+    lo, hi = g.minv, g.maxv
+    heavy = [e for e in edges if e.weight > 1]
+    return _Sub(
+        len(edges),
+        lo,
+        hi,
+        tuple(g.lambda_(j) for j in range(lo + 1, hi + 1)),
+        _shape(g.edges, lo),
+        (min(e.lo for e in heavy), max(e.hi for e in heavy)) if heavy else None,
+    )
 
 
 class _LogPlan(NamedTuple):
@@ -169,7 +201,7 @@ class _LogPlan(NamedTuple):
     (S itself last), with the splits T = U + (T - U), 0 < U < T, that the
     log recurrence reads, and the common denominator lcm(1..|S|)."""
 
-    graphs: tuple[LongEdgeGraph, ...]
+    subs: tuple[_Sub, ...]
     # per T, the indices of U and of T - U for each split, flattened in pairs
     splits: tuple[tuple[int, ...], ...]
     scale: int
@@ -183,8 +215,8 @@ def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
         itertools.product(*(range(mult + 1) for _, mult in classes)), key=sum
     )[1:]
     index = {v: i for i, v in enumerate(vectors)}
-    graphs = tuple(
-        _shared(LongEdgeGraph(tuple(
+    subs = tuple(
+        _shared(_sub(tuple(
             e for (e, _), c in zip(classes, v) for _ in range(c)
         )))
         for v in vectors
@@ -198,30 +230,43 @@ def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
         )
         for t in vectors
     )
-    return _LogPlan(graphs, splits, lcm(*range(1, len(edges) + 1)))
+    return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
 
 
-def _phi(g: LongEdgeGraph, beta: tuple[int, ...], count) -> Fraction:
-    """[x^S] log(sum over sub-multisets T of S of count(T) x^T), S = g.edges.
+def _count(t: _Sub, beta: tuple[int, ...], strict: bool) -> int:
+    """p_beta(T, beta), or p_beta_strict(T, beta) if strict, from the plan."""
+    if t.hi > len(beta):
+        return 0
+    widths = beta[t.lo : t.hi]
+    if any(map(operator.lt, widths, t.lams)):
+        return 0
+    if strict and t.heavy and (t.heavy[0] == 0 or t.heavy[1] == len(beta)):
+        return 0
+    return _p_count(t.shape, _shared(widths))
+
+
+def _phi(g: LongEdgeGraph, beta: tuple[int, ...], strict: bool) -> Fraction:
+    """[x^S] log(sum over sub-multisets T of S of P(T) x^T), S = g.edges,
+    with P = p_beta_strict if strict, else p_beta.
 
     With h[T] = scale * phi(T), an integer, the log derivative gives
-    |T| h[T] = |T| scale count(T) - sum over 0 < U < T of |U| h[U] count(T - U).
+    |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
     """
     if g.is_empty:
         return Fraction(0)
     plan = _log_plan(g.edges)
-    p = [count(t, beta) for t in plan.graphs]
+    p = [_count(t, beta, strict) for t in plan.subs]
     size_h: list[int] = []  # |T| h[T], in plan order
-    for t, p_t, split in zip(plan.graphs, p, plan.splits):
-        size = len(t)
-        acc = size * plan.scale * p_t
+    for t, p_t, split in zip(plan.subs, p, plan.splits):
+        acc = t.size * plan.scale * p_t
         pairs = iter(split)
         for u, rest in zip(pairs, pairs):
             acc -= size_h[u] * p[rest]
-        h, r = divmod(acc, size)
+        h, r = divmod(acc, t.size)
         if r:
             raise ArithmeticError(
-                f"phi of {t} at {beta} is not a multiple of 1/{plan.scale}"
+                f"phi of a sub-multiset of {g} at {beta} is not a multiple "
+                f"of 1/{plan.scale}"
             )
         size_h.append(acc)
     return Fraction(h, plan.scale)
@@ -229,11 +274,11 @@ def _phi(g: LongEdgeGraph, beta: tuple[int, ...], count) -> Fraction:
 
 def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
     """Log coefficient of p_beta at g's edge multiset; the log-side weight of g."""
-    return _phi(g, tuple(beta), p_beta)
+    return _phi(g, tuple(beta), strict=False)
 
 
 def phi_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
-    return _phi(g, tuple(beta), p_beta_strict)
+    return _phi(g, tuple(beta), strict=True)
 
 
 @dataclass(frozen=True)
@@ -300,13 +345,20 @@ def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
         coeffs.append(phi_beta(g, bumped) - f0)
     eta0 = f0 - base_val * sum(coeffs)
     form = LinearForm((Fraction(eta0), *map(Fraction, coeffs)), minv=lo)
+    check_linear_form(g, form)
+    return form
+
+
+def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
+    """Raise ArithmeticError unless form equals phi_beta(g, .) at two probe
+    widths, one flat and one uneven, both inside the semiallowable region."""
+    d, hi = g.cogenus, g.maxv
     for probe in (
         [d + 5] * hi,
         [d + 2 + (i % 3) for i in range(hi)],
     ):
         if phi_beta(g, probe) != form.evaluate(probe):
             raise ArithmeticError(
-                f"fitted form disagrees with direct evaluation at {probe}; "
-                "linearity is guaranteed there, so this is a bug"
+                f"linear form disagrees with direct evaluation of {g} at "
+                f"{probe}; linearity is guaranteed there, so this is a bug"
             )
-    return form

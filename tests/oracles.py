@@ -8,7 +8,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from longedge.graphs import LongEdgeGraph
+from longedge.graphs import LongEdgeGraph, Template, enumerate_graphs
+
+
+def templates_by_filter(delta: int) -> list[Template]:
+    """Templates as every graph on vertices 0..delta+1 that passes
+    is_template, in enumerate_graphs' canonical order."""
+    return [
+        Template(g.edges)
+        for g in enumerate_graphs(delta, delta + 1)
+        if g.is_template()
+    ]
 
 
 def brute_force_orderings(g: LongEdgeGraph, beta) -> int:

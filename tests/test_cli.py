@@ -171,6 +171,12 @@ class TestCache:
         assert path.read_bytes() == first
         assert len(fits) == 2  # the second call read the file
 
+    def test_cold_build_fits_one_template_per_conjugate_pair(self, fits):
+        for delta in range(1, 6):
+            template_data(delta)
+        # 551 templates, 85 of them self-conjugate: (551 + 85) / 2 fits
+        assert len(fits) == 318
+
     def test_rebuild_is_deterministic(self, isolated_cache):
         template_data(2)
         path = isolated_cache / "templates-v2-delta2.json"
@@ -267,7 +273,7 @@ class TestCache:
         fill = longedge_process(
             ["coeffs", "--delta", "4", "--out", out], tmp_path, COUNT_FITS
         )
-        assert fill.stdout.split() == ["137"], fill.stderr
+        assert fill.stdout.split() == ["89"], fill.stderr
         severi = longedge_process(
             ["severi", "--polygon", str(polygon), "--delta", "4", "--out", out],
             tmp_path,
@@ -408,12 +414,15 @@ EXIT_CODES = [
     (["coeffs", "--delta", "1"], None, 0),
     (["coeffs", "--delta", "-1"], None, 2),
     (["coeffs"], None, 2),
+    (["coeffs", "--delta", "1", "--out", "{nodir}/x.json"], None, 2),
     (["severi", "--polygon", "{polygon}", "--delta", "1"], None, 0),
     (["severi", "--polygon", "{polygon}", "--delta", "1"],
      ("longedge.severi.q_geometric", ROUTE_OFF), 1),
     (["severi", "--polygon", "{missing}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{bad}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{polygon}", "--delta", "1", "--method", "x"], None, 2),
+    (["severi", "--polygon", "{polygon}", "--delta", "1", "--out", "{nodir}/o.json"],
+     None, 2),
     (["verify", "table1"], None, 0),
     (["verify", "gyz", "--order", "2"], None, 0),
     (["verify", "coeffs", "--order", "1"],
@@ -424,6 +433,7 @@ EXIT_CODES = [
     (["verify", "toric", "--order", "0"], None, 2),
     (["verify", "nosuch"], None, 2),
     (["series", "g", "--order", "2"], None, 0),
+    (["series", "a", "--order", "2", "--out", "{dir}"], None, 2),
     (["series", "g", "--order", "-1"], None, 2),
     (["series", "g", "--order", "0"], None, 2),
     (["series", "nosuch", "--order", "2"], None, 2),
@@ -436,7 +446,13 @@ def test_exit_codes(argv, patch, expected, tmp_path, monkeypatch, capsys):
     polygon.write_text(json.dumps({"dt": 0, "left": [[0, 3]], "right": [[1, 3]]}))
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [[0, 0], [1, 0], [0.5, 1]]}')  # not a lattice polygon
-    files = {"polygon": polygon, "bad": bad, "missing": tmp_path / "missing.json"}
+    files = {
+        "polygon": polygon,
+        "bad": bad,
+        "missing": tmp_path / "missing.json",
+        "nodir": tmp_path / "no" / "such",
+        "dir": tmp_path,
+    }
     if patch:
         monkeypatch.setattr(*patch)
     try:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longedge import coeffs
 from longedge.coeffs import (
     a_series,
     b_coeffs,
@@ -17,7 +18,7 @@ from longedge.coeffs import (
     template_data,
 )
 from longedge.graphs import enumerate_graphs
-from longedge.orderings import phi_beta_strict
+from longedge.orderings import fit_linear_phi, phi_beta_strict
 from longedge.polygon import BetaStats, beta_stats
 from longedge.series import RatSeries
 
@@ -70,6 +71,16 @@ def test_b_diagonal_is_one():
     # the lowest-order term of log P(g^i) is g^i's leading t^i
     for delta in (1, 2, 3):
         assert b_coeffs(delta, delta) == 1
+
+
+@pytest.mark.parametrize("delta, count", [(1, 2), (2, 7), (3, 26), (4, 102)])
+def test_reflected_forms_equal_direct_fits(delta, count, monkeypatch):
+    # a cold build fits one template per conjugate pair and reflects the other
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
+    data = template_data.__wrapped__(delta)
+    assert len(data) == count
+    for t, form in data:
+        assert form == fit_linear_phi(t), t
 
 
 def test_a_series():

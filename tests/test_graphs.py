@@ -10,6 +10,8 @@ from longedge.graphs import (
 )
 from longedge.reference import TABLE1
 
+from oracles import templates_by_filter
+
 # the three graphs of the running example: G2 is G1 shifted by 3
 G1 = LongEdgeGraph([(0, 1, 2), (0, 2, 1)])
 G2 = LongEdgeGraph([(3, 4, 2), (3, 5, 1)])
@@ -154,9 +156,21 @@ def test_enumerate_templates_properties():
         assert len(ts) == len(set(ts))
         assert all(t.is_template() for t in ts)
         assert {conjugate(t) for t in ts} == set(ts)
-        # every non-template graph in range must fail the predicate
-        all_graphs = set(enumerate_graphs(delta, delta + 1))
-        assert {g for g in all_graphs if g.is_template()} == set(ts)
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3, 4, 5])
+def test_enumerate_templates_matches_filtered_graphs(delta):
+    # the pruned generator gives the same list, in the same order, as
+    # filtering every graph on delta+2 vertices
+    got = enumerate_templates(delta)
+    expected = templates_by_filter(delta)
+    assert [t.edges for t in got] == [t.edges for t in expected]
+    assert all(type(t) is Template for t in got)
+
+
+def test_template_counts():
+    counts = [len(enumerate_templates(delta)) for delta in range(1, 8)]
+    assert counts == [2, 7, 26, 102, 414, 1711, 7135]
 
 
 def test_template_crossing_weight_bounds():

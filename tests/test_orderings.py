@@ -11,6 +11,7 @@ from longedge.orderings import (
     LinearForm,
     allowability,
     beta_from_divergence,
+    check_linear_form,
     fit_linear_phi,
     is_semiallowable,
     p_beta,
@@ -204,6 +205,36 @@ def test_fit_linear_phi_shifted_graph():
     assert shifted.eta == base.eta
     assert shifted.minv == 2
     assert shifted.evaluate((9, 9, 5, 9)) == base.evaluate((5,))
+
+
+def test_fit_linear_phi_never_checks_allowability(monkeypatch):
+    # the log plan holds each sub-multiset's spans and crossing weights
+    import longedge.orderings as orderings
+
+    calls = []
+
+    def counting(g, beta):
+        calls.append(g)
+        return allowability(g, beta)
+
+    monkeypatch.setattr(orderings, "allowability", counting)
+    for t in enumerate_templates(3):
+        orderings.fit_linear_phi(t)
+    assert calls == []
+
+
+def test_check_linear_form_rejects_unreversed_reflection():
+    # a conjugate's form is the reversed one; forgetting to reverse is caught
+    lopsided = 0
+    for t in enumerate_templates(3):
+        f = fit_linear_phi(t)
+        c = conjugate(t)
+        check_linear_form(c, LinearForm((f.eta[0], *reversed(f.eta[1:]))))
+        if tuple(f.eta[1:]) != tuple(reversed(f.eta[1:])):
+            lopsided += 1
+            with pytest.raises(ArithmeticError, match="disagrees"):
+                check_linear_form(c, f)
+    assert lopsided > 0
 
 
 def test_fit_linear_phi_rejects_empty():
