@@ -414,15 +414,12 @@ EXIT_CODES = [
     (["coeffs", "--delta", "1"], None, 0),
     (["coeffs", "--delta", "-1"], None, 2),
     (["coeffs"], None, 2),
-    (["coeffs", "--delta", "1", "--out", "{nodir}/x.json"], None, 2),
     (["severi", "--polygon", "{polygon}", "--delta", "1"], None, 0),
     (["severi", "--polygon", "{polygon}", "--delta", "1"],
      ("longedge.severi.q_geometric", ROUTE_OFF), 1),
     (["severi", "--polygon", "{missing}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{bad}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{polygon}", "--delta", "1", "--method", "x"], None, 2),
-    (["severi", "--polygon", "{polygon}", "--delta", "1", "--out", "{nodir}/o.json"],
-     None, 2),
     (["verify", "table1"], None, 0),
     (["verify", "gyz", "--order", "2"], None, 0),
     (["verify", "coeffs", "--order", "1"],
@@ -433,10 +430,14 @@ EXIT_CODES = [
     (["verify", "toric", "--order", "0"], None, 2),
     (["verify", "nosuch"], None, 2),
     (["series", "g", "--order", "2"], None, 0),
-    (["series", "a", "--order", "2", "--out", "{dir}"], None, 2),
     (["series", "g", "--order", "-1"], None, 2),
     (["series", "g", "--order", "0"], None, 2),
     (["series", "nosuch", "--order", "2"], None, 2),
+    # an unwritable --out
+    (["coeffs", "--delta", "1", "--out", "{nodir}/x.json"], None, 2),
+    (["severi", "--polygon", "{polygon}", "--delta", "1", "--out", "{nodir}/o.json"],
+     None, 2),
+    (["series", "a", "--order", "2", "--out", "{dir}"], None, 2),
 ]
 
 
