@@ -80,9 +80,14 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
+def _edge_rows(t: Template) -> list[list[int]]:
+    return [[e.lo, e.hi, e.weight] for e in t.edges]
+
+
 def _load_templates(delta: int) -> TemplateData | None:
     """The cached templates of one cogenus; None for a missing, stale,
-    tampered or malformed file."""
+    tampered or malformed file, or one whose templates are not this
+    cogenus's templates in canonical order."""
     try:
         raw = json.loads(_cache_path(delta).read_text())
     except (OSError, ValueError):
@@ -94,12 +99,15 @@ def _load_templates(delta: int) -> TemplateData | None:
         return None
     if digest != _digest(raw):
         return None
+    templates = enumerate_templates(delta)
     data = []
     try:
-        for item in raw["templates"]:
-            t = Template(tuple(tuple(e) for e in item["edges"]))
-            eta = tuple(Fraction(c) for c in item["eta"])
-            if t.cogenus != delta or len(eta) != t.length + 1:
+        rows = raw["templates"]
+        if [row["edges"] for row in rows] != [_edge_rows(t) for t in templates]:
+            return None
+        for t, row in zip(templates, rows):
+            eta = tuple(Fraction(c) for c in row["eta"])
+            if len(eta) != t.length + 1:
                 return None
             data.append((t, LinearForm(eta, minv=t.minv)))
     except (KeyError, TypeError, ValueError):
@@ -111,7 +119,7 @@ def _store_templates(delta: int, data: TemplateData) -> None:
     """Write one cogenus atomically; an unusable directory skips the write."""
     rows = [
         {
-            "edges": [[e.lo, e.hi, e.weight] for e in t.edges],
+            "edges": _edge_rows(t),
             "eta": [str(c) for c in form.eta],
         }
         for t, form in data
@@ -180,7 +188,9 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     for t, _ in template_data(delta):
         acc = Fraction(0)
         for k in _shift_range(t, m):
-            acc += phi_beta(t.shift(k), beta)
+            # t shifted by k >= 0 against beta is t against beta[k:]: the
+            # non-strict count reads only the widths under the graph
+            acc += phi_beta(t, beta[k:])
         total += t.multiplicity * acc
     return total
 

@@ -179,8 +179,9 @@ def enumerate_graphs(delta: int, max_vertex: int) -> list[LongEdgeGraph]:
     """All graphs of the given cogenus with every vertex in [0, max_vertex].
 
     Edge multisets are built in nondecreasing canonical order, so each graph
-    appears exactly once.  Every edge contributes cogenus >= 1, which bounds
-    the recursion depth by delta.
+    appears exactly once, and depth-first order over the sorted pool is the
+    canonical order of the edge tuples.  Every edge contributes cogenus >= 1,
+    which bounds the recursion depth by delta.
     """
     if delta < 1:
         return []
@@ -200,7 +201,7 @@ def enumerate_graphs(delta: int, max_vertex: int) -> list[LongEdgeGraph]:
             chosen.pop()
 
     grow(0, [], delta)
-    return sorted(out, key=lambda g: g.edges)
+    return out
 
 
 def enumerate_templates(delta: int) -> list[Template]:

@@ -10,6 +10,11 @@ sum of P_beta products over ordered decompositions of S, but is computed by
 an integer recurrence over the sub-multisets.  On the semiallowable region
 phi_beta is linear in beta, and fit_linear_phi recovers that linear form
 exactly.
+
+One rule, _allowability, decides whether an edge multiset fits the widths
+and whether it fits strictly.  It reads a _Sub, the record of the multiset's
+span, crossing weights, heavy ends and _p_count key; allowability, p_beta,
+p_beta_strict and every term of phi reach P through it.
 """
 
 from __future__ import annotations
@@ -60,18 +65,7 @@ class Allowability(enum.Enum):
 
 
 def allowability(g: LongEdgeGraph, beta: Sequence[int]) -> Allowability:
-    beta = tuple(beta)
-    m = len(beta) - 1
-    if g.is_empty:
-        return Allowability.STRICTLY_ALLOWABLE
-    hi = g.maxv
-    if hi > m + 1:
-        return Allowability.NOT_ALLOWABLE
-    if any(beta[j - 1] < g.lambda_(j) for j in range(g.minv + 1, hi + 1)):
-        return Allowability.NOT_ALLOWABLE
-    # strictness looks at the ends of the ambient vertex range, not of g
-    strict = all(e.weight == 1 for e in g.edges if e.lo == 0 or e.hi == m + 1)
-    return Allowability.STRICTLY_ALLOWABLE if strict else Allowability.ALLOWABLE
+    return _allowability(_sub(g.edges), tuple(beta))
 
 
 def is_semiallowable(g: LongEdgeGraph, beta: Sequence[int]) -> bool:
@@ -142,40 +136,22 @@ def _shared(value):
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
-    beta = tuple(beta)
-    if g.is_empty:
-        return 1
-    if allowability(g, beta) is Allowability.NOT_ALLOWABLE:
-        return 0
-    return _p_allowable(g, beta)
+    return _count(_sub(g.edges), tuple(beta), strict=False)
 
 
 def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
-    beta = tuple(beta)
-    if allowability(g, beta) is not Allowability.STRICTLY_ALLOWABLE:
-        return 0
-    return 1 if g.is_empty else _p_allowable(g, beta)
-
-
-def _shape(edges: Sequence[Edge], lo: int) -> tuple[int, ...]:
-    """_p_count's key for sorted edges whose lowest vertex is lo."""
-    return tuple(x for e in edges for x in (e.lo - lo, e.hi - lo, e.weight))
-
-
-def _p_allowable(g: LongEdgeGraph, beta: tuple[int, ...]) -> int:
-    """P for a nonempty graph already known to be allowable against beta."""
-    lo = g.minv
-    return _p_count(_shape(g.edges, lo), _shared(beta[lo : g.maxv]))
+    return _count(_sub(g.edges), tuple(beta), strict=True)
 
 
 class _Sub(NamedTuple):
-    """A nonempty sub-multiset T as allowability and _p_count read it."""
+    """An edge multiset T as the allowability rule and _p_count read it."""
 
     size: int
     lo: int
     hi: int
     # lambda_j(T) for j = lo+1..hi, to be met by the widths beta[lo:hi]
     lams: tuple[int, ...]
+    # _p_count's key: the edges' (lo, hi, weight) shifted to start at 0
     shape: tuple[int, ...]
     # lowest and highest vertex of T's weight >= 2 edges, or None: strictness
     # fails when one of them is an end of the ambient range 0..M+1
@@ -183,17 +159,33 @@ class _Sub(NamedTuple):
 
 
 def _sub(edges: tuple[Edge, ...]) -> _Sub:
-    g = LongEdgeGraph(edges)
-    lo, hi = g.minv, g.maxv
-    heavy = [e for e in edges if e.weight > 1]
-    return _Sub(
-        len(edges),
-        lo,
-        hi,
-        tuple(g.lambda_(j) for j in range(lo + 1, hi + 1)),
-        _shape(g.edges, lo),
-        (min(e.lo for e in heavy), max(e.hi for e in heavy)) if heavy else None,
-    )
+    """One pass over sorted edges; the empty multiset sits at lo = hi = 0."""
+    lo = hi = edges[0].lo if edges else 0
+    lams: list[int] = []
+    shape: list[int] = []
+    heavy = None
+    for e in edges:
+        if e.hi > hi:
+            lams += [0] * (e.hi - hi)
+            hi = e.hi
+        for j in range(e.lo - lo, e.hi - lo):
+            lams[j] += e.weight
+        shape += (e.lo - lo, e.hi - lo, e.weight)
+        if e.weight > 1:
+            # sorted by lower end, so the first heavy edge has the lowest
+            heavy = (heavy[0], max(heavy[1], e.hi)) if heavy else (e.lo, e.hi)
+    return _Sub(len(edges), lo, hi, tuple(lams), tuple(shape), heavy)
+
+
+def _allowability(t: _Sub, beta: tuple[int, ...]) -> Allowability:
+    """The one allowability rule: T fits beta when it lies in the vertex
+    range 0..M+1 and every gap's width covers the weight crossing it, and
+    fits strictly when, besides, no weight >= 2 edge touches 0 or M+1."""
+    if t.hi > len(beta) or any(map(operator.lt, beta[t.lo : t.hi], t.lams)):
+        return Allowability.NOT_ALLOWABLE
+    if t.heavy and (t.heavy[0] == 0 or t.heavy[1] == len(beta)):
+        return Allowability.ALLOWABLE
+    return Allowability.STRICTLY_ALLOWABLE
 
 
 class _LogPlan(NamedTuple):
@@ -234,15 +226,11 @@ def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
 
 
 def _count(t: _Sub, beta: tuple[int, ...], strict: bool) -> int:
-    """p_beta(T, beta), or p_beta_strict(T, beta) if strict, from the plan."""
-    if t.hi > len(beta):
+    """p_beta(T, beta), or p_beta_strict(T, beta) if strict."""
+    # NOT_ALLOWABLE (0) counts nothing, ALLOWABLE (1) only when not strict
+    if _allowability(t, beta).value <= strict:
         return 0
-    widths = beta[t.lo : t.hi]
-    if any(map(operator.lt, widths, t.lams)):
-        return 0
-    if strict and t.heavy and (t.heavy[0] == 0 or t.heavy[1] == len(beta)):
-        return 0
-    return _p_count(t.shape, _shared(widths))
+    return _p_count(t.shape, _shared(beta[t.lo : t.hi])) if t.size else 1
 
 
 def _phi(g: LongEdgeGraph, beta: tuple[int, ...], strict: bool) -> Fraction:

@@ -9,6 +9,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from longedge.graphs import LongEdgeGraph, Template, enumerate_graphs
+from longedge.orderings import Allowability, _p_count
 
 
 def templates_by_filter(delta: int) -> list[Template]:
@@ -19,6 +20,37 @@ def templates_by_filter(delta: int) -> list[Template]:
         for g in enumerate_graphs(delta, delta + 1)
         if g.is_template()
     ]
+
+
+def allowability_by_walk(g: LongEdgeGraph, beta) -> Allowability:
+    """Allowability read off the graph gap by gap: g must lie in 0..M+1 with
+    beta_{j-1} >= lambda_j(g) in every gap it spans, and is strict when no
+    weight >= 2 edge touches vertex 0 or M+1."""
+    beta = tuple(beta)
+    m = len(beta) - 1
+    if g.is_empty:
+        return Allowability.STRICTLY_ALLOWABLE
+    hi = g.maxv
+    if hi > m + 1:
+        return Allowability.NOT_ALLOWABLE
+    if any(beta[j - 1] < g.lambda_(j) for j in range(g.minv + 1, hi + 1)):
+        return Allowability.NOT_ALLOWABLE
+    # strictness looks at the ends of the ambient vertex range, not of g
+    strict = all(e.weight == 1 for e in g.edges if e.lo == 0 or e.hi == m + 1)
+    return Allowability.STRICTLY_ALLOWABLE if strict else Allowability.ALLOWABLE
+
+
+def p_by_walk(g: LongEdgeGraph, beta, strict: bool) -> int:
+    """p_beta, or p_beta_strict if strict, gated by allowability_by_walk
+    instead of the library's rule."""
+    needed = Allowability.STRICTLY_ALLOWABLE if strict else Allowability.ALLOWABLE
+    if allowability_by_walk(g, beta).value < needed.value:
+        return 0
+    if g.is_empty:
+        return 1
+    lo = g.minv
+    shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
+    return _p_count(shape, tuple(beta[lo : g.maxv]))
 
 
 def brute_force_orderings(g: LongEdgeGraph, beta) -> int:

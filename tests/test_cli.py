@@ -144,6 +144,11 @@ def cache_digest(payload):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# The two templates of cogenus 1 with their fitted forms, as cached.
+WEIGHT2_ROW = {"edges": [[0, 1, 2]], "eta": ["-1", "1"]}
+ARC_ROW = {"edges": [[0, 2, 1]], "eta": ["0", "1", "1"]}
+
+
 class TestCache:
     """The on-disk template cache behind `template_data`."""
 
@@ -210,6 +215,11 @@ class TestCache:
             [{"eta": ["0"]}],
             [{"edges": [[0, 1, 2]], "eta": ["x", "0"]}],
             "x",
+            # hash-valid lists of true rows that are not the cogenus's
+            # templates in canonical order: one missing, swapped, duplicated
+            [WEIGHT2_ROW],
+            [ARC_ROW, WEIGHT2_ROW],
+            [WEIGHT2_ROW, ARC_ROW, ARC_ROW],
         ],
     )
     def test_hash_valid_malformed_file_is_recomputed(
@@ -281,6 +291,24 @@ class TestCache:
         )
         assert severi.stdout.split() == ["0"], severi.stderr
         assert json.loads(Path(out).read_text())["agree"] is True
+
+
+# Runs the direct route alone and prints whether OpenSSL's hash module loaded.
+DIRECT_ONLY = """
+import sys
+import longedge
+from longedge.severi import n_bruteforce
+from longedge.suites import triangle
+assert n_bruteforce(triangle(4), 3) == 675
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_direct_route_does_not_load_hashlib(tmp_path):
+    # hashlib is imported only where the cache file is hashed, so a process
+    # that never touches the template cache does not pay for OpenSSL
+    proc = longedge_process([], tmp_path, DIRECT_ONLY)
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 class TestSeveri:

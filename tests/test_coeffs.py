@@ -146,6 +146,16 @@ def test_q_beta_delta_triangle():
         q_beta_delta((1, 1), 0)
 
 
+def test_q_beta_delta_builds_one_log_plan_per_template():
+    # every shift of a template reads the template's own plan
+    from longedge import orderings
+
+    template_data(4)
+    orderings._log_plan.cache_clear()
+    assert q_beta_delta(tuple(2 * j for j in range(5)), 4) == -41732
+    assert orderings._log_plan.cache_info().currsize == len(template_data(4)) == 102
+
+
 def q_beta_oracle(beta, delta):
     """Direct log-transform over all graphs, not just shifted templates."""
     total = Fraction(0)

@@ -132,6 +132,15 @@ def test_enumerate_graphs_no_duplicates():
     assert all(g.maxv <= 4 for g in gs)
 
 
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
+def test_enumerate_graphs_in_canonical_order(delta):
+    # depth-first order is canonical without a final sort, on vertex ranges
+    # wider than any template's
+    for max_vertex in (delta + 2, delta + 4):
+        keys = [g.edges for g in enumerate_graphs(delta, max_vertex)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), max_vertex
+
+
 def test_enumerate_templates_delta1():
     assert [t.edges for t in enumerate_templates(1)] == [
         (Edge(0, 1, 2),),

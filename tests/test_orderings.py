@@ -21,7 +21,7 @@ from longedge.orderings import (
 )
 from longedge.reference import TABLE1
 
-from oracles import brute_force_orderings, phi_by_partitions
+from oracles import allowability_by_walk, brute_force_orderings, p_by_walk, phi_by_partitions
 
 EMPTY = LongEdgeGraph()
 WT2 = LongEdgeGraph([(0, 1, 2)])
@@ -57,11 +57,15 @@ def test_allowability():
     assert allowability(ARC, (1, 1)) is Allowability.STRICTLY_ALLOWABLE
     # maxv beyond the range
     assert allowability(ARC, (5,)) is Allowability.NOT_ALLOWABLE
+    # the heavy edge reaching M+1 comes first, and a later one ends sooner
+    nested = LongEdgeGraph([(1, 4, 2), (2, 3, 2)])
+    assert allowability(nested, (0, 2, 4, 2)) is Allowability.ALLOWABLE
+    assert allowability(nested, (0, 2, 4, 2, 0)) is Allowability.STRICTLY_ALLOWABLE
 
 
 def test_semiallowable_uses_reduced_crossing_weight():
     # a gap edge is discounted: weight 2 across gap 1 but only 1 required
-    assert not allowability(WT2, (1,)) is not Allowability.NOT_ALLOWABLE or True
+    assert allowability(WT2, (1,)) is Allowability.NOT_ALLOWABLE
     assert is_semiallowable(WT2, (1,))
     assert not is_semiallowable(WT2, (0,))
     assert is_semiallowable(EMPTY, (0,))
@@ -83,15 +87,15 @@ def test_p_beta_strict_checks_allowability_once(monkeypatch):
     import longedge.orderings as orderings
 
     calls = []
+    rule = orderings._allowability
 
-    def counting(g, beta):
-        calls.append(g)
-        return allowability(g, beta)
+    def counting(t, beta):
+        calls.append(t)
+        return rule(t, beta)
 
-    monkeypatch.setattr(orderings, "allowability", counting)
-    assert allowability(ARC, (2, 3)) is Allowability.STRICTLY_ALLOWABLE
+    monkeypatch.setattr(orderings, "_allowability", counting)
     assert orderings.p_beta_strict(ARC, (2, 3)) == 5
-    assert calls == [ARC]
+    assert len(calls) == 1
 
 
 def test_p_beta_matches_brute_force_on_fixed_cases():
@@ -163,19 +167,35 @@ def test_phi_two_parallel_arcs():
         assert phi_beta(g, (b0, b1)) == expected
 
 
-def test_phi_matches_partition_oracle():
+def oracle_widths(d, n):
+    """Widths for a graph of cogenus d with highest vertex n."""
+    return [
+        (d + 2,) * n,  # semiallowable
+        tuple(d + 2 + i % 3 for i in range(n)),
+        tuple(1 + 2 * i % 5 for i in range(n + 1)),  # often not allowable
+        (1,) * n,
+        (d + 2,) * max(1, n - 2),  # maxv > M+1
+    ]
+
+
+def test_allowability_matches_walk_oracle():
+    seen = set()
     for d in range(1, 5):
         for g in enumerate_graphs(d, d + 1):
-            n = g.maxv
-            betas = [
-                (d + 2,) * n,  # semiallowable
-                tuple(d + 2 + i % 3 for i in range(n)),
-                tuple(1 + 2 * i % 5 for i in range(n + 1)),  # often not allowable
-                (1,) * n,
-                (d + 2,) * max(1, n - 2),  # maxv > M+1
-            ]
-            for beta in betas:
-                for count, phi in ((p_beta, phi_beta), (p_beta_strict, phi_beta_strict)):
+            for beta in oracle_widths(d, g.maxv):
+                rule = allowability(g, beta)
+                assert rule is allowability_by_walk(g, beta), (g, beta)
+                seen.add(rule)
+    assert seen == set(Allowability)
+
+
+def test_phi_matches_partition_oracle():
+    # the oracle's P is gated by the graph walk, not by the library's rule
+    for d in range(1, 5):
+        for g in enumerate_graphs(d, d + 1):
+            for beta in oracle_widths(d, g.maxv):
+                for strict, phi in ((False, phi_beta), (True, phi_beta_strict)):
+                    count = lambda h, b: p_by_walk(h, b, strict)
                     assert phi(g, beta) == phi_by_partitions(g, beta, count), (g, beta)
 
 
@@ -207,20 +227,19 @@ def test_fit_linear_phi_shifted_graph():
     assert shifted.evaluate((9, 9, 5, 9)) == base.evaluate((5,))
 
 
-def test_fit_linear_phi_never_checks_allowability(monkeypatch):
-    # the log plan holds each sub-multiset's spans and crossing weights
+def test_fit_linear_phi_derives_each_sub_multiset_once(monkeypatch):
+    # the log plan holds each sub-multiset's spans, crossing weights and
+    # heavy ends, so a fit's many evaluations rebuild none of them
     import longedge.orderings as orderings
 
     calls = []
-
-    def counting(g, beta):
-        calls.append(g)
-        return allowability(g, beta)
-
-    monkeypatch.setattr(orderings, "allowability", counting)
-    for t in enumerate_templates(3):
+    sub = orderings._sub
+    monkeypatch.setattr(orderings, "_sub", lambda edges: calls.append(edges) or sub(edges))
+    orderings._log_plan.cache_clear()
+    templates = enumerate_templates(3)
+    for t in templates:
         orderings.fit_linear_phi(t)
-    assert calls == []
+    assert len(calls) == sum(len(orderings._log_plan(t.edges).subs) for t in templates)
 
 
 def test_check_linear_form_rejects_unreversed_reflection():
