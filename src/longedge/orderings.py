@@ -14,7 +14,8 @@ exactly.
 One rule, _allowability, decides whether an edge multiset fits the widths
 and whether it fits strictly.  It reads a _Sub, the record of the multiset's
 span, crossing weights, heavy ends and _p_count key; allowability, p_beta,
-p_beta_strict and every term of phi reach P through it.
+p_beta_strict, p_beta_strict_shifts and every term of phi reach P through
+it.
 """
 
 from __future__ import annotations
@@ -99,29 +100,31 @@ def _p_count(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
     span change, so all shifts of one shape at the same local widths share
     one entry.  Plain integers keep the keys small and quick to hash.
     """
-    g = LongEdgeGraph(tuple(zip(shape[0::3], shape[1::3], shape[2::3])))
-    gaps = range(1, g.maxv + 1)
-    filler = {j: widths[j - 1] - g.lambda_(j) for j in gaps}
-    classes = sorted(Counter(g.edges).items())
+    edges = list(zip(shape[0::3], shape[1::3], shape[2::3]))
+    # the unweighted filler edges of gap j sit at index j-1
+    filler = list(widths)
+    for lo, hi, weight in edges:
+        for j in range(lo, hi):
+            filler[j] -= weight
     # per class, all ways to spread its copies over the gaps it straddles
-    spreads = []
-    for e, mult in classes:
-        span = list(range(e.lo + 1, e.hi + 1))
-        spreads.append([(span, c) for c in _compositions(mult, len(span))])
+    spreads = [
+        [(lo, c) for c in _compositions(mult, hi - lo)]
+        for (lo, hi, _), mult in sorted(Counter(edges).items())
+    ]
     total = 0
     for combo in itertools.product(*spreads):
-        in_gap: dict[int, list[int]] = {j: [] for j in gaps}
-        for span, counts in combo:
-            for j, c in zip(span, counts):
+        in_gap: list[list[int]] = [[] for _ in filler]
+        for lo, counts in combo:
+            for j, c in enumerate(counts, lo):
                 if c:
                     in_gap[j].append(c)
         term = 1
-        for j in gaps:
-            placed = sum(in_gap[j])
+        for fill, copies in zip(filler, in_gap):
+            placed = sum(copies)
             # interleave the placed edges with the identical filler edges,
             # then order the placed ones among themselves
-            term *= comb(filler[j] + placed, placed) * factorial(placed)
-            for c in in_gap[j]:
+            term *= comb(fill + placed, placed) * factorial(placed)
+            for c in copies:
                 term //= factorial(c)
         total += term
     return total
@@ -141,6 +144,25 @@ def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
 
 def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     return _count(_sub(g.edges), tuple(beta), strict=True)
+
+
+def p_beta_strict_shifts(g: LongEdgeGraph, beta: Sequence[int]) -> list[int]:
+    """p_beta_strict(g.shift(k), beta) for k = 0 .. len(beta) - g.maxv, each
+    the shifted graph's own count, ends included, without building it."""
+    beta = tuple(beta)
+    t = _sub(g.edges)
+    return [
+        _count(
+            t._replace(
+                lo=t.lo + k,
+                hi=t.hi + k,
+                heavy=t.heavy and (t.heavy[0] + k, t.heavy[1] + k),
+            ),
+            beta,
+            strict=True,
+        )
+        for k in range(len(beta) - t.hi + 1)
+    ]
 
 
 class _Sub(NamedTuple):

@@ -16,8 +16,8 @@ from numbers import Rational
 from typing import Sequence
 
 from .coeffs import b_coeffs, cor, diffq, template_coefficients
-from .graphs import enumerate_graphs
-from .orderings import p_beta_strict
+from .graphs import Template, enumerate_templates
+from .orderings import p_beta_strict_shifts
 from .polygon import (
     HTPolygon,
     PolygonStats,
@@ -98,20 +98,45 @@ def _require_edges(p: HTPolygon, method: str, delta: int) -> PolygonStats:
 
 
 def n_bruteforce(p: HTPolygon, delta: int) -> int:
-    """Direct count: reorderings paired with weighted graphs of the rest."""
+    """Direct count: the sum over reorderings of mu(G) * P_beta^strict(G),
+    G running over the graphs of the remaining cogenus on the vertices
+    0..len(beta).
+
+    The vertices that no edge strictly straddles split G uniquely into
+    shifted templates, ends shared, and empty gaps.  mu, cogenus and strict
+    P factor over that split: an empty gap counts 1, and only a block at
+    vertex 0 or len(beta) can break strictness.  So G is counted as a chain
+    of blocks against the widths, with no fitted form.
+    """
     _require_edges(p, "bruteforce", delta)
-    total = 0
-    for ro in reorderings(p, delta):
-        rest = delta - ro.cogenus
-        if rest == 0:
-            total += 1
-            continue
-        for g in enumerate_graphs(rest, len(ro.beta)):
-            mu = g.multiplicity
-            count = p_beta_strict(g, ro.beta)
-            if count:
-                total += mu * count
-    return total
+    templates = [t for c in range(1, delta + 1) for t in enumerate_templates(c)]
+    return sum(
+        _chains(templates, ro.beta, delta - ro.cogenus)
+        for ro in reorderings(p, delta)
+    )
+
+
+def _chains(templates: list[Template], beta: Sequence[int], rest: int) -> int:
+    """Weighted count of the graphs of cogenus rest on 0..len(beta), filled
+    in from the right: f[k][r] counts those of cogenus r on k..len(beta),
+    whose first block, from k, is an empty gap or a template shifted by k."""
+    top = len(beta)
+    f = [[0] * (rest + 1) for _ in range(top + 1)]
+    f[top][0] = 1
+    blocks = [
+        (t.cogenus, t.maxv, [t.multiplicity * n for n in p_beta_strict_shifts(t, beta)])
+        for t in templates
+        if t.cogenus <= rest
+    ]
+    for k in range(top - 1, -1, -1):
+        row = f[k] = f[k + 1][:]  # the gap from k to k+1 is empty
+        for c, length, weights in blocks:
+            w = weights[k] if k < len(weights) else 0
+            if w:
+                after = f[k + length]
+                for r in range(c, rest + 1):
+                    row[r] += w * after[r - c]
+    return f[0][rest]
 
 
 def q_polygon(p: HTPolygon, delta: int) -> Fraction:

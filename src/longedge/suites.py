@@ -137,10 +137,10 @@ def oracle_corpus() -> list[tuple[str, HTPolygon]]:
 
 def oracle() -> list[Check]:
     """The three routes agree on every corpus polygon, as deep as its
-    shortest edge allows up to delta = 3, with no count skipped."""
+    shortest edge allows up to delta = 5, with no count skipped."""
     checks: list[Check] = []
     for name, p in oracle_corpus():
-        top = min(3, polygon_stats(p).min_edge)
+        top = min(5, polygon_stats(p).min_edge)
         rep = report(p, top)
         direct = n_bruteforce(p, 0) == 1 and rep.n["bruteforce"] == rep.n["closed"]
         geometric = rep.q["geometric"] == rep.q["closed"]

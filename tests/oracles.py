@@ -9,7 +9,8 @@ from functools import lru_cache
 from math import factorial, prod
 
 from longedge.graphs import LongEdgeGraph, Template, enumerate_graphs
-from longedge.orderings import Allowability, _p_count
+from longedge.orderings import Allowability, _p_count, p_beta_strict
+from longedge.polygon import HTPolygon, reorderings
 
 
 def templates_by_filter(delta: int) -> list[Template]:
@@ -20,6 +21,23 @@ def templates_by_filter(delta: int) -> list[Template]:
         for g in enumerate_graphs(delta, delta + 1)
         if g.is_template()
     ]
+
+
+def n_by_graphs(p: HTPolygon, delta: int) -> int:
+    """The direct count graph by graph: over every reordering, the sum of
+    mu(G) * p_beta_strict(G, beta) over every graph G of the remaining
+    cogenus with its vertices in 0..len(beta)."""
+    total = 0
+    for ro in reorderings(p, delta):
+        rest = delta - ro.cogenus
+        if rest == 0:
+            total += 1  # only the empty graph
+            continue
+        total += sum(
+            g.multiplicity * p_beta_strict(g, ro.beta)
+            for g in enumerate_graphs(rest, len(ro.beta))
+        )
+    return total
 
 
 def allowability_by_walk(g: LongEdgeGraph, beta) -> Allowability:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,13 @@ from longedge.coeffs import (
     q_delta_linearized,
     template_coefficients,
 )
-from longedge.polygon import beta_of, polygon_stats, reorderings, toric_invariants
+from longedge.polygon import (
+    HTPolygon,
+    beta_of,
+    polygon_stats,
+    reorderings,
+    toric_invariants,
+)
 from longedge.severi import (
     METHODS,
     n_bruteforce,
@@ -23,9 +30,34 @@ from longedge.severi import (
     report,
     that_delta,
 )
-from longedge.suites import SHARP, TRAPEZOID, TWO_SIDED, rectangle, triangle
+from longedge.suites import (
+    SHARP,
+    TRAPEZOID,
+    TWO_SIDED,
+    oracle_corpus,
+    random_polygon,
+    rectangle,
+    triangle,
+)
+from oracles import n_by_graphs
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def dilated(p: HTPolygon, s: int) -> HTPolygon:
+    """p scaled by s: every width and every edge length times s."""
+    def rows(chain):
+        return tuple(v for v in chain for _ in range(s))
+
+    return HTPolygon(s * p.dt, rows(p.left), rows(p.right))
+
+
+_rng = random.Random(20261018)
+# dilated by 2, so every edge has length >= 2 and the direct count reaches 3
+GRAPH_ORACLE_POLYGONS = oracle_corpus() + [
+    (f"random polygon {i}, dilated", dilated(random_polygon(_rng), 2))
+    for i in range(20)
+]
 
 
 class TestUniversalPolynomials:
@@ -79,6 +111,33 @@ class TestBruteForce:
         assert n_bruteforce(triangle(5), 2) == 882
         assert n_bruteforce(triangle(4), 3) == 675
         assert n_bruteforce(triangle(5), 3) == 7915
+
+    def test_pinned_counts(self):
+        # computed graph by graph, before the route counted chains of blocks
+        assert n_bruteforce(triangle(7), 5) == 33720354
+        assert n_bruteforce(TWO_SIDED, 3) == 696463
+        assert n_bruteforce(triangle(8), 6) == 3356773532
+
+    @pytest.mark.parametrize(
+        "p", [p for _, p in GRAPH_ORACLE_POLYGONS],
+        ids=[name for name, _ in GRAPH_ORACLE_POLYGONS],
+    )
+    def test_matches_graph_oracle(self, p):
+        top = min(4, polygon_stats(p).min_edge + 1)
+        for delta in range(top + 1):
+            assert n_bruteforce(p, delta) == n_by_graphs(p, delta), delta
+
+    def test_never_fits(self, monkeypatch):
+        import longedge.coeffs as coeffs
+        import longedge.orderings as orderings
+
+        def refuse(*args):
+            raise AssertionError("the direct route reached the fitted route")
+
+        monkeypatch.setattr(coeffs, "template_data", refuse)
+        monkeypatch.setattr(coeffs, "fit_linear_phi", refuse)
+        monkeypatch.setattr(orderings, "fit_linear_phi", refuse)
+        assert n_bruteforce(triangle(5), 4) == 36975
 
     def test_zero_nodes(self):
         for p in (triangle(2), SHARP, TRAPEZOID):
