@@ -11,7 +11,6 @@ from .graphs import (
     LongEdgeGraph,
     Template,
     conjugate,
-    enumerate_graphs,
     enumerate_templates,
 )
 from .orderings import (
@@ -21,11 +20,9 @@ from .orderings import (
     allowability,
     beta_from_divergence,
     fit_linear_phi,
-    is_semiallowable,
     p_beta,
     p_beta_strict,
     phi_beta,
-    phi_beta_strict,
 )
 from .coeffs import (
     CoeffTable,
@@ -58,8 +55,6 @@ from .polygon import (
     PolygonStats,
     Reordering,
     ToricInvariants,
-    VLocalPiece,
-    beta_of,
     beta_stats,
     from_directions,
     from_vertices,
@@ -67,11 +62,8 @@ from .polygon import (
     polygon_from_dict,
     polygon_stats,
     polygon_to_dict,
-    recombine_vlocal,
     reorderings,
-    reversal_cogenus,
     toric_invariants,
-    vlocal_decompose,
 )
 from .severi import (
     METHODS,

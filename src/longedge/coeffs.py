@@ -220,10 +220,10 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
     for t, form in template_data(delta):
         mu = t.multiplicity
         ends = t.length - t.epsilon0 - t.epsilon1
-        eta0 = form.eta[0]
-        a += Fraction(mu) * form.zeta0 / 2
-        l -= Fraction(mu) * form.zeta0 * ends / 2
-        h += mu * (eta0 + form.zeta0 * ends)
+        eta0, zeta0 = form.eta[0], form.zeta0
+        a += Fraction(mu) * zeta0 / 2
+        l -= Fraction(mu) * zeta0 * ends / 2
+        h += mu * (eta0 + zeta0 * ends)
         d -= mu * (form.zeta2 + form.zeta1 * (1 - t.epsilon0))
         c -= mu * eta0 * ends
         l_alt += Fraction(mu) * eta0 / 2

@@ -175,35 +175,6 @@ def _edge_pool(delta: int, max_vertex: int) -> list[Edge]:
     return sorted(pool)
 
 
-def enumerate_graphs(delta: int, max_vertex: int) -> list[LongEdgeGraph]:
-    """All graphs of the given cogenus with every vertex in [0, max_vertex].
-
-    Edge multisets are built in nondecreasing canonical order, so each graph
-    appears exactly once, and depth-first order over the sorted pool is the
-    canonical order of the edge tuples.  Every edge contributes cogenus >= 1,
-    which bounds the recursion depth by delta.
-    """
-    if delta < 1:
-        return []
-    pool = _edge_pool(delta, max_vertex)
-    out: list[LongEdgeGraph] = []
-
-    def grow(start: int, chosen: list[Edge], remaining: int):
-        if remaining == 0:
-            out.append(LongEdgeGraph(tuple(chosen)))
-            return
-        for i in range(start, len(pool)):
-            e = pool[i]
-            if e.cogenus > remaining:
-                continue
-            chosen.append(e)
-            grow(i, chosen, remaining - e.cogenus)
-            chosen.pop()
-
-    grow(0, [], delta)
-    return out
-
-
 def enumerate_templates(delta: int) -> list[Template]:
     """All templates of the given cogenus, in canonical order.
 

@@ -69,18 +69,6 @@ def allowability(g: LongEdgeGraph, beta: Sequence[int]) -> Allowability:
     return _allowability(_sub(g.edges), tuple(beta))
 
 
-def is_semiallowable(g: LongEdgeGraph, beta: Sequence[int]) -> bool:
-    beta = tuple(beta)
-    m = len(beta) - 1
-    if g.is_empty:
-        return True
-    if g.maxv > m + 1:
-        return False
-    return all(
-        beta[j - 1] >= g.olambda(j) for j in range(g.minv + 1, g.maxv + 1)
-    )
-
-
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     # weak compositions of n into k ordered parts
     if k == 1:
@@ -255,17 +243,18 @@ def _count(t: _Sub, beta: tuple[int, ...], strict: bool) -> int:
     return _p_count(t.shape, _shared(beta[t.lo : t.hi])) if t.size else 1
 
 
-def _phi(g: LongEdgeGraph, beta: tuple[int, ...], strict: bool) -> Fraction:
-    """[x^S] log(sum over sub-multisets T of S of P(T) x^T), S = g.edges,
-    with P = p_beta_strict if strict, else p_beta.
+def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
+    """Log coefficient of p_beta at g's edge multiset; the log-side weight of g:
+    [x^S] log(sum over sub-multisets T of S of p_beta(T) x^T), S = g.edges.
 
     With h[T] = scale * phi(T), an integer, the log derivative gives
     |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
     """
+    beta = tuple(beta)
     if g.is_empty:
         return Fraction(0)
     plan = _log_plan(g.edges)
-    p = [_count(t, beta, strict) for t in plan.subs]
+    p = [_count(t, beta, strict=False) for t in plan.subs]
     size_h: list[int] = []  # |T| h[T], in plan order
     for t, p_t, split in zip(plan.subs, p, plan.splits):
         acc = t.size * plan.scale * p_t
@@ -280,15 +269,6 @@ def _phi(g: LongEdgeGraph, beta: tuple[int, ...], strict: bool) -> Fraction:
             )
         size_h.append(acc)
     return Fraction(h, plan.scale)
-
-
-def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
-    """Log coefficient of p_beta at g's edge multiset; the log-side weight of g."""
-    return _phi(g, tuple(beta), strict=False)
-
-
-def phi_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
-    return _phi(g, tuple(beta), strict=True)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ A polygon is stored as its top width together with the per-height left and
 right boundary directions, read top to bottom.  The right directions are
 nonincreasing and the left ones nondecreasing; that is the default ordering,
 and convexity of the polygon is equivalent to it.  Everything else -- width
-sequences, vertex determinants, boundary reorderings and their local
-decompositions, and the intersection numbers of the associated surface -- is
-derived from this data.
+sequences, vertex determinants, boundary reorderings and the intersection
+numbers of the associated surface -- is derived from this data.
 """
 
 from __future__ import annotations
@@ -33,6 +32,15 @@ def _int(value: object, what: str) -> int:
 
 def _int_seq(values: Sequence[int], what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in values)
+
+
+def _pair(item: object, what: str) -> tuple[object, object]:
+    """A two-item input; anything else is rejected by name."""
+    try:
+        first, second = item
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a pair, not {item!r}") from None
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ def from_directions(
     def expand(runs, what):
         out: list[int] = []
         for run in runs:
-            direction, length = run
+            direction, length = _pair(run, f"{what} run (direction, length)")
             direction = _int(direction, f"{what} direction")
             length = _int(length, f"{what} run length")
             if length < 1:
@@ -144,7 +152,10 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
     lattice polygon whose non-horizontal edges rise one unit per step, i.e.
     all edge normals have integral or infinite slope.
     """
-    pts = [(_int(x, "vertex x"), _int(y, "vertex y")) for x, y in vertices]
+    pts = [
+        (_int(x, "vertex x"), _int(y, "vertex y"))
+        for x, y in (_pair(v, "vertex (x, y)") for v in vertices)
+    ]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts.pop()
     # drop repeated points
@@ -211,10 +222,6 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
     return HTPolygon(dt, left, right)
 
 
-def beta_of(p: HTPolygon) -> BetaSeq:
-    return p.beta()
-
-
 class InternalVertex(NamedTuple):
     side: str  # "left" or "right"
     level: int  # vertical distance below the top
@@ -229,6 +236,18 @@ def _runs(values: Sequence[int]) -> list[tuple[int, int]]:
             out[-1] = (v, out[-1][1] + 1)
         else:
             out.append((v, 1))
+    return out
+
+
+def _side_windows(values: Sequence[int], side: str):
+    """Per-internal-vertex (vertex, adjacent value pair) for one chain."""
+    runs = _runs(values)
+    out = []
+    level = 0
+    for (a, la), (b, _) in zip(runs, runs[1:]):
+        level += la
+        det = b - a if side == "left" else a - b
+        out.append((InternalVertex(side, level, det), (a, b)))
     return out
 
 
@@ -434,143 +453,6 @@ def reorderings(p: HTPolygon, delta: int) -> Iterator[Reordering]:
             except ValueError:
                 continue
             yield Reordering(left, right, cost, beta)
-
-
-def reversal_cogenus(p: HTPolygon, left: Sequence[int], right: Sequence[int]) -> int:
-    """Total reversal weight of a reordering of the boundary directions."""
-    left = tuple(left)
-    right = tuple(right)
-    if sorted(left) != sorted(p.left) or sorted(right) != sorted(p.right):
-        raise ValueError("not a reordering of this polygon's directions")
-    cost = 0
-    for i, r in enumerate(right):
-        cost += sum(s - r for s in right[i + 1 :] if s > r)
-    for i, l in enumerate(left):
-        cost += sum(l - s for s in left[i + 1 :] if s < l)
-    return cost
-
-
-class VLocalPiece(NamedTuple):
-    vertex: InternalVertex
-    word: tuple[int, ...]  # the directions in the vertex's window, in order
-    cogenus: int
-
-
-def _side_windows(values: Sequence[int], side: str):
-    """Per-internal-vertex (vertex, adjacent value pair) for one chain."""
-    runs = _runs(values)
-    out = []
-    level = 0
-    for (a, la), (b, _) in zip(runs, runs[1:]):
-        level += la
-        det = b - a if side == "left" else a - b
-        out.append((InternalVertex(side, level, det), (a, b)))
-    return out
-
-
-def _word_cogenus(word: Sequence[int], above: int, below: int, det: int) -> int:
-    """det times the number of pairs with the lower run's value first."""
-    inversions = 0
-    early_belows = 0
-    for c in word:
-        if c == below:
-            early_belows += 1
-        elif c == above:
-            inversions += early_belows
-    return det * inversions
-
-
-def vlocal_decompose(
-    p: HTPolygon, reordering: Sequence[Sequence[int]] | Reordering
-) -> tuple[VLocalPiece, ...]:
-    """Split a reordering into its per-internal-vertex local pieces.
-
-    Each piece records the two-direction word read off the window between the
-    vertices above and below; the pieces' cogenera add up to the reordering's.
-    Guaranteed to be a bijection only when every internal edge is at least as
-    long as the reordering's cogenus.
-    """
-    left, right = reordering[0], reordering[1]
-    delta = reversal_cogenus(p, left, right)
-    internal_edges = []
-    for values in (p.left, p.right):
-        runs = _runs(values)
-        internal_edges.extend(length for _, length in runs[1:-1])
-    if any(length < delta for length in internal_edges):
-        raise ValueError(
-            "decomposition not guaranteed: an internal edge is shorter than "
-            f"the reordering cogenus {delta}"
-        )
-    pieces = []
-    for side, default, actual in (
-        ("left", p.left, left),
-        ("right", p.right, right),
-    ):
-        for vertex, (a, b) in _side_windows(default, side):
-            word = tuple(c for c in actual if c in (a, b))
-            cogenus = _word_cogenus(word, a, b, vertex.det)
-            pieces.append(VLocalPiece(vertex, word, cogenus))
-    total = sum(piece.cogenus for piece in pieces)
-    if total != delta:
-        raise ArithmeticError(
-            "decomposition dropped reversal weight: a direction strayed past "
-            "a whole edge, which the edge-length precondition should prevent"
-        )
-    if recombine_vlocal(p, pieces) != (tuple(left), tuple(right)):
-        raise ArithmeticError("recombining the pieces does not restore the input")
-    return tuple(pieces)
-
-
-def recombine_vlocal(
-    p: HTPolygon, pieces: Sequence[VLocalPiece]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Merge per-vertex words back into a single reordering.
-
-    Within one chain, letters of runs two or more apart keep their default
-    order, which pins down the unique interleaving consistent with all words.
-    """
-    by_vertex = {piece.vertex: piece.word for piece in pieces}
-    out = {}
-    for side, default in (("left", p.left), ("right", p.right)):
-        runs = _runs(default)
-        k = len(runs)
-        words = []
-        for vertex, (a, b) in _side_windows(default, side):
-            word = by_vertex.get(vertex)
-            if word is None:
-                raise ValueError(f"missing piece for {vertex}")
-            if sorted(word) != sorted(
-                [a] * dict(runs)[a] + [b] * dict(runs)[b]
-            ):
-                raise ValueError(f"word for {vertex} has the wrong letters")
-            words.append(word)
-        remaining = [length for _, length in runs]
-        pointers = [0] * len(words)
-        merged = []
-        while len(merged) < len(default):
-            emitted = False
-            for j in range(k):
-                if remaining[j] == 0:
-                    continue
-                if any(remaining[i] for i in range(j - 1)):
-                    continue
-                value = runs[j][0]
-                if j >= 1 and words[j - 1][pointers[j - 1]] != value:
-                    continue
-                if j <= k - 2 and words[j][pointers[j]] != value:
-                    continue
-                if j >= 1:
-                    pointers[j - 1] += 1
-                if j <= k - 2:
-                    pointers[j] += 1
-                remaining[j] -= 1
-                merged.append(value)
-                emitted = True
-                break
-            if not emitted:
-                raise ValueError("inconsistent pieces: no merge order exists")
-        out[side] = tuple(merged)
-    return out["left"], out["right"]
 
 
 def polygon_to_dict(p: HTPolygon) -> dict:

@@ -1,4 +1,5 @@
-"""Brute-force reference implementations used only by the test suite."""
+"""Reference implementations that only the test suite calls: brute-force
+counts, rules read off the graph walk, and the v-local split of reorderings."""
 
 from __future__ import annotations
 
@@ -7,10 +8,47 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from typing import NamedTuple, Sequence
 
-from longedge.graphs import LongEdgeGraph, Template, enumerate_graphs
+from longedge.graphs import Edge, LongEdgeGraph, Template, _edge_pool
 from longedge.orderings import Allowability, _p_count, p_beta_strict
-from longedge.polygon import HTPolygon, reorderings
+from longedge.polygon import (
+    HTPolygon,
+    InternalVertex,
+    Reordering,
+    _runs,
+    _side_windows,
+    reorderings,
+)
+
+
+def enumerate_graphs(delta: int, max_vertex: int) -> list[LongEdgeGraph]:
+    """All graphs of the given cogenus with every vertex in [0, max_vertex].
+
+    Edge multisets are built in nondecreasing canonical order, so each graph
+    appears exactly once, and depth-first order over the sorted pool is the
+    canonical order of the edge tuples.  Every edge contributes cogenus >= 1,
+    which bounds the recursion depth by delta.
+    """
+    if delta < 1:
+        return []
+    pool = _edge_pool(delta, max_vertex)
+    out: list[LongEdgeGraph] = []
+
+    def grow(start: int, chosen: list[Edge], remaining: int):
+        if remaining == 0:
+            out.append(LongEdgeGraph(tuple(chosen)))
+            return
+        for i in range(start, len(pool)):
+            e = pool[i]
+            if e.cogenus > remaining:
+                continue
+            chosen.append(e)
+            grow(i, chosen, remaining - e.cogenus)
+            chosen.pop()
+
+    grow(0, [], delta)
+    return out
 
 
 def templates_by_filter(delta: int) -> list[Template]:
@@ -56,6 +94,18 @@ def allowability_by_walk(g: LongEdgeGraph, beta) -> Allowability:
     # strictness looks at the ends of the ambient vertex range, not of g
     strict = all(e.weight == 1 for e in g.edges if e.lo == 0 or e.hi == m + 1)
     return Allowability.STRICTLY_ALLOWABLE if strict else Allowability.ALLOWABLE
+
+
+def is_semiallowable(g: LongEdgeGraph, beta: Sequence[int]) -> bool:
+    beta = tuple(beta)
+    m = len(beta) - 1
+    if g.is_empty:
+        return True
+    if g.maxv > m + 1:
+        return False
+    return all(
+        beta[j - 1] >= g.olambda(j) for j in range(g.minv + 1, g.maxv + 1)
+    )
 
 
 def p_by_walk(g: LongEdgeGraph, beta, strict: bool) -> int:
@@ -156,3 +206,128 @@ def phi_by_partitions(g: LongEdgeGraph, beta, count) -> Fraction:
         )
         total += Fraction((-1) ** (i + 1) * tuples * prod(pieces), i)
     return total
+
+
+def reversal_cogenus(p: HTPolygon, left: Sequence[int], right: Sequence[int]) -> int:
+    """Total reversal weight of a reordering of the boundary directions."""
+    left = tuple(left)
+    right = tuple(right)
+    if sorted(left) != sorted(p.left) or sorted(right) != sorted(p.right):
+        raise ValueError("not a reordering of this polygon's directions")
+    cost = 0
+    for i, r in enumerate(right):
+        cost += sum(s - r for s in right[i + 1 :] if s > r)
+    for i, l in enumerate(left):
+        cost += sum(l - s for s in left[i + 1 :] if s < l)
+    return cost
+
+
+class VLocalPiece(NamedTuple):
+    vertex: InternalVertex
+    word: tuple[int, ...]  # the directions in the vertex's window, in order
+    cogenus: int
+
+
+def _word_cogenus(word: Sequence[int], above: int, below: int, det: int) -> int:
+    """det times the number of pairs with the lower run's value first."""
+    inversions = 0
+    early_belows = 0
+    for c in word:
+        if c == below:
+            early_belows += 1
+        elif c == above:
+            inversions += early_belows
+    return det * inversions
+
+
+def vlocal_decompose(
+    p: HTPolygon, reordering: Sequence[Sequence[int]] | Reordering
+) -> tuple[VLocalPiece, ...]:
+    """Split a reordering into its per-internal-vertex local pieces.
+
+    Each piece records the two-direction word read off the window between the
+    vertices above and below; the pieces' cogenera add up to the reordering's.
+    Guaranteed to be a bijection only when every internal edge is at least as
+    long as the reordering's cogenus.
+    """
+    left, right = reordering[0], reordering[1]
+    delta = reversal_cogenus(p, left, right)
+    internal_edges = []
+    for values in (p.left, p.right):
+        runs = _runs(values)
+        internal_edges.extend(length for _, length in runs[1:-1])
+    if any(length < delta for length in internal_edges):
+        raise ValueError(
+            "decomposition not guaranteed: an internal edge is shorter than "
+            f"the reordering cogenus {delta}"
+        )
+    pieces = []
+    for side, default, actual in (
+        ("left", p.left, left),
+        ("right", p.right, right),
+    ):
+        for vertex, (a, b) in _side_windows(default, side):
+            word = tuple(c for c in actual if c in (a, b))
+            cogenus = _word_cogenus(word, a, b, vertex.det)
+            pieces.append(VLocalPiece(vertex, word, cogenus))
+    total = sum(piece.cogenus for piece in pieces)
+    if total != delta:
+        raise ArithmeticError(
+            "decomposition dropped reversal weight: a direction strayed past "
+            "a whole edge, which the edge-length precondition should prevent"
+        )
+    if recombine_vlocal(p, pieces) != (tuple(left), tuple(right)):
+        raise ArithmeticError("recombining the pieces does not restore the input")
+    return tuple(pieces)
+
+
+def recombine_vlocal(
+    p: HTPolygon, pieces: Sequence[VLocalPiece]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Merge per-vertex words back into a single reordering.
+
+    Within one chain, letters of runs two or more apart keep their default
+    order, which pins down the unique interleaving consistent with all words.
+    """
+    by_vertex = {piece.vertex: piece.word for piece in pieces}
+    out = {}
+    for side, default in (("left", p.left), ("right", p.right)):
+        runs = _runs(default)
+        k = len(runs)
+        words = []
+        for vertex, (a, b) in _side_windows(default, side):
+            word = by_vertex.get(vertex)
+            if word is None:
+                raise ValueError(f"missing piece for {vertex}")
+            if sorted(word) != sorted(
+                [a] * dict(runs)[a] + [b] * dict(runs)[b]
+            ):
+                raise ValueError(f"word for {vertex} has the wrong letters")
+            words.append(word)
+        remaining = [length for _, length in runs]
+        pointers = [0] * len(words)
+        merged = []
+        while len(merged) < len(default):
+            emitted = False
+            for j in range(k):
+                if remaining[j] == 0:
+                    continue
+                if any(remaining[i] for i in range(j - 1)):
+                    continue
+                value = runs[j][0]
+                if j >= 1 and words[j - 1][pointers[j - 1]] != value:
+                    continue
+                if j <= k - 2 and words[j][pointers[j]] != value:
+                    continue
+                if j >= 1:
+                    pointers[j - 1] += 1
+                if j <= k - 2:
+                    pointers[j] += 1
+                remaining[j] -= 1
+                merged.append(value)
+                emitted = True
+                break
+            if not emitted:
+                raise ValueError("inconsistent pieces: no merge order exists")
+        out[side] = tuple(merged)
+    return out["left"], out["right"]

@@ -20,14 +20,14 @@ from longedge.coeffs import (
     template_coefficients,
     template_data,
 )
-from longedge.graphs import conjugate, enumerate_graphs, enumerate_templates
+from longedge.graphs import conjugate, enumerate_templates
 from longedge.orderings import fit_linear_phi, p_beta
-from longedge.polygon import beta_of, internal_vertices, polygon_stats, reorderings
+from longedge.polygon import internal_vertices, polygon_stats, reorderings
 from longedge.series import RatSeries, dg2, partition_series
 from longedge.severi import n_bruteforce, n_from_q, q_geometric, q_polygon
 from longedge.suites import SHARP, SUITES, TRAPEZOID, TWO_SIDED, triangle
 
-from oracles import brute_force_orderings
+from oracles import brute_force_orderings, enumerate_graphs
 
 VERDICTS: list[tuple[int, str, bool, float]] = []
 
@@ -192,7 +192,7 @@ def test_criterion_10_property_slices():
                 )
 
     # reordering a long-edged polygon shifts the width-level count linearly
-    base = beta_of(TWO_SIDED)
+    base = TWO_SIDED.beta()
     for delta in (1, 2):
         a = template_coefficients(delta).A
         q0 = q_beta_delta(base, delta)

@@ -466,7 +466,18 @@ EXIT_CODES = [
     (["severi", "--polygon", "{polygon}", "--delta", "1", "--out", "{nodir}/o.json"],
      None, 2),
     (["series", "a", "--order", "2", "--out", "{dir}"], None, 2),
+    # runs and vertices that are not pairs; the error names the item
+    (["severi", "--polygon", "{short_run}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{string_runs}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{long_vertex}", "--delta", "1"], None, 2),
 ]
+
+# file placeholder -> (polygon JSON written to it, text stderr must show)
+MALFORMED = {
+    "short_run": ({"dt": 0, "left": [[0]], "right": [[1, 3]]}, "[0]"),
+    "string_runs": ({"dt": 0, "left": [[0, 3]], "right": "ab"}, "'a'"),
+    "long_vertex": ({"vertices": [[0, 0, 1], [1, 0], [0, 1]]}, "[0, 0, 1]"),
+}
 
 
 @pytest.mark.parametrize("argv, patch, expected", EXIT_CODES)
@@ -482,6 +493,9 @@ def test_exit_codes(argv, patch, expected, tmp_path, monkeypatch, capsys):
         "nodir": tmp_path / "no" / "such",
         "dir": tmp_path,
     }
+    for name, (data, _) in MALFORMED.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
     if patch:
         monkeypatch.setattr(*patch)
     try:
@@ -492,6 +506,9 @@ def test_exit_codes(argv, patch, expected, tmp_path, monkeypatch, capsys):
     assert code == expected
     if expected == 2:
         assert "error:" in err
+    for name, (_, shown) in MALFORMED.items():
+        if f"{{{name}}}" in argv:
+            assert shown in err
 
 
 def test_module_invocation(tmp_path):

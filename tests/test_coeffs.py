@@ -17,10 +17,11 @@ from longedge.coeffs import (
     template_coefficients,
     template_data,
 )
-from longedge.graphs import enumerate_graphs
-from longedge.orderings import fit_linear_phi, phi_beta_strict
+from longedge.orderings import fit_linear_phi, p_beta_strict
 from longedge.polygon import BetaStats, beta_stats
 from longedge.series import RatSeries
+
+from oracles import enumerate_graphs, phi_by_partitions
 
 
 def test_beta_stats():
@@ -161,7 +162,7 @@ def q_beta_oracle(beta, delta):
     total = Fraction(0)
     m = len(beta) - 1
     for g in enumerate_graphs(delta, m + 1):
-        total += g.multiplicity * phi_beta_strict(g, beta)
+        total += g.multiplicity * phi_by_partitions(g, beta, p_beta_strict)
     return total
 
 

@@ -5,12 +5,11 @@ from longedge.graphs import (
     LongEdgeGraph,
     Template,
     conjugate,
-    enumerate_graphs,
     enumerate_templates,
 )
 from longedge.reference import TABLE1
 
-from oracles import templates_by_filter
+from oracles import enumerate_graphs, templates_by_filter
 
 # the three graphs of the running example: G2 is G1 shifted by 3
 G1 = LongEdgeGraph([(0, 1, 2), (0, 2, 1)])

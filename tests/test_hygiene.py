@@ -1,4 +1,5 @@
-"""Dead-code guard for the package: unused imports and unreferenced private helpers."""
+"""Dead-code guard: unused imports and unreferenced private helpers in the
+package, and unused imports and definitions no test reaches in the oracles."""
 
 import ast
 from collections import Counter
@@ -34,10 +35,12 @@ def imports(node):
     ]
 
 
-PACKAGE_REFS = sum(
-    (reads(t) + Counter(name for _, name in imports(t)) for t in TREES.values()),
-    Counter(),
-)
+def refs(tree):
+    """Names read or imported below tree."""
+    return reads(tree) + Counter(name for _, name in imports(tree))
+
+
+PACKAGE_REFS = sum(map(refs, TREES.values()), Counter())
 
 
 @pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
@@ -54,3 +57,30 @@ def test_no_dead_code(module):
         and PACKAGE_REFS[node.name] == reads(node)[node.name]
     ]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def test_no_dead_oracles():
+    tests = Path(__file__).parent
+    tree = ast.parse((tests / "oracles.py").read_text())
+    unused = {bound for bound, _ in imports(tree)} - set(reads(tree))
+    assert not unused, f"imported but never used: {sorted(unused)}"
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    # live: what a test file names, and what a live definition names in turn
+    todo = [
+        name
+        for path in sorted(tests.glob("test_*.py"))
+        for name in refs(ast.parse(path.read_text()))
+        if name in defs
+    ]
+    live = set()
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(n for n in reads(defs[name]) if n in defs)
+    dead = sorted(set(defs) - live)
+    assert not dead, f"oracles no test reaches: {dead}"

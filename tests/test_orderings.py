@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longedge.graphs import Edge, LongEdgeGraph, conjugate, enumerate_graphs, enumerate_templates
+from longedge.graphs import Edge, LongEdgeGraph, conjugate, enumerate_templates
 from longedge.orderings import (
     Allowability,
     BetaSeq,
@@ -13,15 +13,20 @@ from longedge.orderings import (
     beta_from_divergence,
     check_linear_form,
     fit_linear_phi,
-    is_semiallowable,
     p_beta,
     p_beta_strict,
     phi_beta,
-    phi_beta_strict,
 )
 from longedge.reference import TABLE1
 
-from oracles import allowability_by_walk, brute_force_orderings, p_by_walk, phi_by_partitions
+from oracles import (
+    allowability_by_walk,
+    brute_force_orderings,
+    enumerate_graphs,
+    is_semiallowable,
+    p_by_walk,
+    phi_by_partitions,
+)
 
 EMPTY = LongEdgeGraph()
 WT2 = LongEdgeGraph([(0, 1, 2)])
@@ -157,7 +162,7 @@ def test_phi_strict_vanishes_off_shifted_templates():
     for g in enumerate_graphs(2, 4):
         if not g.is_shifted_template():
             for beta in betas:
-                assert phi_beta_strict(g, beta) == 0, g
+                assert phi_by_partitions(g, beta, p_beta_strict) == 0, g
 
 
 def test_phi_two_parallel_arcs():
@@ -191,17 +196,16 @@ def test_allowability_matches_walk_oracle():
 
 def test_phi_matches_partition_oracle():
     # the oracle's P is gated by the graph walk, not by the library's rule
+    count = lambda h, b: p_by_walk(h, b, False)
     for d in range(1, 5):
         for g in enumerate_graphs(d, d + 1):
             for beta in oracle_widths(d, g.maxv):
-                for strict, phi in ((False, phi_beta), (True, phi_beta_strict)):
-                    count = lambda h, b: p_by_walk(h, b, strict)
-                    assert phi(g, beta) == phi_by_partitions(g, beta, count), (g, beta)
+                assert phi_beta(g, beta) == phi_by_partitions(g, beta, count), (g, beta)
+                assert p_beta_strict(g, beta) == p_by_walk(g, beta, True), (g, beta)
 
 
 def test_phi_empty_graph_is_zero():
     assert phi_beta(EMPTY, (3,)) == 0
-    assert phi_beta_strict(EMPTY, (3,)) == 0
 
 
 def test_linear_form_zeta():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from longedge.polygon import (
     HTPolygon,
-    beta_of,
     beta_stats,
     from_directions,
     from_vertices,
@@ -17,14 +16,13 @@ from longedge.polygon import (
     polygon_from_dict,
     polygon_stats,
     polygon_to_dict,
-    recombine_vlocal,
     reorderings,
-    reversal_cogenus,
     toric_invariants,
-    vlocal_decompose,
 )
 from longedge.series import RatSeries, partition_series_in_power
 from longedge.suites import SHARP, TRAPEZOID, TWO_SIDED, rectangle, triangle
+
+from oracles import recombine_vlocal, reversal_cogenus, vlocal_decompose
 
 
 @st.composite
@@ -48,7 +46,7 @@ class TestConstruction:
         p = SHARP
         assert p.height == 4
         assert p.db == 6
-        assert beta_of(p) == (0, 3, 6, 6, 6)
+        assert p.beta() == (0, 3, 6, 6, 6)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -155,7 +153,7 @@ class TestStats:
     @given(polygons())
     def test_matches_width_sequence_stats(self, p):
         s = polygon_stats(p)
-        bs = beta_stats(beta_of(p))
+        bs = beta_stats(p.beta())
         assert (s.area, s.ll, s.idet) == (bs.area, bs.ll, bs.idet)
         assert s.height == len(p.left)
         assert s.det == s.idet + s.tdet + s.bdet + 2 * (p.dt > 0) + 2 * (p.db > 0)
@@ -164,7 +162,7 @@ class TestStats:
     def test_width_lower_bound(self, p):
         # nonconstant widths stay above the smaller of the two end ramps
         # and the shortest edge touching an internal vertex
-        beta = beta_of(p)
+        beta = p.beta()
         assume(len(set(beta)) > 1)
         s = polygon_stats(p)
         edge_floor = s.ell if s.ell != inf else max(beta)
@@ -230,7 +228,7 @@ class TestReorderings:
     @settings(max_examples=40, deadline=None)
     def test_cogenus_is_width_deficit(self, p):
         # each reordering's cogenus equals the total width it removes
-        beta = beta_of(p)
+        beta = p.beta()
         for ro in reorderings(p, 3):
             assert ro.cogenus == reversal_cogenus(p, ro.left, ro.right)
             assert ro.cogenus == sum(b - c for b, c in zip(beta, ro.beta))

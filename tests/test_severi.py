@@ -15,7 +15,6 @@ from longedge.coeffs import (
 )
 from longedge.polygon import (
     HTPolygon,
-    beta_of,
     polygon_stats,
     reorderings,
     toric_invariants,
@@ -205,7 +204,7 @@ class TestWidthLevelIdentities:
         # extremal edges have length 3, so cogenus c reorderings with
         # c + delta <= 3 move the width-level count by -2 A(delta) c
         p = TWO_SIDED
-        base = beta_of(p)
+        base = p.beta()
         for delta in (1, 2):
             a = template_coefficients(delta).A
             q0 = q_beta_delta(base, delta)
@@ -219,7 +218,7 @@ class TestWidthLevelIdentities:
         # width-level count = linear form + end corrections, provided the
         # extremal edges, the height, and both end widths clear delta
         stats = polygon_stats(p)
-        beta = beta_of(p)
+        beta = p.beta()
         ell = min(stats.ell, stats.min_edge)
         for delta in (1, 2):
             if ell < delta or stats.height < delta:
@@ -240,7 +239,7 @@ class TestWidthLevelIdentities:
         for delta in (1, 2):
             if stats.min_edge < delta:
                 continue
-            gap = q_polygon(p, delta) - q_beta_delta(beta_of(p), delta)
+            gap = q_polygon(p, delta) - q_beta_delta(p.beta(), delta)
             assert gap == sum(
                 b_coeffs(delta, i) * n for i, n in stats.vprime.items()
             )
