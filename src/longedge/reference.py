@@ -5,10 +5,11 @@ Columns per row: edges, delta, ell, mu, eps0, eps1, lam (crossing weights at
 gaps 1..ell), olam (same minus the count of exact gap edges), eta (constant
 term plus one coefficient per width position), zeta0, zeta1, zeta2.
 
-COEFF_ROWS freezes the universal coefficient table for cogenus 1 to 6, in the
+COEFF_ROWS freezes the universal coefficient table for cogenus 1 to 7, in the
 same string form the library serializes.  Rows 4 to 6 were generated by
-summing phi over set partitions of each template's edges, and guard every
-later change to how phi is computed.
+summing phi over set partitions of each template's edges, and row 7 by the
+log recurrence over composition-walk P counts; A(7) equals the value the
+series gives.  They guard every later change to how P and phi are computed.
 """
 
 from fractions import Fraction as F
@@ -61,4 +62,7 @@ COEFF_ROWS = {
     6: {"delta": 6, "A": "-668388", "L": "1080646", "H": "0",
         "D": "3310265/6", "C": "-10137308/3", "Ctilde": "-5134642",
         "b": ["-112826", "102676/3", "-9237/2", "456", "-30", "1"]},
+    7: {"delta": 7, "A": "74884932/7", "L": "-130410072/7", "H": "0",
+        "D": "-10354734", "C": "439054200/7", "Ctilde": "97018128",
+        "b": ["12464964/7", "-543336", "75600", "-8176", "660", "-36", "1"]},
 }
