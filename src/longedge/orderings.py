@@ -5,9 +5,9 @@ beta_{j-1} - lambda_j(G) unweighted filler edges in each gap j, and P_beta(G)
 counts the total orderings of vertices and edges (each edge placed strictly
 between its endpoints) up to permuting indistinguishable edges.  phi_beta is
 the log coefficient phi(S) = [x^S] log(sum_T P_beta(T) x^T) of the edge
-multiset S, the sum running over its sub-multisets T; it equals the signed
-sum of P_beta products over ordered decompositions of S, but is computed by
-an integer recurrence over the sub-multisets.  On the semiallowable region
+multiset S, the sum running over its sub-multisets T.  Both are counted by
+recurrences: P by a transfer over the gaps, phi by an integer recurrence
+over the sub-multisets in mixed-radix order.  On the semiallowable region
 phi_beta is linear in beta, and fit_linear_phi recovers that linear form
 exactly.
 
@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import Iterator, NamedTuple, Sequence
+from math import comb, lcm, prod
+from typing import NamedTuple, Sequence
 
 from .graphs import Edge, LongEdgeGraph
 
@@ -69,53 +69,55 @@ def allowability(g: LongEdgeGraph, beta: Sequence[int]) -> Allowability:
     return _allowability(_sub(g.edges), tuple(beta))
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # weak compositions of n into k ordered parts
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first, *rest)
-
-
 @lru_cache(maxsize=None)
 def _p_count(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
     """P of a graph whose lowest vertex is 0, given as its edges' (lo, hi,
     weight) run together, where gap j holds widths[j-1] edges in all.
 
+    A transfer over the gaps, left to right, whose state is the copies of
+    each open edge class still to place: a class takes any number of copies
+    in each gap it straddles but its last, which takes the rest.  A gap with
+    fill filler edges and c_i copies of class i multiplies in the ways to
+    order them, C(fill + s, s) s! / prod c_i! with s the sum of the c_i.
+
     P does not change when a graph is shifted or when widths outside its
     span change, so all shifts of one shape at the same local widths share
     one entry.  Plain integers keep the keys small and quick to hash.
     """
-    edges = list(zip(shape[0::3], shape[1::3], shape[2::3]))
-    # the unweighted filler edges of gap j sit at index j-1
+    classes = Counter(zip(shape[0::3], shape[1::3], shape[2::3]))
     filler = list(widths)
-    for lo, hi, weight in edges:
+    opening: list[list[tuple[int, int]]] = [[] for _ in filler]
+    for (lo, hi, weight), mult in classes.items():
         for j in range(lo, hi):
-            filler[j] -= weight
-    # per class, all ways to spread its copies over the gaps it straddles
-    spreads = [
-        [(lo, c) for c in _compositions(mult, hi - lo)]
-        for (lo, hi, _), mult in sorted(Counter(edges).items())
-    ]
-    total = 0
-    for combo in itertools.product(*spreads):
-        in_gap: list[list[int]] = [[] for _ in filler]
-        for lo, counts in combo:
-            for j, c in enumerate(counts, lo):
-                if c:
-                    in_gap[j].append(c)
-        term = 1
-        for fill, copies in zip(filler, in_gap):
-            placed = sum(copies)
-            # interleave the placed edges with the identical filler edges,
-            # then order the placed ones among themselves
-            term *= comb(fill + placed, placed) * factorial(placed)
-            for c in copies:
-                term //= factorial(c)
-        total += term
-    return total
+            filler[j] -= weight * mult
+        opening[lo].append((hi, mult))
+    ends: list[int] = []  # right end of each open class, in state order
+    states = {(): 1}  # copies left per open class -> ways to have got there
+    for j, fill in enumerate(filler):
+        if opening[j]:
+            ends += [hi for hi, _ in opening[j]]
+            more = tuple(mult for _, mult in opening[j])
+            states = {left + more: ways for left, ways in states.items()}
+        elif not ends:
+            continue  # no edge straddles this gap
+        last = [hi == j + 1 for hi in ends]
+        keep = [i for i, end in enumerate(last) if not end]
+        after: dict[tuple[int, ...], int] = {}
+        for left, ways in states.items():
+            for placed in itertools.product(
+                *[(n,) if end else range(n + 1) for n, end in zip(left, last)]
+            ):
+                # the product of C(fill + c_1 + ... + c_i, c_i) over classes
+                term, seated = ways, fill
+                for c in placed:
+                    if c:
+                        seated += c
+                        term *= comb(seated, c)
+                rest = tuple([left[i] - placed[i] for i in keep])
+                after[rest] = after.get(rest, 0) + term
+        states = after
+        ends = [ends[i] for i in keep]
+    return states[()]
 
 
 @lru_cache(maxsize=None)
@@ -199,12 +201,13 @@ def _allowability(t: _Sub, beta: tuple[int, ...]) -> Allowability:
 
 
 class _LogPlan(NamedTuple):
-    """The nonempty sub-multisets T of an edge multiset S, smallest first
-    (S itself last), with the splits T = U + (T - U), 0 < U < T, that the
-    log recurrence reads, and the common denominator lcm(1..|S|)."""
+    """The sub-multisets T of an edge multiset S as vectors of copies per
+    edge class, in itertools.product order: empty first, S last.  That order
+    is mixed radix, so T - U sits at position t - u and every U < T comes
+    before T; each split T = U + (T - U), 0 < U < T, is stored as u alone.
+    scale = lcm(1..|S|) is the common denominator."""
 
     subs: tuple[_Sub, ...]
-    # per T, the indices of U and of T - U for each split, flattened in pairs
     splits: tuple[tuple[int, ...], ...]
     scale: int
 
@@ -212,26 +215,22 @@ class _LogPlan(NamedTuple):
 @lru_cache(maxsize=None)
 def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
     classes = sorted(Counter(edges).items())
-    # a sub-multiset is its vector of copies taken from each class
-    vectors = sorted(
-        itertools.product(*(range(mult + 1) for _, mult in classes)), key=sum
-    )[1:]
-    index = {v: i for i, v in enumerate(vectors)}
+    vectors = list(itertools.product(*(range(mult + 1) for _, mult in classes)))
+    # the position weight of one copy of each class, the last varying fastest
+    strides = [prod(m + 1 for _, m in classes[i + 1 :]) for i in range(len(classes))]
     subs = tuple(
         _shared(_sub(tuple(
             e for (e, _), c in zip(classes, v) for _ in range(c)
         )))
         for v in vectors
     )
-    splits = tuple(
-        tuple(
-            i
-            for u in itertools.product(*(range(c + 1) for c in t))
-            if 0 < sum(u) < sum(t)
-            for i in (index[u], index[tuple(a - b for a, b in zip(t, u))])
-        )
+    # the splits depend on the copies per class alone, so plans share them
+    splits = _shared(tuple(
+        tuple(map(sum, itertools.product(*(
+            range(0, (c + 1) * stride, stride) for c, stride in zip(t, strides)
+        ))))[1:-1]
         for t in vectors
-    )
+    ))
     return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
 
 
@@ -255,12 +254,12 @@ def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
         return Fraction(0)
     plan = _log_plan(g.edges)
     p = [_count(t, beta, strict=False) for t in plan.subs]
-    size_h: list[int] = []  # |T| h[T], in plan order
-    for t, p_t, split in zip(plan.subs, p, plan.splits):
-        acc = t.size * plan.scale * p_t
-        pairs = iter(split)
-        for u, rest in zip(pairs, pairs):
-            acc -= size_h[u] * p[rest]
+    size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
+    for at in range(1, len(p)):
+        t = plan.subs[at]
+        acc = t.size * plan.scale * p[at]
+        for u in plan.splits[at]:
+            acc -= size_h[u] * p[at - u]
         h, r = divmod(acc, t.size)
         if r:
             raise ArithmeticError(

@@ -34,6 +34,24 @@ def _int_seq(values: Sequence[int], what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in values)
 
 
+def _items(value: object, what: str) -> Iterator[object]:
+    """The items of a list input; a value that is not one is rejected by name."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise TypeError(f"{what} must be a list, not {value!r}") from None
+
+
+# Rows are expanded one by one, so the input alone must not set the height:
+# the closed route takes about 0.5 s at this one.
+MAX_HEIGHT = 100_000
+
+
+def _check_height(rows: int, what: str) -> None:
+    if rows > MAX_HEIGHT:
+        raise ValueError(f"{what} span {rows} rows; at most {MAX_HEIGHT} are supported")
+
+
 def _pair(item: object, what: str) -> tuple[object, object]:
     """A two-item input; anything else is rejected by name."""
     try:
@@ -125,12 +143,13 @@ def from_directions(
     """
     def expand(runs, what):
         out: list[int] = []
-        for run in runs:
+        for run in _items(runs, f"{what} runs"):
             direction, length = _pair(run, f"{what} run (direction, length)")
             direction = _int(direction, f"{what} direction")
             length = _int(length, f"{what} run length")
             if length < 1:
                 raise ValueError(f"{what} run lengths must be positive")
+            _check_height(len(out) + length, f"the {what} runs")
             out.extend([direction] * length)
         return out
 
@@ -154,7 +173,7 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
     """
     pts = [
         (_int(x, "vertex x"), _int(y, "vertex y"))
-        for x, y in (_pair(v, "vertex (x, y)") for v in vertices)
+        for x, y in (_pair(v, "vertex (x, y)") for v in _items(vertices, "vertices"))
     ]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts.pop()
@@ -197,6 +216,7 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
     ys = [y for _, y in pts]
     ytop, ybot = max(ys), min(ys)
     m = ytop - ybot
+    _check_height(m, "the vertices")
 
     def width_bounds(y):
         xs = []
@@ -409,28 +429,31 @@ def _bounded_reversal_perms(
     placed, by charging the gap to every larger element still unplaced.
     """
     remaining = Counter(default_desc)
-    n = len(default_desc)
+    values = sorted(remaining, reverse=True)
     prefix: list[int] = []
 
-    def rec(cost: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if len(prefix) == n:
-            yield tuple(prefix), cost
-            return
-        for v in sorted(remaining, reverse=True):
-            if remaining[v] == 0:
-                continue
-            inc = sum(
-                (w - v) * c for w, c in remaining.items() if w > v and c
-            )
-            if cost + inc > budget:
-                continue
-            remaining[v] -= 1
-            prefix.append(v)
-            yield from rec(cost + inc)
-            prefix.pop()
-            remaining[v] += 1
+    def choices(cost: int) -> Iterator[tuple[int, int]]:
+        for v in values:
+            if remaining[v]:
+                inc = sum((w - v) * c for w, c in remaining.items() if w > v)
+                if cost + inc <= budget:
+                    yield v, cost + inc
 
-    yield from rec(0)
+    # one iterator of pending choices per placed element, on a list rather
+    # than the call stack, so a tall polygon cannot exhaust the recursion
+    stack = [choices(0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if prefix:
+                remaining[prefix.pop()] += 1
+        elif len(prefix) + 1 == len(default_desc):
+            yield (*prefix, step[0]), step[1]
+        else:
+            remaining[step[0]] -= 1
+            prefix.append(step[0])
+            stack.append(choices(step[1]))
 
 
 def reorderings(p: HTPolygon, delta: int) -> Iterator[Reordering]:
@@ -467,6 +490,10 @@ def polygon_from_dict(data: dict) -> HTPolygon:
     """A polygon from its JSON form; any malformed input raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("polygon JSON must be an object")
+    if "vertices" in data and data.keys() & {"dt", "left", "right"}:
+        raise ValueError(
+            "polygon JSON takes either 'vertices' or 'dt'/'left'/'right', not both"
+        )
     try:
         if "vertices" in data:
             return from_vertices(data["vertices"])

@@ -47,12 +47,6 @@ class UniversalPolynomial:
             Fraction(0),
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "coefficients": {name: str(c) for name, c in self.linear},
-        }
-
 
 @lru_cache(maxsize=None)
 def that_delta(delta: int) -> UniversalPolynomial:

@@ -7,8 +7,8 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-from typing import NamedTuple, Sequence
+from math import comb, factorial, prod
+from typing import Iterator, NamedTuple, Sequence
 
 from longedge.graphs import Edge, LongEdgeGraph, Template, _edge_pool
 from longedge.orderings import Allowability, _p_count, p_beta_strict
@@ -119,6 +119,49 @@ def p_by_walk(g: LongEdgeGraph, beta, strict: bool) -> int:
     lo = g.minv
     shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
     return _p_count(shape, tuple(beta[lo : g.maxv]))
+
+
+def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    # weak compositions of n into k ordered parts
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first, *rest)
+
+
+def p_by_compositions(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
+    """_p_count's value as the sum over every way to spread each edge
+    class's copies over the gaps it straddles: a product over the gaps of
+    C(fill + placed, placed) placed! / prod c!."""
+    edges = list(zip(shape[0::3], shape[1::3], shape[2::3]))
+    # the unweighted filler edges of gap j sit at index j-1
+    filler = list(widths)
+    for lo, hi, weight in edges:
+        for j in range(lo, hi):
+            filler[j] -= weight
+    spreads = [
+        [(lo, c) for c in _compositions(mult, hi - lo)]
+        for (lo, hi, _), mult in sorted(Counter(edges).items())
+    ]
+    total = 0
+    for combo in itertools.product(*spreads):
+        in_gap: list[list[int]] = [[] for _ in filler]
+        for lo, counts in combo:
+            for j, c in enumerate(counts, lo):
+                if c:
+                    in_gap[j].append(c)
+        term = 1
+        for fill, copies in zip(filler, in_gap):
+            placed = sum(copies)
+            # interleave the placed edges with the identical filler edges,
+            # then order the placed ones among themselves
+            term *= comb(fill + placed, placed) * factorial(placed)
+            for c in copies:
+                term //= factorial(c)
+        total += term
+    return total
 
 
 def brute_force_orderings(g: LongEdgeGraph, beta) -> int:

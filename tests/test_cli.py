@@ -470,6 +470,13 @@ EXIT_CODES = [
     (["severi", "--polygon", "{short_run}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{string_runs}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{long_vertex}", "--delta", "1"], None, 2),
+    # fields that are not lists, both forms at once, more rows than allowed
+    (["severi", "--polygon", "{int_left}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{int_right}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{int_vertices}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{both_forms}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{long_run}", "--delta", "1"], None, 2),
+    (["severi", "--polygon", "{tall_vertices}", "--delta", "1"], None, 2),
 ]
 
 # file placeholder -> (polygon JSON written to it, text stderr must show)
@@ -477,6 +484,16 @@ MALFORMED = {
     "short_run": ({"dt": 0, "left": [[0]], "right": [[1, 3]]}, "[0]"),
     "string_runs": ({"dt": 0, "left": [[0, 3]], "right": "ab"}, "'a'"),
     "long_vertex": ({"vertices": [[0, 0, 1], [1, 0], [0, 1]]}, "[0, 0, 1]"),
+    "int_left": ({"dt": 0, "left": 5, "right": [[1, 3]]}, "left runs"),
+    "int_right": ({"dt": 0, "left": [[0, 3]], "right": 5}, "right runs"),
+    "int_vertices": ({"vertices": 5}, "vertices must be a list"),
+    "both_forms": (
+        {"vertices": [[0, 0], [3, 0], [0, 3]], "dt": 0, "left": [[0, 3]],
+         "right": [[1, 3]]},
+        "not both",
+    ),
+    "long_run": ({"dt": 0, "left": [[0, 10**8]], "right": [[1, 10**8]]}, "100000000"),
+    "tall_vertices": ({"vertices": [[0, 0], [10**8, 0], [0, 10**8]]}, "100000000"),
 }
 
 

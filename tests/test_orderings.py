@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,17 @@ from longedge.orderings import (
     p_beta_strict,
     phi_beta,
 )
+from longedge import orderings
 from longedge.reference import TABLE1
+from longedge.severi import n_bruteforce
+from longedge.suites import triangle
 
 from oracles import (
     allowability_by_walk,
     brute_force_orderings,
     enumerate_graphs,
     is_semiallowable,
+    p_by_compositions,
     p_by_walk,
     phi_by_partitions,
 )
@@ -113,6 +119,7 @@ def test_p_beta_matches_brute_force_on_fixed_cases():
         (LongEdgeGraph([(0, 2, 1), (0, 2, 1), (1, 2, 2)]), (2, 4)),
         (LongEdgeGraph([(1, 2, 3)]), (5, 4, 1)),
         (LongEdgeGraph([(0, 3, 1), (1, 2, 2)]), (2, 3, 2)),
+        (LongEdgeGraph([(0, 3, 1)] * 3), (3, 4, 5)),
     ]
     for g, beta in cases:
         assert p_beta(g, beta) == brute_force_orderings(g, beta), (g, beta)
@@ -149,6 +156,59 @@ def test_p_beta_reads_only_spanned_positions(edges, beta, noise):
         for i in range(len(beta))
     ]
     assert p_beta(g, tweaked) == base
+
+
+def test_p_count_matches_composition_walk(monkeypatch):
+    # every key that fitting each template of cogenus <= 4 and a direct
+    # count at cogenus 5 hand to _p_count
+    keys = set()
+    count = orderings._p_count
+    monkeypatch.setattr(
+        orderings, "_p_count", lambda *key: keys.add(key) or count(*key)
+    )
+    for d in range(1, 5):
+        for t in enumerate_templates(d):
+            fit_linear_phi(t)
+    n_bruteforce(triangle(7), 5)
+    monkeypatch.undo()
+    # and classes of three or four copies that straddle three or four gaps
+    keys |= {
+        ((0, 3, 1) * 3, (3, 4, 5)),
+        ((0, 3, 1) * 3 + (1, 4, 1) * 2 + (2, 3, 2), (4, 6, 8, 3)),
+        ((0, 4, 1) * 4 + (1, 2, 3), (5, 9, 4, 6)),
+        ((0, 1, 2) + (0, 3, 1) * 3 + (2, 5, 1) * 3, (6, 4, 7, 4, 4)),
+    }
+    assert len(keys) > 1000
+    for shape, widths in keys:
+        assert count(shape, widths) == p_by_compositions(shape, widths), (shape, widths)
+
+
+def _edges_of(t) -> Counter:
+    return Counter(
+        (t.lo + a, t.lo + b, w)
+        for a, b, w in zip(t.shape[0::3], t.shape[1::3], t.shape[2::3])
+    )
+
+
+def test_log_plan_splits_sit_at_mixed_radix_positions():
+    # for each split u of T, position u holds U and position t - u holds T - U
+    multisets = [t.edges for d in range(1, 5) for t in enumerate_templates(d)]
+    multisets.append(
+        LongEdgeGraph([(0, 3, 1)] * 3 + [(1, 2, 2)] * 2 + [(2, 4, 1)]).edges
+    )
+    for s in multisets:
+        plan = orderings._log_plan(s)
+        subs = [_edges_of(t) for t in plan.subs]
+        assert subs[0] == Counter()
+        assert subs[-1] == Counter((e.lo, e.hi, e.weight) for e in s)
+        assert len({frozenset(t.items()) for t in subs}) == len(subs)
+        for at, (t, split) in enumerate(zip(subs, plan.splits)):
+            # every U with 0 < U < T, once each
+            proper = max(0, prod(c + 1 for c in t.values()) - 2)
+            assert len(set(split)) == len(split) == proper
+            for u in split:
+                assert subs[u] and subs[at - u]
+                assert subs[u] + subs[at - u] == t
 
 
 def test_phi_single_edge_equals_p():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from longedge.polygon import (
+    MAX_HEIGHT,
     HTPolygon,
     beta_stats,
     from_directions,
@@ -114,6 +115,30 @@ class TestConstruction:
         assert polygon_from_dict({"vertices": [[0, 0], [3, 0], [0, 3]]}) == triangle(3)
         with pytest.raises(ValueError, match="polygon JSON"):
             polygon_from_dict({"dt": 1})
+
+    def test_dict_errors_name_the_field(self):
+        for data, field in (
+            ({"dt": 0, "left": 5, "right": [[1, 3]]}, "left runs"),
+            ({"dt": 0, "left": [[0, 3]], "right": 5}, "right runs"),
+            ({"vertices": 5}, "vertices"),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be a list, not 5"):
+                polygon_from_dict(data)
+        both = {"vertices": [[0, 0], [3, 0], [0, 3]], **polygon_to_dict(triangle(3))}
+        with pytest.raises(ValueError, match="not both"):
+            polygon_from_dict(both)
+
+    def test_height_limit(self):
+        # refused from the run lengths or the y-range, before any row exists
+        top = from_directions(0, [[0, MAX_HEIGHT]], [[1, MAX_HEIGHT]])
+        assert top == triangle(MAX_HEIGHT)
+        with pytest.raises(ValueError, match=f"left runs span {MAX_HEIGHT + 1} rows"):
+            from_directions(0, [[0, MAX_HEIGHT], [1, 1]], [[1, MAX_HEIGHT], [0, 1]])
+        with pytest.raises(ValueError, match="right runs span 100000000 rows"):
+            from_directions(0, [[0, 3]], [[1, 10**8]])
+        for tall in (MAX_HEIGHT + 1, 10**8):
+            with pytest.raises(ValueError, match=f"vertices span {tall} rows"):
+                from_vertices([(0, 0), (tall, 0), (0, tall)])
 
 
 class TestStats:

@@ -84,11 +84,6 @@ class TestUniversalPolynomials:
         assert form.evaluate(1, 2, 3, 4, [5]) == form.evaluate(1, 2, 3, 4, [5, 0])
         assert form.evaluate(1, 2, 3, 4, [5, 6, 7]) == Fraction(-109, 2)
 
-    def test_as_dict_strings(self):
-        d = that_delta(2).as_dict()
-        assert d["delta"] == 2
-        assert d["coefficients"]["y"] == "-39/2"
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_one_node_count_on_smooth_plane_curves(self, d):
         q1 = that_delta(1).evaluate(d * d, -3 * d, 9, 3)
@@ -286,6 +281,18 @@ class TestReport:
             report(triangle(3), 1, methods=("magic",))
         with pytest.raises(ValueError):
             report(triangle(3), -1)
+
+    @pytest.mark.parametrize("p", [
+        triangle(1500),
+        HTPolygon(0, (0,) * 750 + (1,) * 750, (1,) * 750 + (0,) * 750),
+    ], ids=["triangle", "two-sided"])
+    def test_tall_polygons(self, p):
+        # the reordering walk's depth does not grow with the height
+        rep = report(p, 2)
+        assert rep.agree is True
+        assert rep.skipped == {}
+        if p == triangle(1500):
+            assert rep.n["bruteforce"][1] == 3 * 1499**2
 
     def test_disagreement_is_reported_not_raised(self, monkeypatch):
         import longedge.severi as sv
