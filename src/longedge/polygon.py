@@ -42,8 +42,8 @@ def _items(value: object, what: str) -> Iterator[object]:
         raise TypeError(f"{what} must be a list, not {value!r}") from None
 
 
-# Rows are expanded one by one, so the input alone must not set the height:
-# the closed route takes about 0.5 s at this one.
+# Rows are expanded one by one, so a height read from the input is bounded
+# before any row exists; the closed route takes about 0.5 s at this height.
 MAX_HEIGHT = 100_000
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longedge import orderings
 from longedge.graphs import Edge, LongEdgeGraph, conjugate, enumerate_templates
 from longedge.orderings import (
     Allowability,
@@ -19,7 +20,6 @@ from longedge.orderings import (
     p_beta_strict,
     phi_beta,
 )
-from longedge import orderings
 from longedge.reference import TABLE1
 from longedge.severi import n_bruteforce
 from longedge.suites import triangle
