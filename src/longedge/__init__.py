@@ -14,14 +14,11 @@ from .graphs import (
     enumerate_templates,
 )
 from .orderings import (
-    Allowability,
     BetaSeq,
     LinearForm,
-    allowability,
     beta_from_divergence,
     fit_linear_phi,
     p_beta,
-    p_beta_strict,
     phi_beta,
 )
 from .coeffs import (

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .coeffs import a_series, template_coefficients, template_data, use_disk_cache
+from .graphs import check_cogenus
 from .polygon import polygon_from_dict
 from .series import b1_b2, d2g2, dg2, disc, g2, partition_series
 from .severi import METHODS, report
@@ -98,6 +99,7 @@ def cmd_templates(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
+    check_cogenus(args.delta)
     rows = [template_coefficients(d).as_dict() for d in range(1, args.delta + 1)]
     if args.format == "json":
         text = json.dumps(rows, indent=2)

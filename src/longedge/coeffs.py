@@ -19,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .graphs import Template, conjugate, enumerate_templates
+from .graphs import Template, check_cogenus, conjugate, enumerate_templates
 from .orderings import LinearForm, check_linear_form, fit_linear_phi, phi_beta
 from .series import RatSeries, sigma
 
@@ -174,10 +174,6 @@ def _fit_templates(delta: int) -> TemplateData:
     return tuple(forms.items())
 
 
-def _shift_range(t: Template, m: int) -> range:
-    return range(1 - t.epsilon0, m - t.length + t.epsilon1 + 1)
-
-
 def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     """Log-transformed ordering sum over shifted templates, evaluated exactly."""
     if delta < 1:
@@ -187,7 +183,7 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     total = Fraction(0)
     for t, _ in template_data(delta):
         acc = Fraction(0)
-        for k in _shift_range(t, m):
+        for k in t.shifts(m):
             # t shifted by k >= 0 against beta is t against beta[k:]: the
             # non-strict count reads only the widths under the graph
             acc += phi_beta(t, beta[k:])
@@ -205,7 +201,7 @@ def q_delta_linearized(beta: Sequence[int], delta: int) -> Fraction:
     for t, form in template_data(delta):
         ell = t.length
         acc = Fraction(0)
-        for k in _shift_range(t, m):
+        for k in t.shifts(m):
             acc += form.evaluate(beta[k : k + ell])
         total += t.multiplicity * acc
     return total
@@ -248,6 +244,7 @@ def a_series(order: int) -> RatSeries:
     """exp(-2 sum A(d) t^d), the exponential of the leading coefficients."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    check_cogenus(order)
     body = RatSeries(
         [Fraction(0)] + [-2 * _template_sums(d)[0] for d in range(1, order + 1)]
     )

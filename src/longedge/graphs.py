@@ -153,12 +153,33 @@ class Template(LongEdgeGraph):
         if not self.is_template():
             raise ValueError(f"not a template: {tuple(self.edges)}")
 
+    def shifts(self, m: int) -> range:
+        """The end rule: the shifts k that count against widths beta_0..beta_m,
+        1 - epsilon0 <= k <= m - length + epsilon1.  An end of the vertex
+        range 0..m+1 admits the template only if no weight >= 2 edge ends there.
+        """
+        return range(1 - self.epsilon0, m - self.length + self.epsilon1 + 1)
+
 
 def conjugate(g: LongEdgeGraph) -> LongEdgeGraph:
     """Reflect the graph end to end (vertex n maps to minv + maxv - n)."""
     s = g.minv + g.maxv
     edges = tuple(Edge(s - e.hi, s - e.lo, e.weight) for e in g.edges)
     return type(g)(edges)
+
+
+# The deepest cogenus whose template table can be built: cold, cogenus 8
+# alone takes minutes and hundreds of MB, and each cogenus has about 4.2
+# times the templates of the one before.
+MAX_COGENUS = 8
+
+
+def check_cogenus(delta: int) -> None:
+    """Refuse a cogenus beyond MAX_COGENUS, before any template is built."""
+    if delta > MAX_COGENUS:
+        raise ValueError(
+            f"cogenus {delta} is out of reach: at most {MAX_COGENUS} is supported"
+        )
 
 
 def _edge_pool(delta: int, max_vertex: int) -> list[Edge]:
@@ -192,6 +213,7 @@ def enumerate_templates(delta: int) -> list[Template]:
     """
     if delta < 1:
         return []
+    check_cogenus(delta)
     pool = _edge_pool(delta, delta + 1)
     out: list[Template] = []
 

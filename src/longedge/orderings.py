@@ -11,16 +11,18 @@ over the sub-multisets in mixed-radix order.  On the semiallowable region
 phi_beta is linear in beta, and fit_linear_phi recovers that linear form
 exactly.
 
-One rule, _allowability, decides whether an edge multiset fits the widths
-and whether it fits strictly.  It reads a _Sub, the record of the multiset's
-span, crossing weights, heavy ends and _p_count key; allowability, p_beta,
-p_beta_strict, p_beta_strict_shifts and every term of phi reach P through
-it.
+One rule, in _count, decides whether an edge multiset fits the widths: it
+must lie in the vertex range 0..M+1, and every gap's width must cover the
+weight crossing it.  It reads a _Sub, the record of the multiset's span,
+crossing weights and _p_count key; p_beta, p_beta_shifts and every term of
+phi reach P through it.  Only non-strict P is counted here.  The strict
+count of a shifted template, where no weight >= 2 edge may end at 0 or
+M+1, is P at the shifts that the end rule Template.shifts admits and 0 at
+the others.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 from collections import Counter
@@ -57,16 +59,6 @@ def beta_from_divergence(d: Sequence[int]) -> BetaSeq:
     if min(out) < 0:
         raise ValueError(f"not a valid width sequence: prefix sums {out} go negative")
     return BetaSeq(out)
-
-
-class Allowability(enum.Enum):
-    NOT_ALLOWABLE = 0
-    ALLOWABLE = 1
-    STRICTLY_ALLOWABLE = 2
-
-
-def allowability(g: LongEdgeGraph, beta: Sequence[int]) -> Allowability:
-    return _allowability(_sub(g.edges), tuple(beta))
 
 
 @lru_cache(maxsize=None)
@@ -129,34 +121,21 @@ def _shared(value):
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
-    return _count(_sub(g.edges), tuple(beta), strict=False)
+    return _count(_sub(g.edges), tuple(beta))
 
 
-def p_beta_strict(g: LongEdgeGraph, beta: Sequence[int]) -> int:
-    return _count(_sub(g.edges), tuple(beta), strict=True)
-
-
-def p_beta_strict_shifts(g: LongEdgeGraph, beta: Sequence[int]) -> list[int]:
-    """p_beta_strict(g.shift(k), beta) for k = 0 .. len(beta) - g.maxv, each
-    the shifted graph's own count, ends included, without building it."""
+def p_beta_shifts(
+    g: LongEdgeGraph, beta: Sequence[int], shifts: Sequence[int]
+) -> list[int]:
+    """p_beta(g.shift(k), beta) for each k in shifts, without building the
+    shifted graphs: g's record moves, and the widths stay whole."""
     beta = tuple(beta)
     t = _sub(g.edges)
-    return [
-        _count(
-            t._replace(
-                lo=t.lo + k,
-                hi=t.hi + k,
-                heavy=t.heavy and (t.heavy[0] + k, t.heavy[1] + k),
-            ),
-            beta,
-            strict=True,
-        )
-        for k in range(len(beta) - t.hi + 1)
-    ]
+    return [_count(t._replace(lo=t.lo + k, hi=t.hi + k), beta) for k in shifts]
 
 
 class _Sub(NamedTuple):
-    """An edge multiset T as the allowability rule and _p_count read it."""
+    """An edge multiset T as the fit rule and _p_count read it."""
 
     size: int
     lo: int
@@ -165,9 +144,6 @@ class _Sub(NamedTuple):
     lams: tuple[int, ...]
     # _p_count's key: the edges' (lo, hi, weight) shifted to start at 0
     shape: tuple[int, ...]
-    # lowest and highest vertex of T's weight >= 2 edges, or None: strictness
-    # fails when one of them is an end of the ambient range 0..M+1
-    heavy: tuple[int, int] | None
 
 
 def _sub(edges: tuple[Edge, ...]) -> _Sub:
@@ -175,7 +151,6 @@ def _sub(edges: tuple[Edge, ...]) -> _Sub:
     lo = hi = edges[0].lo if edges else 0
     lams: list[int] = []
     shape: list[int] = []
-    heavy = None
     for e in edges:
         if e.hi > hi:
             lams += [0] * (e.hi - hi)
@@ -183,21 +158,7 @@ def _sub(edges: tuple[Edge, ...]) -> _Sub:
         for j in range(e.lo - lo, e.hi - lo):
             lams[j] += e.weight
         shape += (e.lo - lo, e.hi - lo, e.weight)
-        if e.weight > 1:
-            # sorted by lower end, so the first heavy edge has the lowest
-            heavy = (heavy[0], max(heavy[1], e.hi)) if heavy else (e.lo, e.hi)
-    return _Sub(len(edges), lo, hi, tuple(lams), tuple(shape), heavy)
-
-
-def _allowability(t: _Sub, beta: tuple[int, ...]) -> Allowability:
-    """The one allowability rule: T fits beta when it lies in the vertex
-    range 0..M+1 and every gap's width covers the weight crossing it, and
-    fits strictly when, besides, no weight >= 2 edge touches 0 or M+1."""
-    if t.hi > len(beta) or any(map(operator.lt, beta[t.lo : t.hi], t.lams)):
-        return Allowability.NOT_ALLOWABLE
-    if t.heavy and (t.heavy[0] == 0 or t.heavy[1] == len(beta)):
-        return Allowability.ALLOWABLE
-    return Allowability.STRICTLY_ALLOWABLE
+    return _Sub(len(edges), lo, hi, tuple(lams), tuple(shape))
 
 
 class _LogPlan(NamedTuple):
@@ -234,10 +195,10 @@ def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
     return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
 
 
-def _count(t: _Sub, beta: tuple[int, ...], strict: bool) -> int:
-    """p_beta(T, beta), or p_beta_strict(T, beta) if strict."""
-    # NOT_ALLOWABLE (0) counts nothing, ALLOWABLE (1) only when not strict
-    if _allowability(t, beta).value <= strict:
+def _count(t: _Sub, beta: tuple[int, ...]) -> int:
+    """p_beta(T, beta), which is 0 unless T fits: T lies in the vertex range
+    0..M+1 and every gap's width covers the weight crossing it."""
+    if t.hi > len(beta) or any(map(operator.lt, beta[t.lo : t.hi], t.lams)):
         return 0
     return _p_count(t.shape, _shared(beta[t.lo : t.hi])) if t.size else 1
 
@@ -253,7 +214,7 @@ def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
     if g.is_empty:
         return Fraction(0)
     plan = _log_plan(g.edges)
-    p = [_count(t, beta, strict=False) for t in plan.subs]
+    p = [_count(t, beta) for t in plan.subs]
     size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
     for at in range(1, len(p)):
         t = plan.subs[at]

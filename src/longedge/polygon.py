@@ -158,12 +158,6 @@ def from_directions(
     return HTPolygon(dt, tuple(left), tuple(right))
 
 
-def _edge_chain(vertices, i):
-    a = vertices[i]
-    b = vertices[(i + 1) % len(vertices)]
-    return a, b, (b[0] - a[0], b[1] - a[1])
-
-
 def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
     """Build a polygon from its lattice corners (either orientation).
 
@@ -190,56 +184,59 @@ def from_vertices(vertices: Sequence[Sequence[int]]) -> HTPolygon:
         raise ValueError("degenerate polygon: zero area")
     if signed2 < 0:
         pts.reverse()
-    # merge collinear runs, then check strict convexity
-    corners = []
+    # merge collinear runs, then check strict convexity: every corner turns
+    # left, no point doubles back, and the boundary turns around once
+    corners, back = [], []
     n = len(pts)
-    for i in range(n):
-        prev = pts[i - 1]
-        cur = pts[i]
-        nxt = pts[(i + 1) % n]
-        cross = (cur[0] - prev[0]) * (nxt[1] - cur[1]) - (cur[1] - prev[1]) * (
-            nxt[0] - cur[0]
-        )
+    for i, cur in enumerate(pts):
+        prev, nxt = pts[i - 1], pts[(i + 1) % n]
+        ux, uy = cur[0] - prev[0], cur[1] - prev[1]
+        vx, vy = nxt[0] - cur[0], nxt[1] - cur[1]
+        cross, dot = ux * vy - uy * vx, ux * vx + uy * vy
         if cross < 0:
             raise ValueError(f"not convex at vertex {cur}")
         if cross > 0:
             corners.append(cur)
-    pts = corners
-    for i in range(len(pts)):
-        a, b, (dx, dy) = _edge_chain(pts, i)
+        elif dot < 0:
+            back.append(cur)
+    if back:
+        raise ValueError(f"not convex at vertex {back[0]}: the boundary doubles back")
+    edges = [(a, corners[(i + 1) % len(corners)]) for i, a in enumerate(corners)]
+    # turning left at every corner, the direction enters the upper half-plane
+    # once per turn around
+    lower = [b[1] < a[1] or (b[1] == a[1] and b[0] < a[0]) for a, b in edges]
+    turns = sum(x and not y for x, y in zip(lower, lower[1:] + lower[:1]))
+    if turns != 1:
+        raise ValueError(f"not convex: the boundary turns around {turns} times")
+    for a, b in edges:
+        dx, dy = b[0] - a[0], b[1] - a[1]
         if dy != 0 and abs(dy) != gcd(abs(dx), abs(dy)):
             g = gcd(abs(dx), abs(dy))
             raise ValueError(
                 f"not h-transverse: edge {a} -> {b} has primitive direction "
                 f"({dx // g}, {dy // g})"
             )
-    ys = [y for _, y in pts]
-    ytop, ybot = max(ys), min(ys)
-    m = ytop - ybot
+    ys = [y for _, y in corners]
+    ytop = max(ys)
+    m = ytop - min(ys)
     _check_height(m, "the vertices")
-
-    def width_bounds(y):
-        xs = []
-        for i in range(len(pts)):
-            (ax, ay), (bx, by), (dx, dy) = _edge_chain(pts, i)
-            if ay == by == y:
-                xs.extend((ax, bx))
-            elif min(ay, by) <= y <= max(ay, by) and dy != 0:
-                num = ax * dy + dx * (y - ay)
-                x, rest = divmod(num, dy)
-                if rest:
-                    raise ValueError(
-                        f"not a lattice polygon: edge {(ax, ay)} -> {(bx, by)} "
-                        f"crosses height {y} at x = {Fraction(num, dy)}"
-                    )
-                xs.append(x)
-        return min(xs), max(xs)
-
-    bounds = [width_bounds(ytop - i) for i in range(m + 1)]
-    dt = bounds[0][1] - bounds[0][0]
-    left = tuple(bounds[i][0] - bounds[i - 1][0] for i in range(1, m + 1))
-    right = tuple(bounds[i][1] - bounds[i - 1][1] for i in range(1, m + 1))
-    return HTPolygon(dt, left, right)
+    # counterclockwise, the left chain falls and the right chain rises; each
+    # row a non-horizontal edge spans moves -dx/dy going down
+    left, right = [0] * m, [0] * m
+    for (ax, ay), (bx, by) in edges:
+        dx, dy = bx - ax, by - ay
+        if dy == 0:
+            continue
+        if dx % dy:
+            y = max(ay, by) - 1  # the edge's first row below its upper end
+            raise ValueError(
+                f"not a lattice polygon: edge {(ax, ay)} -> {(bx, by)} "
+                f"crosses height {y} at x = {Fraction(ax * dy + dx * (y - ay), dy)}"
+            )
+        row = ytop - max(ay, by)
+        (left if dy < 0 else right)[row : row + abs(dy)] = [-(dx // dy)] * abs(dy)
+    top = [x for x, y in corners if y == ytop]
+    return HTPolygon(max(top) - min(top), tuple(left), tuple(right))
 
 
 class InternalVertex(NamedTuple):

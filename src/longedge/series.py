@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .graphs import check_cogenus
+
 Rational = Union[int, Fraction]
 
 
@@ -190,16 +192,12 @@ def d2g2(order: int) -> RatSeries:
 
 
 def disc(order: int) -> RatSeries:
-    """The weight-12 cusp form q * prod (1 - q^k)^24, truncated."""
+    """The weight-12 cusp form q * prod (1 - q^k)^24, truncated.  The product
+    is exp(-24 sum sigma(n)/n q^n): log(1 - q^k) is -sum q^(km)/m."""
     if order < 1:
         raise ValueError("disc needs order >= 1")
-    t = order - 1
-    prod = RatSeries.one(t)
-    for k in range(1, t + 1):
-        base = [Fraction(1)] + [Fraction(0)] * t
-        base[k] = Fraction(-1)
-        prod = prod * RatSeries(base).pow(24)
-    return RatSeries([Fraction(0), *prod.coeffs])
+    log_prod = RatSeries([0] + [Fraction(-24 * sigma(n), n) for n in range(1, order)])
+    return RatSeries([Fraction(0), *log_prod.exp().coeffs])
 
 
 def partition_series(order: int) -> RatSeries:
@@ -218,6 +216,7 @@ def b1_b2(order: int) -> tuple[RatSeries, RatSeries]:
     """The two exponential factors of the closed product formula."""
     from .coeffs import template_coefficients  # deferred: coeffs imports series
 
+    check_cogenus(order)
     tables = [template_coefficients(d) for d in range(1, order + 1)]
     base = dg2(order)
     powers = [RatSeries.one(order)]

@@ -16,8 +16,8 @@ from numbers import Rational
 from typing import Sequence
 
 from .coeffs import b_coeffs, cor, diffq, template_coefficients
-from .graphs import Template, enumerate_templates
-from .orderings import p_beta_strict_shifts
+from .graphs import Template, check_cogenus, enumerate_templates
+from .orderings import p_beta_shifts
 from .polygon import (
     HTPolygon,
     PolygonStats,
@@ -84,6 +84,7 @@ def _require_edges(p: HTPolygon, method: str, delta: int) -> PolygonStats:
     lowest = 0 if method == "bruteforce" else 1
     if delta < lowest:
         raise ValueError(f"delta must be >= {lowest}")
+    check_cogenus(delta)
     stats = polygon_stats(p)
     shortfall = _edge_shortfall(stats.min_edge, method, delta)
     if shortfall:
@@ -94,13 +95,16 @@ def _require_edges(p: HTPolygon, method: str, delta: int) -> PolygonStats:
 def n_bruteforce(p: HTPolygon, delta: int) -> int:
     """Direct count: the sum over reorderings of mu(G) * P_beta^strict(G),
     G running over the graphs of the remaining cogenus on the vertices
-    0..len(beta).
+    0..len(beta), where strict P is 0 when a weight >= 2 edge ends at 0 or
+    len(beta).
 
     The vertices that no edge strictly straddles split G uniquely into
     shifted templates, ends shared, and empty gaps.  mu, cogenus and strict
-    P factor over that split: an empty gap counts 1, and only a block at
-    vertex 0 or len(beta) can break strictness.  So G is counted as a chain
-    of blocks against the widths, with no fitted form.
+    P factor over that split: an empty gap counts 1, and a template shifted
+    by k counts P at the shifts the end rule admits,
+    1 - epsilon0 <= k <= len(beta) - 1 - length + epsilon1, and 0 at the
+    others.  So G is counted as a chain of blocks against the widths, with
+    no fitted form.
     """
     _require_edges(p, "bruteforce", delta)
     templates = [t for c in range(1, delta + 1) for t in enumerate_templates(c)]
@@ -110,22 +114,33 @@ def n_bruteforce(p: HTPolygon, delta: int) -> int:
     )
 
 
+def _weights(t: Template, beta: Sequence[int]) -> list[int]:
+    """The weight of t shifted by k, for k = 0..len(beta) - 1: mu * P_beta
+    where the end rule t.shifts admits k, and 0 elsewhere."""
+    weights = [0] * len(beta)
+    shifts = t.shifts(len(beta) - 1)
+    for k, n in zip(shifts, p_beta_shifts(t, beta, shifts)):
+        weights[k] = t.multiplicity * n
+    return weights
+
+
 def _chains(templates: list[Template], beta: Sequence[int], rest: int) -> int:
     """Weighted count of the graphs of cogenus rest on 0..len(beta), filled
     in from the right: f[k][r] counts those of cogenus r on k..len(beta),
-    whose first block, from k, is an empty gap or a template shifted by k."""
+    whose first block, from k, is an empty gap or a template shifted by k,
+    weighed by _weights: 0 unless the end rule t.shifts admits k."""
     top = len(beta)
     f = [[0] * (rest + 1) for _ in range(top + 1)]
     f[top][0] = 1
     blocks = [
-        (t.cogenus, t.maxv, [t.multiplicity * n for n in p_beta_strict_shifts(t, beta)])
+        (t.cogenus, t.maxv, _weights(t, beta))
         for t in templates
         if t.cogenus <= rest
     ]
     for k in range(top - 1, -1, -1):
         row = f[k] = f[k + 1][:]  # the gap from k to k+1 is empty
         for c, length, weights in blocks:
-            w = weights[k] if k < len(weights) else 0
+            w = weights[k]
             if w:
                 after = f[k + length]
                 for r in range(c, rest + 1):
@@ -213,6 +228,7 @@ def report(
 ) -> NodeCountReport:
     if delta_max < 0:
         raise ValueError("delta_max must be >= 0")
+    check_cogenus(delta_max)
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .coeffs import cor_doubleprime, template_coefficients, template_data
+from .graphs import check_cogenus
 from .polygon import HTPolygon, polygon_stats, toric_invariants
 from .reference import COEFF_ROWS, TABLE1
 from .series import gyz_check
@@ -68,9 +69,11 @@ def random_polygon(rng: random.Random) -> HTPolygon:
 
 
 def _depth(order: int | None) -> int:
-    if order is not None and order < 1:
+    depth = 3 if order is None else order
+    if depth < 1:
         raise ValueError("order must be at least 1")
-    return 3 if order is None else order
+    check_cogenus(depth)
+    return depth
 
 
 def table1() -> list[Check]:

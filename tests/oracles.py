@@ -3,6 +3,7 @@ counts, rules read off the graph walk, and the v-local split of reorderings."""
 
 from __future__ import annotations
 
+import enum
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,7 @@ from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from longedge.graphs import Edge, LongEdgeGraph, Template, _edge_pool
-from longedge.orderings import Allowability, _p_count, p_beta_strict
+from longedge.orderings import _p_count
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -63,8 +64,8 @@ def templates_by_filter(delta: int) -> list[Template]:
 
 def n_by_graphs(p: HTPolygon, delta: int) -> int:
     """The direct count graph by graph: over every reordering, the sum of
-    mu(G) * p_beta_strict(G, beta) over every graph G of the remaining
-    cogenus with its vertices in 0..len(beta)."""
+    mu(G) * P_beta^strict(G) over every graph G of the remaining cogenus
+    with its vertices in 0..len(beta), strictness read off the graph walk."""
     total = 0
     for ro in reorderings(p, delta):
         rest = delta - ro.cogenus
@@ -72,10 +73,16 @@ def n_by_graphs(p: HTPolygon, delta: int) -> int:
             total += 1  # only the empty graph
             continue
         total += sum(
-            g.multiplicity * p_beta_strict(g, ro.beta)
+            g.multiplicity * p_by_walk(g, ro.beta, True)
             for g in enumerate_graphs(rest, len(ro.beta))
         )
     return total
+
+
+class Allowability(enum.Enum):
+    NOT_ALLOWABLE = 0
+    ALLOWABLE = 1
+    STRICTLY_ALLOWABLE = 2
 
 
 def allowability_by_walk(g: LongEdgeGraph, beta) -> Allowability:
@@ -109,8 +116,9 @@ def is_semiallowable(g: LongEdgeGraph, beta: Sequence[int]) -> bool:
 
 
 def p_by_walk(g: LongEdgeGraph, beta, strict: bool) -> int:
-    """p_beta, or p_beta_strict if strict, gated by allowability_by_walk
-    instead of the library's rule."""
+    """p_beta, or the strict count if strict (0 when a weight >= 2 edge
+    touches vertex 0 or M+1), gated by allowability_by_walk instead of the
+    library's rule."""
     needed = Allowability.STRICTLY_ALLOWABLE if strict else Allowability.ALLOWABLE
     if allowability_by_walk(g, beta).value < needed.value:
         return 0

@@ -12,6 +12,7 @@ import pytest
 import longedge
 from longedge import cli, coeffs
 from longedge.coeffs import template_data
+from longedge.graphs import MAX_COGENUS
 from longedge.reference import COEFF_ROWS
 from longedge.suites import Suite
 
@@ -433,6 +434,18 @@ class TestVerify:
 BROKEN_ROW_1 = {**COEFF_ROWS, 1: {**COEFF_ROWS[1], "A": "999"}}
 ROUTE_OFF = lambda p, delta: 999  # noqa: E731
 
+# a cogenus beyond graphs.MAX_COGENUS, refused before any template is built
+OUT_OF_REACH = [
+    ["severi", "--polygon", "{polygon}", "--delta", "30", "--method", "closed"],
+    ["severi", "--polygon", "{polygon}", "--delta", "9"],
+    ["coeffs", "--delta", "9"],
+    ["templates", "--delta", "9"],
+    ["verify", "coeffs", "--order", "9"],
+    ["verify", "gyz", "--order", "9"],
+    ["series", "a", "--order", "9"],
+    ["series", "b1", "--order", "9"],
+]
+
 # argv ({polygon}, {bad} and {missing} stand for files), a patch, the exit code:
 # 0 success, 1 a failed check or disagreement, 2 bad input
 EXIT_CODES = [
@@ -477,6 +490,7 @@ EXIT_CODES = [
     (["severi", "--polygon", "{both_forms}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{long_run}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{tall_vertices}", "--delta", "1"], None, 2),
+    *[(argv, None, 2) for argv in OUT_OF_REACH],
 ]
 
 # file placeholder -> (polygon JSON written to it, text stderr must show)
@@ -526,6 +540,20 @@ def test_exit_codes(argv, patch, expected, tmp_path, monkeypatch, capsys):
     for name, (_, shown) in MALFORMED.items():
         if f"{{{name}}}" in argv:
             assert shown in err
+
+
+@pytest.mark.parametrize("argv", OUT_OF_REACH)
+def test_out_of_reach_cogenus_builds_no_template(argv, tmp_path, monkeypatch, capsys):
+    polygon = tmp_path / "triangle.json"
+    polygon.write_text(json.dumps({"dt": 0, "left": [[0, 40]], "right": [[1, 40]]}))
+
+    def refuse(*args):
+        raise AssertionError("a template was built before the cogenus was checked")
+
+    monkeypatch.setattr("longedge.graphs._edge_pool", refuse)
+    code, _, err = run([arg.format(polygon=polygon) for arg in argv], capsys)
+    assert code == 2
+    assert f"at most {MAX_COGENUS} is supported" in err
 
 
 def test_module_invocation(tmp_path):

@@ -17,11 +17,11 @@ from longedge.coeffs import (
     template_coefficients,
     template_data,
 )
-from longedge.orderings import fit_linear_phi, p_beta_strict
+from longedge.orderings import fit_linear_phi
 from longedge.polygon import BetaStats, beta_stats
 from longedge.series import RatSeries
 
-from oracles import enumerate_graphs, phi_by_partitions
+from oracles import enumerate_graphs, p_by_walk, phi_by_partitions
 
 
 def test_beta_stats():
@@ -158,11 +158,13 @@ def test_q_beta_delta_builds_one_log_plan_per_template():
 
 
 def q_beta_oracle(beta, delta):
-    """Direct log-transform over all graphs, not just shifted templates."""
+    """Direct log-transform over all graphs, not just shifted templates,
+    strictness read off the graph walk."""
+    strict = lambda h, b: p_by_walk(h, b, True)
     total = Fraction(0)
     m = len(beta) - 1
     for g in enumerate_graphs(delta, m + 1):
-        total += g.multiplicity * phi_by_partitions(g, beta, p_beta_strict)
+        total += g.multiplicity * phi_by_partitions(g, beta, strict)
     return total
 
 

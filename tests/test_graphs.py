@@ -1,6 +1,7 @@
 import pytest
 
 from longedge.graphs import (
+    MAX_COGENUS,
     Edge,
     LongEdgeGraph,
     Template,
@@ -179,6 +180,12 @@ def test_enumerate_templates_matches_filtered_graphs(delta):
 def test_template_counts():
     counts = [len(enumerate_templates(delta)) for delta in range(1, 8)]
     assert counts == [2, 7, 26, 102, 414, 1711, 7135]
+
+
+def test_enumerate_templates_refuses_out_of_reach_cogenus():
+    assert MAX_COGENUS == 8
+    with pytest.raises(ValueError, match="cogenus 9 is out of reach: at most 8"):
+        enumerate_templates(MAX_COGENUS + 1)
 
 
 def test_template_crossing_weight_bounds():

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from longedge import orderings
 from longedge.graphs import Edge, LongEdgeGraph, conjugate, enumerate_templates
 from longedge.orderings import (
-    Allowability,
     BetaSeq,
     LinearForm,
-    allowability,
     beta_from_divergence,
     check_linear_form,
     fit_linear_phi,
     p_beta,
-    p_beta_strict,
     phi_beta,
 )
 from longedge.reference import TABLE1
@@ -25,6 +22,7 @@ from longedge.severi import n_bruteforce
 from longedge.suites import triangle
 
 from oracles import (
+    Allowability,
     allowability_by_walk,
     brute_force_orderings,
     enumerate_graphs,
@@ -58,25 +56,26 @@ def test_beta_from_divergence():
 
 
 def test_allowability():
-    assert allowability(EMPTY, (0,)) is Allowability.STRICTLY_ALLOWABLE
-    assert allowability(WT2, (1,)) is Allowability.NOT_ALLOWABLE
-    assert allowability(WT2, (2,)) is Allowability.ALLOWABLE
+    walk = allowability_by_walk
+    assert walk(EMPTY, (0,)) is Allowability.STRICTLY_ALLOWABLE
+    assert walk(WT2, (1,)) is Allowability.NOT_ALLOWABLE
+    assert walk(WT2, (2,)) is Allowability.ALLOWABLE
     # same edge away from both ambient ends is strictly allowable
     g = LongEdgeGraph([(1, 2, 2)])
-    assert allowability(g, (0, 2, 0)) is Allowability.STRICTLY_ALLOWABLE
-    assert allowability(g, (0, 2)) is Allowability.ALLOWABLE  # hi == M+1
-    assert allowability(ARC, (1, 1)) is Allowability.STRICTLY_ALLOWABLE
+    assert walk(g, (0, 2, 0)) is Allowability.STRICTLY_ALLOWABLE
+    assert walk(g, (0, 2)) is Allowability.ALLOWABLE  # hi == M+1
+    assert walk(ARC, (1, 1)) is Allowability.STRICTLY_ALLOWABLE
     # maxv beyond the range
-    assert allowability(ARC, (5,)) is Allowability.NOT_ALLOWABLE
+    assert walk(ARC, (5,)) is Allowability.NOT_ALLOWABLE
     # the heavy edge reaching M+1 comes first, and a later one ends sooner
     nested = LongEdgeGraph([(1, 4, 2), (2, 3, 2)])
-    assert allowability(nested, (0, 2, 4, 2)) is Allowability.ALLOWABLE
-    assert allowability(nested, (0, 2, 4, 2, 0)) is Allowability.STRICTLY_ALLOWABLE
+    assert walk(nested, (0, 2, 4, 2)) is Allowability.ALLOWABLE
+    assert walk(nested, (0, 2, 4, 2, 0)) is Allowability.STRICTLY_ALLOWABLE
 
 
 def test_semiallowable_uses_reduced_crossing_weight():
     # a gap edge is discounted: weight 2 across gap 1 but only 1 required
-    assert allowability(WT2, (1,)) is Allowability.NOT_ALLOWABLE
+    assert allowability_by_walk(WT2, (1,)) is Allowability.NOT_ALLOWABLE
     assert is_semiallowable(WT2, (1,))
     assert not is_semiallowable(WT2, (0,))
     assert is_semiallowable(EMPTY, (0,))
@@ -85,28 +84,13 @@ def test_semiallowable_uses_reduced_crossing_weight():
 
 def test_p_beta_known_values():
     assert p_beta(EMPTY, (3, 1)) == 1
-    assert p_beta_strict(EMPTY, (3, 1)) == 1
+    assert p_by_walk(EMPTY, (3, 1), True) == 1
     assert p_beta(WT2, (3,)) == 2
     assert p_beta(ARC, (2, 3)) == 5
     assert p_beta(WT2, (1,)) == 0
     # strict variant vanishes when a heavy edge touches an ambient end
-    assert p_beta_strict(WT2, (3,)) == 0
-    assert p_beta_strict(ARC, (2, 3)) == 5
-
-
-def test_p_beta_strict_checks_allowability_once(monkeypatch):
-    import longedge.orderings as orderings
-
-    calls = []
-    rule = orderings._allowability
-
-    def counting(t, beta):
-        calls.append(t)
-        return rule(t, beta)
-
-    monkeypatch.setattr(orderings, "_allowability", counting)
-    assert orderings.p_beta_strict(ARC, (2, 3)) == 5
-    assert len(calls) == 1
+    assert p_by_walk(WT2, (3,), True) == 0
+    assert p_by_walk(ARC, (2, 3), True) == 5
 
 
 def test_p_beta_matches_brute_force_on_fixed_cases():
@@ -219,10 +203,11 @@ def test_phi_single_edge_equals_p():
 
 def test_phi_strict_vanishes_off_shifted_templates():
     betas = [(3, 3, 3, 3), (4, 2, 5, 3)]
+    strict = lambda h, b: p_by_walk(h, b, True)
     for g in enumerate_graphs(2, 4):
         if not g.is_shifted_template():
             for beta in betas:
-                assert phi_by_partitions(g, beta, p_beta_strict) == 0, g
+                assert phi_by_partitions(g, beta, strict) == 0, g
 
 
 def test_phi_two_parallel_arcs():
@@ -244,13 +229,15 @@ def oracle_widths(d, n):
 
 
 def test_allowability_matches_walk_oracle():
+    # the library's fit rule: P > 0 exactly where the walk allows the graph
     seen = set()
     for d in range(1, 5):
         for g in enumerate_graphs(d, d + 1):
             for beta in oracle_widths(d, g.maxv):
-                rule = allowability(g, beta)
-                assert rule is allowability_by_walk(g, beta), (g, beta)
-                seen.add(rule)
+                walk = allowability_by_walk(g, beta)
+                fits = walk is not Allowability.NOT_ALLOWABLE
+                assert (p_beta(g, beta) > 0) == fits, (g, beta)
+                seen.add(walk)
     assert seen == set(Allowability)
 
 
@@ -261,7 +248,7 @@ def test_phi_matches_partition_oracle():
         for g in enumerate_graphs(d, d + 1):
             for beta in oracle_widths(d, g.maxv):
                 assert phi_beta(g, beta) == phi_by_partitions(g, beta, count), (g, beta)
-                assert p_beta_strict(g, beta) == p_by_walk(g, beta, True), (g, beta)
+                assert p_beta(g, beta) == p_by_walk(g, beta, False), (g, beta)
 
 
 def test_phi_empty_graph_is_zero():
@@ -292,8 +279,8 @@ def test_fit_linear_phi_shifted_graph():
 
 
 def test_fit_linear_phi_derives_each_sub_multiset_once(monkeypatch):
-    # the log plan holds each sub-multiset's spans, crossing weights and
-    # heavy ends, so a fit's many evaluations rebuild none of them
+    # the log plan holds each sub-multiset's span, crossing weights and
+    # _p_count key, so a fit's many evaluations rebuild none of them
     import longedge.orderings as orderings
 
     calls = []

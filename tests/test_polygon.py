@@ -89,6 +89,11 @@ class TestConstruction:
             from_vertices([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])
         with pytest.raises(ValueError, match=r"edge \(2, 0\) -> \(3, 2\)"):
             from_vertices([(0, 0), (2, 0), (3, 2), (0, 2)])
+        # each corner turns left, but the boundary is not a convex polygon
+        with pytest.raises(ValueError, match=r"\(2, -3\): the boundary doubles back"):
+            from_vertices([(4, -4), (4, -3), (2, -3), (3, -3), (3, -2), (-4, -3)])
+        with pytest.raises(ValueError, match="turns around 2 times"):
+            from_vertices([(2, -1), (-4, 1), (0, 0), (-4, -2), (-4, 2)])
 
     def test_from_vertices_rejects_non_lattice_polygons(self, monkeypatch):
         with pytest.raises(TypeError, match="vertex x must be an integer"):

@@ -13,6 +13,7 @@ from longedge.coeffs import (
     q_delta_linearized,
     template_coefficients,
 )
+from longedge.graphs import enumerate_templates
 from longedge.polygon import (
     HTPolygon,
     polygon_stats,
@@ -26,6 +27,7 @@ from longedge.severi import (
     q_from_n,
     q_geometric,
     q_polygon,
+    _weights,
     report,
     that_delta,
 )
@@ -38,7 +40,7 @@ from longedge.suites import (
     rectangle,
     triangle,
 )
-from oracles import n_by_graphs
+from oracles import n_by_graphs, p_by_walk
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -120,6 +122,32 @@ class TestBruteForce:
         top = min(4, polygon_stats(p).min_edge + 1)
         for delta in range(top + 1):
             assert n_bruteforce(p, delta) == n_by_graphs(p, delta), delta
+
+    def test_block_weights_match_walk_strictness(self):
+        # at every shift, the end rule's weight against the strict count
+        # read off the graph walk; with ell rows or fewer at most one shift
+        # fits, and it reaches both ends of the vertex range
+        excluded = single = 0
+        for d in range(1, 6):
+            for t in enumerate_templates(d):
+                ell = t.length
+                for n in range(max(1, ell - 1), ell + 3):
+                    for beta in (
+                        (d + 2,) * n,
+                        tuple(d + 2 + i % 3 for i in range(n)),
+                        tuple(1 + 2 * i % 5 for i in range(n)),  # often too narrow
+                        (1,) * n,
+                    ):
+                        weights = _weights(t, beta)
+                        assert len(weights) == n
+                        for k, w in enumerate(weights):
+                            g = t.shift(k)
+                            expected = t.multiplicity * p_by_walk(g, beta, True)
+                            assert w == expected, (t, beta, k)
+                            loose = p_by_walk(g, beta, False)
+                            excluded += bool(loose) and not expected
+                            single += n == ell and bool(expected)
+        assert excluded > 1000 and single > 100
 
     def test_never_fits(self, monkeypatch):
         import longedge.coeffs as coeffs
