@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .graphs import Template, check_cogenus, conjugate, enumerate_templates
-from .orderings import LinearForm, check_linear_form, fit_linear_phi, phi_beta
+from .orderings import LinearForm, check_linear_form, fit_linear_phi, phi_betas
 from .series import RatSeries, sigma
 
 
@@ -182,12 +182,10 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     m = len(beta) - 1
     total = Fraction(0)
     for t, _ in template_data(delta):
-        acc = Fraction(0)
-        for k in t.shifts(m):
-            # t shifted by k >= 0 against beta is t against beta[k:]: the
-            # non-strict count reads only the widths under the graph
-            acc += phi_beta(t, beta[k:])
-        total += t.multiplicity * acc
+        # t shifted by k >= 0 against beta is t against beta[k:]: the
+        # non-strict count reads only the widths under the graph
+        terms = phi_betas(t, [beta[k:] for k in t.shifts(m)])
+        total += t.multiplicity * sum(terms, Fraction(0))
     return total
 
 

@@ -9,7 +9,7 @@ orderings against a width sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True, order=True)
@@ -90,7 +90,7 @@ class LongEdgeGraph:
             raise ValueError("minv is undefined on the empty graph")
         return self.edges[0].lo  # edges are sorted by their lower end first
 
-    @property
+    @cached_property
     def maxv(self) -> int:
         if self.is_empty:
             raise ValueError("maxv is undefined on the empty graph")
@@ -110,13 +110,13 @@ class LongEdgeGraph:
             1 for e in self.edges if e.lo == j - 1 and e.hi == j
         )
 
-    @property
+    @cached_property
     def epsilon0(self) -> int:
         """1 iff every edge touching the leftmost occupied vertex has weight 1."""
         v = self.minv
         return int(all(e.weight == 1 for e in self.edges if e.lo == v))
 
-    @property
+    @cached_property
     def epsilon1(self) -> int:
         """1 iff every edge touching the rightmost occupied vertex has weight 1."""
         v = self.maxv
@@ -196,8 +196,10 @@ def _edge_pool(delta: int, max_vertex: int) -> list[Edge]:
     return sorted(pool)
 
 
-def enumerate_templates(delta: int) -> list[Template]:
-    """All templates of the given cogenus, in canonical order.
+@lru_cache(maxsize=None)
+def enumerate_templates(delta: int) -> tuple[Template, ...]:
+    """All templates of the given cogenus, in canonical order, built once
+    per process.
 
     A template of cogenus d has length at most d+1: each edge of span s
     contributes cogenus >= s-1, and covering the interior forces the spans
@@ -212,7 +214,7 @@ def enumerate_templates(delta: int) -> list[Template]:
     over the sorted pool is the canonical order.
     """
     if delta < 1:
-        return []
+        return ()
     check_cogenus(delta)
     pool = _edge_pool(delta, delta + 1)
     out: list[Template] = []
@@ -232,4 +234,4 @@ def enumerate_templates(delta: int) -> list[Template]:
             chosen.pop()
 
     grow(0, [], delta, 1)  # reach 1 admits only edges at vertex 0 first
-    return out
+    return tuple(out)

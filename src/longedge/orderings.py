@@ -11,11 +11,19 @@ over the sub-multisets in mixed-radix order.  On the semiallowable region
 phi_beta is linear in beta, and fit_linear_phi recovers that linear form
 exactly.
 
-One rule, in _count, decides whether an edge multiset fits the widths: it
+P is counted in batches.  p_counts(shape, windows) takes one shape, its
+edges shifted to start at vertex 0, and the widths under it at many places:
+the windows.  It lists the transfer's states and moves once for the shape
+and applies each window's own factors to them, and it memoizes every
+(shape, window) value.  Callers hand over whole batches: p_beta_shifts
+every admitted shift of a template, phi_betas every width sequence for
+each sub-multiset, fit_linear_phi its base point, bumps and probes at once.
+
+One rule, in _window, decides whether an edge multiset fits the widths: it
 must lie in the vertex range 0..M+1, and every gap's width must cover the
 weight crossing it.  It reads a _Sub, the record of the multiset's span,
-crossing weights and _p_count key; p_beta, p_beta_shifts and every term of
-phi reach P through it.  Only non-strict P is counted here.  The strict
+crossing weights and shape; p_beta, p_beta_shifts and every term of phi
+reach P through it.  Only non-strict P is counted here.  The strict
 count of a shifted template, where no weight >= 2 edge may end at 0 or
 M+1, is P at the shifts that the end rule Template.shifts admits and 0 at
 the others.
@@ -61,55 +69,101 @@ def beta_from_divergence(d: Sequence[int]) -> BetaSeq:
     return BetaSeq(out)
 
 
-@lru_cache(maxsize=None)
-def _p_count(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
-    """P of a graph whose lowest vertex is 0, given as its edges' (lo, hi,
-    weight) run together, where gap j holds widths[j-1] edges in all.
+# P of each shape, by window: filled in by p_counts, one walk per batch
+_P_MEMO: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
-    A transfer over the gaps, left to right, whose state is the copies of
-    each open edge class still to place: a class takes any number of copies
-    in each gap it straddles but its last, which takes the rest.  A gap with
-    fill filler edges and c_i copies of class i multiplies in the ways to
-    order them, C(fill + s, s) s! / prod c_i! with s the sum of the c_i.
 
+def p_counts(shape: tuple[int, ...], windows: Sequence[tuple[int, ...]]) -> list[int]:
+    """P of a graph whose lowest vertex is 0, at each window: the graph is
+    given as its edges' (lo, hi, weight) run together, and gap j holds
+    window[j-1] edges in all, so every window covers the crossing weights.
+
+    Values are memoized by (shape, window).  The windows not yet known are
+    counted together, duplicates once, in one walk of the transfer (_walk).
     P does not change when a graph is shifted or when widths outside its
     span change, so all shifts of one shape at the same local widths share
-    one entry.  Plain integers keep the keys small and quick to hash.
+    one entry.
+    """
+    known = _P_MEMO.setdefault(shape, {})
+    missing = [w for w in dict.fromkeys(windows) if w not in known]
+    if missing:
+        for window, value in zip(missing, _walk(shape, missing)):
+            known[_shared(window)] = value
+    return [known[w] for w in windows]
+
+
+def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
+    """p_counts' transfer over the gaps, left to right, for many windows.
+
+    The state is the copies of each open edge class still to place: a class
+    takes any number of copies in each gap it straddles but its last, which
+    takes the rest.  A gap with fill filler edges and c_i copies of class i
+    multiplies in the ways to order them, C(fill + s, s) s! / prod c_i! with
+    s the sum of the c_i.  The states, the moves between them and each
+    move's s! / prod c_i! depend on the shape alone, so each gap's moves are
+    listed once; each window then applies only its own C(fill + s, s).
     """
     classes = Counter(zip(shape[0::3], shape[1::3], shape[2::3]))
-    filler = list(widths)
-    opening: list[list[tuple[int, int]]] = [[] for _ in filler]
+    crossing = [0] * len(windows[0])
+    opening: list[list[tuple[int, int]]] = [[] for _ in crossing]
     for (lo, hi, weight), mult in classes.items():
         for j in range(lo, hi):
-            filler[j] -= weight * mult
+            crossing[j] += weight * mult
         opening[lo].append((hi, mult))
     ends: list[int] = []  # right end of each open class, in state order
-    states = {(): 1}  # copies left per open class -> ways to have got there
-    for j, fill in enumerate(filler):
-        if opening[j]:
-            ends += [hi for hi, _ in opening[j]]
-            more = tuple(mult for _, mult in opening[j])
-            states = {left + more: ways for left, ways in states.items()}
+    slots = {(): 0}  # copies left per open class -> the state's slot
+    values = [[1] for _ in windows]  # ways to reach each slot, per window
+    for j, opened in enumerate(opening):
+        if opened:
+            ends += [hi for hi, _ in opened]
+            more = tuple(mult for _, mult in opened)
+            slots = {left + more: at for left, at in slots.items()}
         elif not ends:
             continue  # no edge straddles this gap
-        last = [hi == j + 1 for hi in ends]
-        keep = [i for i, end in enumerate(last) if not end]
+        last = tuple([hi == j + 1 for hi in ends])
         after: dict[tuple[int, ...], int] = {}
-        for left, ways in states.items():
-            for placed in itertools.product(
-                *[(n,) if end else range(n + 1) for n, end in zip(left, last)]
-            ):
-                # the product of C(fill + c_1 + ... + c_i, c_i) over classes
-                term, seated = ways, fill
-                for c in placed:
-                    if c:
-                        seated += c
-                        term *= comb(seated, c)
-                rest = tuple([left[i] - placed[i] for i in keep])
-                after[rest] = after.get(rest, 0) + term
-        states = after
-        ends = [ends[i] for i in keep]
-    return states[()]
+        moves = [
+            (at, after.setdefault(rest, len(after)), s, ways)
+            for left, at in slots.items()
+            for rest, s, ways in _placements(left, last)
+        ]
+        most = max(map(sum, slots))  # the most copies one gap can take
+        slots = after
+        ends = [hi for hi, end in zip(ends, last) if not end]
+        for w, window in enumerate(windows):
+            fill = window[j] - crossing[j]
+            grow = [1]  # C(fill + s, s) for s = 0..most
+            for s in range(1, most + 1):
+                grow.append(grow[-1] * (fill + s) // s)
+            ways = values[w]
+            now = [0] * len(after)
+            for at, to, s, n in moves:
+                now[to] += ways[at] * n * grow[s]
+            values[w] = now
+    return [ways[0] for ways in values]
+
+
+@lru_cache(maxsize=None)
+def _placements(
+    left: tuple[int, ...], last: tuple[bool, ...]
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The ways to place copies of the open classes in one gap, given the
+    copies left per class and whether the gap is each class's last, where
+    it places all it has left: (copies left after, s, s! / prod c_i!).
+    These depend on small tuples alone, so every walk shares them."""
+    out = []
+    for placed in itertools.product(
+        *[(n,) if end else range(n + 1) for n, end in zip(left, last)]
+    ):
+        # s! / prod c_i! as the product of C(c_1 + ... + c_i, c_i)
+        s, ways = 0, 1
+        for c in placed:
+            if c:
+                s += c
+                ways *= comb(s, c)
+        rest = tuple([n - c for n, c, end in zip(left, placed, last) if not end])
+        out.append((rest, s, ways))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -121,28 +175,29 @@ def _shared(value):
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
-    return _count(_sub(g.edges), tuple(beta))
+    t = _sub(g.edges)
+    return _counts(t, [_window(t, tuple(beta))])[0]
 
 
 def p_beta_shifts(
     g: LongEdgeGraph, beta: Sequence[int], shifts: Sequence[int]
 ) -> list[int]:
     """p_beta(g.shift(k), beta) for each k in shifts, without building the
-    shifted graphs: g's record moves, and the widths stay whole."""
+    shifted graphs, in one batch: g's record moves, and the widths stay whole."""
     beta = tuple(beta)
-    t = _sub(g.edges)
-    return [_count(t._replace(lo=t.lo + k, hi=t.hi + k), beta) for k in shifts]
+    t = _graph_sub(g)
+    return _counts(t, [_window(t, beta, k) for k in shifts])
 
 
 class _Sub(NamedTuple):
-    """An edge multiset T as the fit rule and _p_count read it."""
+    """An edge multiset T as the fit rule and p_counts read it."""
 
     size: int
     lo: int
     hi: int
     # lambda_j(T) for j = lo+1..hi, to be met by the widths beta[lo:hi]
     lams: tuple[int, ...]
-    # _p_count's key: the edges' (lo, hi, weight) shifted to start at 0
+    # p_counts' shape: the edges' (lo, hi, weight) shifted to start at 0
     shape: tuple[int, ...]
 
 
@@ -159,6 +214,13 @@ def _sub(edges: tuple[Edge, ...]) -> _Sub:
             lams[j] += e.weight
         shape += (e.lo - lo, e.hi - lo, e.weight)
     return _Sub(len(edges), lo, hi, tuple(lams), tuple(shape))
+
+
+@lru_cache(maxsize=None)
+def _graph_sub(g: LongEdgeGraph) -> _Sub:
+    """_sub of a whole graph, kept: the direct route asks for each template's
+    record at every width sequence of every reordering."""
+    return _sub(g.edges)
 
 
 class _LogPlan(NamedTuple):
@@ -195,40 +257,58 @@ def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
     return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
 
 
-def _count(t: _Sub, beta: tuple[int, ...]) -> int:
-    """p_beta(T, beta), which is 0 unless T fits: T lies in the vertex range
-    0..M+1 and every gap's width covers the weight crossing it."""
-    if t.hi > len(beta) or any(map(operator.lt, beta[t.lo : t.hi], t.lams)):
-        return 0
-    return _p_count(t.shape, _shared(beta[t.lo : t.hi])) if t.size else 1
+def _window(t: _Sub, beta: tuple[int, ...], k: int = 0) -> tuple[int, ...] | None:
+    """The widths under T shifted by k, or None unless T fits there: it lies
+    in the vertex range 0..M+1 and every gap's width covers the weight
+    crossing it."""
+    if t.hi + k > len(beta):
+        return None
+    window = beta[t.lo + k : t.hi + k]
+    return None if any(map(operator.lt, window, t.lams)) else window
+
+
+def _counts(t: _Sub, windows: list[tuple[int, ...] | None]) -> list[int]:
+    """P of T at each window from _window, 0 where T does not fit, all in
+    one p_counts batch."""
+    found = iter(p_counts(t.shape, [w for w in windows if w is not None]))
+    return [0 if w is None else next(found) for w in windows]
 
 
 def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
     """Log coefficient of p_beta at g's edge multiset; the log-side weight of g:
-    [x^S] log(sum over sub-multisets T of S of p_beta(T) x^T), S = g.edges.
+    [x^S] log(sum over sub-multisets T of S of p_beta(T) x^T), S = g.edges."""
+    return phi_betas(g, [beta])[0]
+
+
+def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction]:
+    """phi_beta(g, beta) for each beta, with one p_counts batch per
+    sub-multiset for all of them.
 
     With h[T] = scale * phi(T), an integer, the log derivative gives
     |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
     """
-    beta = tuple(beta)
+    betas = [tuple(beta) for beta in betas]
     if g.is_empty:
-        return Fraction(0)
+        return [Fraction(0)] * len(betas)
     plan = _log_plan(g.edges)
-    p = [_count(t, beta) for t in plan.subs]
-    size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
-    for at in range(1, len(p)):
-        t = plan.subs[at]
-        acc = t.size * plan.scale * p[at]
-        for u in plan.splits[at]:
-            acc -= size_h[u] * p[at - u]
-        h, r = divmod(acc, t.size)
-        if r:
-            raise ArithmeticError(
-                f"phi of a sub-multiset of {g} at {beta} is not a multiple "
-                f"of 1/{plan.scale}"
-            )
-        size_h.append(acc)
-    return Fraction(h, plan.scale)
+    columns = [_counts(t, [_window(t, beta) for beta in betas]) for t in plan.subs]
+    out = []
+    for beta, p in zip(betas, zip(*columns)):
+        size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
+        for at in range(1, len(p)):
+            t = plan.subs[at]
+            acc = t.size * plan.scale * p[at]
+            for u in plan.splits[at]:
+                acc -= size_h[u] * p[at - u]
+            h, r = divmod(acc, t.size)
+            if r:
+                raise ArithmeticError(
+                    f"phi of a sub-multiset of {g} at {beta} is not a multiple "
+                    f"of 1/{plan.scale}"
+                )
+            size_h.append(acc)
+        out.append(Fraction(h, plan.scale))
+    return out
 
 
 @dataclass(frozen=True)
@@ -279,36 +359,41 @@ def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
 
     phi_beta only reads the widths at positions minv..maxv-1, and any widths
     >= cogenus+2 are semiallowable with room for unit bumps, so the form is
-    pinned down by one base point and one bump per position.
+    pinned down by one base point and one bump per position.  The base, the
+    bumps and check_linear_form's two probes are evaluated in one batch.
     """
     if g.is_empty:
         raise ValueError("fit_linear_phi is undefined on the empty graph")
-    d = g.cogenus
     lo, hi = g.minv, g.maxv
-    base_val = d + 2
-    base = [base_val] * hi  # height M = maxv-1, the smallest valid ambient range
-    f0 = phi_beta(g, base)
-    coeffs = []
-    for pos in range(lo, hi):
-        bumped = list(base)
-        bumped[pos] += 1
-        coeffs.append(phi_beta(g, bumped) - f0)
+    base_val = g.cogenus + 2
+    base = (base_val,) * hi  # height M = maxv-1, the smallest valid ambient range
+    bumps = [base[:pos] + (base_val + 1,) + base[pos + 1 :] for pos in range(lo, hi)]
+    probes = _probes(g)
+    f0, *values = phi_betas(g, [base, *bumps, *probes])
+    coeffs = [v - f0 for v in values[: len(bumps)]]
     eta0 = f0 - base_val * sum(coeffs)
     form = LinearForm((Fraction(eta0), *map(Fraction, coeffs)), minv=lo)
-    check_linear_form(g, form)
+    _check_probes(g, form, probes, values[len(bumps) :])
     return form
+
+
+def _probes(g: LongEdgeGraph) -> list[tuple[int, ...]]:
+    """Two widths inside the semiallowable region, one flat and one uneven."""
+    d, hi = g.cogenus, g.maxv
+    return [(d + 5,) * hi, tuple(d + 2 + (i % 3) for i in range(hi))]
 
 
 def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
     """Raise ArithmeticError unless form equals phi_beta(g, .) at two probe
     widths, one flat and one uneven, both inside the semiallowable region."""
-    d, hi = g.cogenus, g.maxv
-    for probe in (
-        [d + 5] * hi,
-        [d + 2 + (i % 3) for i in range(hi)],
-    ):
-        if phi_beta(g, probe) != form.evaluate(probe):
+    probes = _probes(g)
+    _check_probes(g, form, probes, phi_betas(g, probes))
+
+
+def _check_probes(g, form, probes, values) -> None:
+    for probe, value in zip(probes, values):
+        if value != form.evaluate(probe):
             raise ArithmeticError(
                 f"linear form disagrees with direct evaluation of {g} at "
-                f"{probe}; linearity is guaranteed there, so this is a bug"
+                f"{list(probe)}; linearity is guaranteed there, so this is a bug"
             )

@@ -1,9 +1,9 @@
 """Truncated power series over exact rationals, plus the named q-series.
 
 A RatSeries stores coefficients c_0..c_T; binary operations truncate to the
-shorter operand.  Everything here is exact: rational exponents are handled by
-exp/log on series with unit constant term, and compositional inverses use
-Lagrange inversion.
+shorter operand.  Everything here is exact: rational powers of a series
+with unit constant term come from J.C.P. Miller's recurrence, and
+compositional inverses use Lagrange inversion.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class RatSeries:
     def pow(self, exponent: Rational) -> "RatSeries":
         if self.coeffs[0] != 1:
             raise ValueError("pow needs constant term 1")
-        return self.log().scale(Fraction(exponent)).exp()
+        return RatSeries(_power(self.coeffs, Fraction(exponent), self.order))
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
         if inner.coeffs[0] != 0:
@@ -169,8 +169,23 @@ class RatSeries:
         unit = h.scale(1 / c1)
         out = [Fraction(0)] * (t + 1)
         for n in range(1, t + 1):
-            out[n] = unit.pow(-n)[n - 1] / (n * c1**n)
+            # [t^(n-1)] unit^(-n) needs unit^(-n) only up to degree n-1
+            out[n] = _power(unit.coeffs, Fraction(-n), n - 1)[n - 1] / (n * c1**n)
         return RatSeries(out)
+
+
+def _power(f: Sequence[Fraction], exponent: Fraction, order: int) -> list[Fraction]:
+    """Coefficients 0..order of f^exponent, f[0] = 1, by J.C.P. Miller's
+    recurrence n g[n] = sum over k = 1..n of ((exponent + 1) k - n) f[k] g[n-k],
+    which the log derivative g'/g = exponent f'/f gives."""
+    g = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, min(n, len(f) - 1) + 1):
+            if f[k]:
+                acc += ((exponent + 1) * k - n) * f[k] * g[n - k]
+        g.append(acc / n)
+    return g
 
 
 def log_exp_coeffs(values: Sequence[Fraction]) -> list[Fraction]:

@@ -9,6 +9,7 @@ count Q, related to the plain count N by an exponential transform.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,12 +107,25 @@ def n_bruteforce(p: HTPolygon, delta: int) -> int:
     others.  So G is counted as a chain of blocks against the widths, with
     no fitted form.
     """
+    return _direct_counts(p, delta)[delta]
+
+
+def _direct_counts(p: HTPolygon, delta: int) -> list[int]:
+    """The direct counts N^0..N^delta in one pass: reorderings with equal
+    widths share one chain table, filled to the deepest remaining cogenus
+    any of them needs, and a reordering of cost c reads N^(c+r) from the
+    table's f[0][r]."""
     _require_edges(p, "bruteforce", delta)
-    templates = [t for c in range(1, delta + 1) for t in enumerate_templates(c)]
-    return sum(
-        _chains(templates, ro.beta, delta - ro.cogenus)
-        for ro in reorderings(p, delta)
-    )
+    costs: dict[tuple[int, ...], Counter] = {}
+    for ro in reorderings(p, delta):
+        costs.setdefault(ro.beta, Counter())[ro.cogenus] += 1
+    counts = [0] * (delta + 1)
+    for beta, by_cost in costs.items():
+        first = _chains(beta, delta - min(by_cost))
+        for cost, times in by_cost.items():
+            for r in range(delta - cost + 1):
+                counts[cost + r] += times * first[r]
+    return counts
 
 
 def _weights(t: Template, beta: Sequence[int]) -> list[int]:
@@ -124,18 +138,19 @@ def _weights(t: Template, beta: Sequence[int]) -> list[int]:
     return weights
 
 
-def _chains(templates: list[Template], beta: Sequence[int], rest: int) -> int:
-    """Weighted count of the graphs of cogenus rest on 0..len(beta), filled
-    in from the right: f[k][r] counts those of cogenus r on k..len(beta),
-    whose first block, from k, is an empty gap or a template shifted by k,
-    weighed by _weights: 0 unless the end rule t.shifts admits k."""
+def _chains(beta: Sequence[int], rest: int) -> list[int]:
+    """Weighted counts of the graphs of cogenus 0..rest on 0..len(beta),
+    filled in from the right: f[k][r] counts those of cogenus r on
+    k..len(beta), whose first block, from k, is an empty gap or a template
+    shifted by k, weighed by _weights: 0 unless the end rule t.shifts
+    admits k.  Returns f[0]."""
     top = len(beta)
     f = [[0] * (rest + 1) for _ in range(top + 1)]
     f[top][0] = 1
     blocks = [
         (t.cogenus, t.maxv, _weights(t, beta))
-        for t in templates
-        if t.cogenus <= rest
+        for c in range(1, rest + 1)
+        for t in enumerate_templates(c)
     ]
     for k in range(top - 1, -1, -1):
         row = f[k] = f[k + 1][:]  # the gap from k to k+1 is empty
@@ -145,7 +160,7 @@ def _chains(templates: list[Template], beta: Sequence[int], rest: int) -> int:
                 after = f[k + length]
                 for r in range(c, rest + 1):
                     row[r] += w * after[r - c]
-    return f[0][rest]
+    return f[0]
 
 
 def q_polygon(p: HTPolygon, delta: int) -> Fraction:
@@ -238,22 +253,20 @@ def report(
     q_vals: dict = {}
     skipped: dict = {}
     for m in methods:
-        ns: list = []
-        qs: list = []
+        reach = 0  # the deepest delta the route's precondition allows
         for delta in range(1, delta_max + 1):
             shortfall = _edge_shortfall(stats.min_edge, m, delta)
             if shortfall:
                 reason = f"precondition unmet: {shortfall}"
                 skipped.setdefault(m, {})[str(delta)] = reason
                 break
-            if m == "bruteforce":
-                ns.append(Fraction(n_bruteforce(p, delta)))
-            else:
-                fn = q_polygon if m == "closed" else q_geometric
-                qs.append(fn(p, delta))
+            reach = delta
         if m == "bruteforce":
+            ns = [Fraction(n) for n in _direct_counts(p, reach)[1:]]
             qs = q_from_n(ns)
         else:
+            fn = q_polygon if m == "closed" else q_geometric
+            qs = [fn(p, delta) for delta in range(1, reach + 1)]
             ns = n_from_q(qs)
         n_vals[m] = [Fraction(1), *ns]
         q_vals[m] = qs

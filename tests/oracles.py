@@ -12,7 +12,7 @@ from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from longedge.graphs import Edge, LongEdgeGraph, Template, _edge_pool
-from longedge.orderings import _p_count
+from longedge.orderings import p_counts
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -126,7 +126,7 @@ def p_by_walk(g: LongEdgeGraph, beta, strict: bool) -> int:
         return 1
     lo = g.minv
     shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
-    return _p_count(shape, tuple(beta[lo : g.maxv]))
+    return p_counts(shape, [tuple(beta[lo : g.maxv])])[0]
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -140,9 +140,9 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def p_by_compositions(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
-    """_p_count's value as the sum over every way to spread each edge
-    class's copies over the gaps it straddles: a product over the gaps of
-    C(fill + placed, placed) placed! / prod c!."""
+    """p_counts' value at one window as the sum over every way to spread
+    each edge class's copies over the gaps it straddles: a product over the
+    gaps of C(fill + placed, placed) placed! / prod c!."""
     edges = list(zip(shape[0::3], shape[1::3], shape[2::3]))
     # the unweighted filler edges of gap j sit at index j-1
     filler = list(widths)

@@ -35,6 +35,15 @@ class TestSeries:
         assert code == 0
         assert out.strip() == "0, 1, -6, 60"
 
+    def test_reverted_series_at_order_40_is_pinned(self, capsys):
+        # the digest of what reversion printed when each power was taken by
+        # a log and an exp, before the power recurrence replaced them
+        code, out, _ = run(["series", "g", "--order", "40"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f4b2b3867c99690adf0403a753e9e8ad3fd4905fb83769020c5e8787b128f9b8"
+        )
+
     def test_exponential_coefficients(self, capsys):
         code, out, _ = run(["series", "a", "--order", "4"], capsys)
         assert code == 0

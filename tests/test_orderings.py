@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longedge import orderings
+from longedge import coeffs, orderings
 from longedge.graphs import Edge, LongEdgeGraph, conjugate, enumerate_templates
 from longedge.orderings import (
     BetaSeq,
@@ -143,13 +143,16 @@ def test_p_beta_reads_only_spanned_positions(edges, beta, noise):
 
 
 def test_p_count_matches_composition_walk(monkeypatch):
-    # every key that fitting each template of cogenus <= 4 and a direct
-    # count at cogenus 5 hand to _p_count
+    # every (shape, window) that fitting each template of cogenus <= 4 and a
+    # direct count at cogenus 5 hand to p_counts, in their batches
     keys = set()
-    count = orderings._p_count
-    monkeypatch.setattr(
-        orderings, "_p_count", lambda *key: keys.add(key) or count(*key)
-    )
+    count = orderings.p_counts
+
+    def record(shape, windows):
+        keys.update((shape, w) for w in windows)
+        return count(shape, windows)
+
+    monkeypatch.setattr(orderings, "p_counts", record)
     for d in range(1, 5):
         for t in enumerate_templates(d):
             fit_linear_phi(t)
@@ -164,7 +167,54 @@ def test_p_count_matches_composition_walk(monkeypatch):
     }
     assert len(keys) > 1000
     for shape, widths in keys:
-        assert count(shape, widths) == p_by_compositions(shape, widths), (shape, widths)
+        assert count(shape, [widths]) == [p_by_compositions(shape, widths)], (shape, widths)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edges=st.lists(_edges, min_size=1, max_size=4),
+    extras=st.lists(
+        st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=4
+    ),
+    data=st.data(),
+)
+def test_p_counts_batches_match_composition_walk(edges, extras, data):
+    # a batch with a duplicate window and the window that just fits, then a
+    # single window from the memo and one walked alone, each against the
+    # composition walk
+    g = LongEdgeGraph(edges)
+    g = g.shift(-g.minv)
+    shape = tuple(x for e in g.edges for x in (e.lo, e.hi, e.weight))
+    tight = tuple(g.lambda_(j) for j in range(1, g.maxv + 1))
+    windows = [tuple(lam + x for lam, x in zip(tight, extra)) for extra in extras]
+    batch = data.draw(st.permutations([*windows, tight, windows[0]]))
+    expected = [p_by_compositions(shape, w) for w in batch]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orderings, "_P_MEMO", {})
+        assert orderings.p_counts(shape, batch) == expected
+        assert orderings.p_counts(shape, batch[:1]) == expected[:1]
+        patch.setattr(orderings, "_P_MEMO", {})
+        assert orderings.p_counts(shape, batch[-1:]) == expected[-1:]
+
+
+def test_transfer_walk_counts(monkeypatch):
+    # work counts, never wall time: from an empty memo, each p_counts batch
+    # walks the transfer once, for the distinct windows it does not know
+    windows = []
+    walk = orderings._walk
+    monkeypatch.setattr(
+        orderings, "_walk", lambda shape, ws: windows.append(len(ws)) or walk(shape, ws)
+    )
+    monkeypatch.setattr(orderings, "_P_MEMO", {})
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
+    coeffs.template_data.__wrapped__(5)  # a cold template_data(5)
+    # the empty multiset of every fit is one shape, walked once
+    assert (len(windows), sum(windows)) == (986, 3959)
+    windows.clear()
+    monkeypatch.setattr(orderings, "_P_MEMO", {})
+    for delta in range(6):
+        n_bruteforce(triangle(7), delta)
+    assert (len(windows), sum(windows)) == (500, 1152)
 
 
 def _edges_of(t) -> Counter:

@@ -96,6 +96,14 @@ def test_pow_is_additive_in_the_exponent(tail, p, q):
     assert u.pow(p) * u.pow(q) == u.pow(p + q)
 
 
+@given(st.lists(rationals, min_size=1, max_size=6), rationals)
+@settings(max_examples=60, deadline=None)
+def test_pow_recurrence_equals_log_exp(tail, p):
+    # Miller's recurrence gives exactly exp(p log u)
+    u = RatSeries([Fraction(1), *tail])
+    assert u.pow(p) == u.log().scale(p).exp()
+
+
 def test_compose():
     outer = series_from([1, 1, 1])  # 1 + u + u^2
     inner = series_from([0, 1, 1])  # t + t^2

@@ -123,6 +123,27 @@ class TestBruteForce:
         for delta in range(top + 1):
             assert n_bruteforce(p, delta) == n_by_graphs(p, delta), delta
 
+    @pytest.mark.parametrize(
+        "p", [p for _, p in oracle_corpus()],
+        ids=[name for name, _ in oracle_corpus()],
+    )
+    def test_one_pass_matches_each_delta(self, p, monkeypatch):
+        # report makes one direct pass, which fills each width sequence's
+        # chain table to the deepest cogenus and reads the shallower counts
+        # from it; n_bruteforce fills its tables to its own delta only
+        import longedge.severi as sv
+
+        top = min(5, polygon_stats(p).min_edge + 1)
+        each = [n_bruteforce(p, delta) for delta in range(top + 1)]
+        passes = []
+        direct = sv._direct_counts
+        monkeypatch.setattr(
+            sv, "_direct_counts", lambda *a: passes.append(a) or direct(*a)
+        )
+        rep = report(p, top, ("bruteforce",))
+        assert passes == [(p, top)]
+        assert rep.n["bruteforce"] == each
+
     def test_block_weights_match_walk_strictness(self):
         # at every shift, the end rule's weight against the strict count
         # read off the graph walk; with ell rows or fewer at most one shift
