@@ -390,7 +390,13 @@ def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
     _check_probes(g, form, probes, phi_betas(g, probes))
 
 
-def _check_probes(g, form, probes, values) -> None:
+def _check_probes(
+    g: LongEdgeGraph,
+    form: LinearForm,
+    probes: list[tuple[int, ...]],
+    values: list[Fraction],
+) -> None:
+    """check_linear_form's test, given phi_beta(g, .) at the probes."""
     for probe, value in zip(probes, values):
         if value != form.evaluate(probe):
             raise ArithmeticError(

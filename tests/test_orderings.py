@@ -330,7 +330,7 @@ def test_fit_linear_phi_shifted_graph():
 
 def test_fit_linear_phi_derives_each_sub_multiset_once(monkeypatch):
     # the log plan holds each sub-multiset's span, crossing weights and
-    # _p_count key, so a fit's many evaluations rebuild none of them
+    # p_counts shape, so a fit's many evaluations rebuild none of them
     import longedge.orderings as orderings
 
     calls = []
