@@ -76,7 +76,8 @@ _P_MEMO: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 def p_counts(shape: tuple[int, ...], windows: Sequence[tuple[int, ...]]) -> list[int]:
     """P of a graph whose lowest vertex is 0, at each window: the graph is
     given as its edges' (lo, hi, weight) run together, and gap j holds
-    window[j-1] edges in all, so every window covers the crossing weights.
+    window[j-1] edges in all, so each window must cover the weight crossing
+    each gap (the fit rule _window checks that).
 
     Values are memoized by (shape, window).  The windows not yet known are
     counted together, duplicates once, in one walk of the transfer (_walk).
