@@ -123,6 +123,10 @@ def cmd_severi(args: argparse.Namespace) -> int:
     return 0 if rep.agree else 1
 
 
+# the largest --order: the slowest builder, g, takes about 1.7 s there and
+# grows faster than cubically beyond it (4.5 s at 120, 8 s at 150)
+MAX_SERIES_ORDER = 100
+
 SERIES_BUILDERS: dict[str, Callable[[int], object]] = {
     "g": lambda order: dg2(order).revert(),
     "a": a_series,
@@ -139,6 +143,10 @@ SERIES_BUILDERS: dict[str, Callable[[int], object]] = {
 def cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError("order must be nonnegative")
+    if args.order > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"order {args.order} is too deep: at most {MAX_SERIES_ORDER} is supported"
+        )
     series = SERIES_BUILDERS[args.name](args.order)
     _emit(", ".join(str(c) for c in series.coeffs), args.out)
     return 0

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .graphs import Template, check_cogenus, conjugate, enumerate_templates
-from .orderings import LinearForm, check_linear_form, fit_linear_phi, phi_betas
+from .orderings import LinearForm, _scaled_phis, check_linear_form, fit_linear_phi
 from .series import RatSeries, sigma
 
 
@@ -184,8 +184,8 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     for t, _ in template_data(delta):
         # t shifted by k >= 0 against beta is t against beta[k:]: the
         # non-strict count reads only the widths under the graph
-        terms = phi_betas(t, [beta[k:] for k in t.shifts(m)])
-        total += t.multiplicity * sum(terms, Fraction(0))
+        scale, terms = _scaled_phis(t, [beta[k:] for k in t.shifts(m)])
+        total += Fraction(t.multiplicity * sum(terms), scale)
     return total
 
 
@@ -210,17 +210,20 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
     """(A, L, H, D, C) for one cogenus, before the b column exists."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    # a, l and l_alt are summed without their factor 1/2, applied at the end
     a = l = h = d = c = l_alt = Fraction(0)
     for t, form in template_data(delta):
         mu = t.multiplicity
         ends = t.length - t.epsilon0 - t.epsilon1
-        eta0, zeta0 = form.eta[0], form.zeta0
-        a += Fraction(mu) * zeta0 / 2
-        l -= Fraction(mu) * zeta0 * ends / 2
-        h += mu * (eta0 + zeta0 * ends)
+        eta0, zeta0 = mu * form.eta[0], mu * form.zeta0
+        spread = zeta0 * ends
+        a += zeta0
+        l -= spread
+        h += eta0 + spread
         d -= mu * (form.zeta2 + form.zeta1 * (1 - t.epsilon0))
-        c -= mu * eta0 * ends
-        l_alt += Fraction(mu) * eta0 / 2
+        c -= eta0 * ends
+        l_alt += eta0
+    a, l, l_alt = a / 2, l / 2, l_alt / 2
     if l != l_alt:
         raise ArithmeticError(
             f"the two formulas for L disagree at delta={delta}: {l} vs {l_alt}"

@@ -16,8 +16,10 @@ edges shifted to start at vertex 0, and the widths under it at many places:
 the windows.  It lists the transfer's states and moves once for the shape
 and applies each window's own factors to them, and it memoizes every
 (shape, window) value.  Callers hand over whole batches: p_beta_shifts
-every admitted shift of a template, phi_betas every width sequence for
+every admitted shift of a template, _scaled_phis every width sequence for
 each sub-multiset, fit_linear_phi its base point, bumps and probes at once.
+_scaled_phis keeps phi in integers, scaled by lcm(1..|S|), and the fit and
+its probe check use those integers; phi_beta and phi_betas divide once.
 
 One rule, in _window, decides whether an edge multiset fits the widths: it
 must lie in the vertex range 0..M+1, and every gap's width must cover the
@@ -169,8 +171,8 @@ def _placements(
 
 @lru_cache(maxsize=None)
 def _shared(value):
-    """The first value seen equal to this one, so that the many cache keys
-    and plans that hold equal values hold one object between them."""
+    """The first value seen equal to this one, so that the P memo's many
+    equal window keys hold one object between them."""
     return value
 
 
@@ -239,23 +241,34 @@ class _LogPlan(NamedTuple):
 @lru_cache(maxsize=None)
 def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
     classes = sorted(Counter(edges).items())
-    vectors = list(itertools.product(*(range(mult + 1) for _, mult in classes)))
-    # the position weight of one copy of each class, the last varying fastest
-    strides = [prod(m + 1 for _, m in classes[i + 1 :]) for i in range(len(classes))]
+    vectors = itertools.product(*(range(mult + 1) for _, mult in classes))
     subs = tuple(
-        _shared(_sub(tuple(
-            e for (e, _), c in zip(classes, v) for _ in range(c)
-        )))
+        _plan_sub(tuple(e for (e, _), c in zip(classes, v) for _ in range(c)))
         for v in vectors
     )
-    # the splits depend on the copies per class alone, so plans share them
-    splits = _shared(tuple(
+    splits = _splits(tuple(mult for _, mult in classes))
+    return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
+
+
+@lru_cache(maxsize=None)
+def _plan_sub(edges: tuple[Edge, ...]) -> _Sub:
+    """_sub of a sub-multiset, kept: the plans of many templates hold the
+    same sub-multisets, and each record is built once for all of them."""
+    return _sub(edges)
+
+
+@lru_cache(maxsize=None)
+def _splits(mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A plan's splits, which depend on the copies per class alone, so
+    every plan with the same multiplicities shares one table."""
+    # the position weight of one copy of each class, the last varying fastest
+    strides = [prod(m + 1 for m in mults[i + 1 :]) for i in range(len(mults))]
+    return tuple(
         tuple(map(sum, itertools.product(*(
             range(0, (c + 1) * stride, stride) for c, stride in zip(t, strides)
         ))))[1:-1]
-        for t in vectors
-    ))
-    return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
+        for t in itertools.product(*(range(m + 1) for m in mults))
+    )
 
 
 def _window(t: _Sub, beta: tuple[int, ...], k: int = 0) -> tuple[int, ...] | None:
@@ -283,14 +296,22 @@ def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
 
 def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction]:
     """phi_beta(g, beta) for each beta, with one p_counts batch per
-    sub-multiset for all of them.
+    sub-multiset for all of them."""
+    scale, numerators = _scaled_phis(g, betas)
+    return [Fraction(h, scale) for h in numerators]
 
-    With h[T] = scale * phi(T), an integer, the log derivative gives
+
+def _scaled_phis(
+    g: LongEdgeGraph, betas: Sequence[Sequence[int]]
+) -> tuple[int, list[int]]:
+    """(scale, [scale * phi_beta(g, beta) for each beta]), all integers.
+
+    With h[T] = scale * phi(T), the log derivative gives
     |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
     """
     betas = [tuple(beta) for beta in betas]
     if g.is_empty:
-        return [Fraction(0)] * len(betas)
+        return 1, [0] * len(betas)
     plan = _log_plan(g.edges)
     columns = [_counts(t, [_window(t, beta) for beta in betas]) for t in plan.subs]
     out = []
@@ -308,8 +329,8 @@ def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction
                     f"of 1/{plan.scale}"
                 )
             size_h.append(acc)
-        out.append(Fraction(h, plan.scale))
-    return out
+        out.append(h)
+    return plan.scale, out
 
 
 @dataclass(frozen=True)
@@ -328,10 +349,7 @@ class LinearForm:
         return len(self.eta) - 1
 
     def _zeta(self, i: int) -> Fraction:
-        return sum(
-            (comb(j - 1, i) * self.eta[j] for j in range(1, len(self.eta))),
-            Fraction(0),
-        )
+        return _dot([comb(j - 1, i) for j in range(1, len(self.eta))], self.eta[1:])
 
     @property
     def zeta0(self) -> Fraction:
@@ -346,13 +364,18 @@ class LinearForm:
         return self._zeta(2)
 
     def evaluate(self, beta: Sequence[int]) -> Fraction:
-        return self.eta[0] + sum(
-            (
-                self.eta[j] * beta[self.minv + j - 1]
-                for j in range(1, len(self.eta))
-            ),
-            Fraction(0),
-        )
+        widths = [beta[self.minv + j - 1] for j in range(1, len(self.eta))]
+        return _dot([1, *widths], self.eta)
+
+
+def _dot(weights: Sequence[int], values: Sequence[Fraction]) -> Fraction:
+    """sum of w * v over integer weights and rational values, summed in
+    integers over the values' common denominator: one Fraction in all."""
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(
+        sum(w * v.numerator * (den // v.denominator) for w, v in zip(weights, values)),
+        den,
+    )
 
 
 def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
@@ -370,12 +393,18 @@ def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
     base = (base_val,) * hi  # height M = maxv-1, the smallest valid ambient range
     bumps = [base[:pos] + (base_val + 1,) + base[pos + 1 :] for pos in range(lo, hi)]
     probes = _probes(g)
-    f0, *values = phi_betas(g, [base, *bumps, *probes])
+    # phi and the form scaled by the plan's scale, so the fit and its
+    # probe check stay in integers
+    scale, (f0, *values) = _scaled_phis(g, [base, *bumps, *probes])
     coeffs = [v - f0 for v in values[: len(bumps)]]
     eta0 = f0 - base_val * sum(coeffs)
-    form = LinearForm((Fraction(eta0), *map(Fraction, coeffs)), minv=lo)
-    _check_probes(g, form, probes, values[len(bumps) :])
-    return form
+    _check_probes(
+        g,
+        probes,
+        values[len(bumps) :],
+        [eta0 + sum(map(operator.mul, coeffs, probe[lo:])) for probe in probes],
+    )
+    return LinearForm(tuple(Fraction(c, scale) for c in (eta0, *coeffs)), minv=lo)
 
 
 def _probes(g: LongEdgeGraph) -> list[tuple[int, ...]]:
@@ -388,18 +417,20 @@ def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
     """Raise ArithmeticError unless form equals phi_beta(g, .) at two probe
     widths, one flat and one uneven, both inside the semiallowable region."""
     probes = _probes(g)
-    _check_probes(g, form, probes, phi_betas(g, probes))
+    scale, values = _scaled_phis(g, probes)
+    _check_probes(g, probes, values, [scale * form.evaluate(p) for p in probes])
 
 
 def _check_probes(
     g: LongEdgeGraph,
-    form: LinearForm,
     probes: list[tuple[int, ...]],
-    values: list[Fraction],
+    values: list[int],
+    expected: list[Fraction],
 ) -> None:
-    """check_linear_form's test, given phi_beta(g, .) at the probes."""
-    for probe, value in zip(probes, values):
-        if value != form.evaluate(probe):
+    """check_linear_form's test: scale * phi_beta(g, .) at the probes
+    against the form at the probes, scaled the same."""
+    for probe, value, want in zip(probes, values, expected):
+        if value != want:
             raise ArithmeticError(
                 f"linear form disagrees with direct evaluation of {g} at "
                 f"{list(probe)}; linearity is guaranteed there, so this is a bug"

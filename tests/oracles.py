@@ -12,7 +12,7 @@ from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from longedge.graphs import Edge, LongEdgeGraph, Template, _edge_pool
-from longedge.orderings import p_counts
+from longedge.orderings import LinearForm, p_counts
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -257,6 +257,22 @@ def phi_by_partitions(g: LongEdgeGraph, beta, count) -> Fraction:
         )
         total += Fraction((-1) ** (i + 1) * tuples * prod(pieces), i)
     return total
+
+
+def form_by_fractions(form: LinearForm, beta) -> tuple[Fraction, ...]:
+    """(zeta0, zeta1, zeta2, form at beta) of a linear form, each summed one
+    Fraction term at a time: zeta_i is the sum over j >= 1 of
+    C(j-1, i) eta_j, and the form at beta is eta_0 plus the sum of
+    eta_j beta_{minv+j-1}."""
+    eta = form.eta
+    zetas = [
+        sum((comb(j - 1, i) * eta[j] for j in range(1, len(eta))), Fraction(0))
+        for i in range(3)
+    ]
+    value = eta[0] + sum(
+        (eta[j] * beta[form.minv + j - 1] for j in range(1, len(eta))), Fraction(0)
+    )
+    return (*zetas, value)
 
 
 def reversal_cogenus(p: HTPolygon, left: Sequence[int], right: Sequence[int]) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 import longedge
 from longedge import cli, coeffs
+from longedge.cli import MAX_SERIES_ORDER
 from longedge.coeffs import template_data
 from longedge.graphs import MAX_COGENUS
 from longedge.reference import COEFF_ROWS
@@ -500,6 +501,10 @@ EXIT_CODES = [
     (["severi", "--polygon", "{long_run}", "--delta", "1"], None, 2),
     (["severi", "--polygon", "{tall_vertices}", "--delta", "1"], None, 2),
     *[(argv, None, 2) for argv in OUT_OF_REACH],
+    # series orders past the bound; the bound itself runs
+    (["series", "g", "--order", str(MAX_SERIES_ORDER + 1)], None, 2),
+    (["series", "partition", "--order", "100000000"], None, 2),
+    (["series", "partition", "--order", str(MAX_SERIES_ORDER)], None, 0),
 ]
 
 # file placeholder -> (polygon JSON written to it, text stderr must show)
@@ -563,6 +568,17 @@ def test_out_of_reach_cogenus_builds_no_template(argv, tmp_path, monkeypatch, ca
     code, _, err = run([arg.format(polygon=polygon) for arg in argv], capsys)
     assert code == 2
     assert f"at most {MAX_COGENUS} is supported" in err
+
+
+@pytest.mark.parametrize("name", sorted(cli.SERIES_BUILDERS))
+def test_series_order_past_bound_builds_nothing(name, monkeypatch, capsys):
+    def refuse(order):
+        raise AssertionError("a series was built before its order was checked")
+
+    monkeypatch.setitem(cli.SERIES_BUILDERS, name, refuse)
+    code, _, err = run(["series", name, "--order", str(MAX_SERIES_ORDER + 1)], capsys)
+    assert code == 2
+    assert f"at most {MAX_SERIES_ORDER} is supported" in err
 
 
 def test_module_invocation(tmp_path):

@@ -26,6 +26,7 @@ from oracles import (
     allowability_by_walk,
     brute_force_orderings,
     enumerate_graphs,
+    form_by_fractions,
     is_semiallowable,
     p_by_compositions,
     p_by_walk,
@@ -328,19 +329,68 @@ def test_fit_linear_phi_shifted_graph():
     assert shifted.evaluate((9, 9, 5, 9)) == base.evaluate((5,))
 
 
-def test_fit_linear_phi_derives_each_sub_multiset_once(monkeypatch):
-    # the log plan holds each sub-multiset's span, crossing weights and
-    # p_counts shape, so a fit's many evaluations rebuild none of them
-    import longedge.orderings as orderings
-
+def test_log_plans_build_each_record_once(monkeypatch):
+    # over a cold delta <= 5 build, each sub-multiset's record is built once
+    # for every plan that holds it, and each split table once per vector of
+    # multiplicities; no fit or probe builds a record outside its plan
     calls = []
     sub = orderings._sub
     monkeypatch.setattr(orderings, "_sub", lambda edges: calls.append(edges) or sub(edges))
-    orderings._log_plan.cache_clear()
-    templates = enumerate_templates(3)
-    for t in templates:
-        orderings.fit_linear_phi(t)
-    assert len(calls) == sum(len(orderings._log_plan(t.edges).subs) for t in templates)
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
+    for memo in (orderings._log_plan, orderings._plan_sub, orderings._splits):
+        memo.cache_clear()
+    for delta in range(1, 6):
+        coeffs.template_data.__wrapped__(delta)
+    plans = [
+        orderings._log_plan(t.edges) for d in range(1, 6) for t in enumerate_templates(d)
+    ]
+    held = {(t.lo, t.shape) for plan in plans for t in plan.subs}
+    assert len(calls) == len(set(calls)) == len(held) == 1004
+    assert sum(len(plan.subs) for plan in plans) == 6083
+    assert orderings._splits.cache_info().misses == 31
+
+
+@pytest.mark.parametrize("probe", [-2, -1])
+def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
+    # phi at one probe off by 1/scale: the fit's own check must catch it
+    scaled = orderings._scaled_phis
+
+    def off_by_one(g, betas):
+        scale, values = scaled(g, betas)
+        values[probe] += 1
+        return scale, values
+
+    monkeypatch.setattr(orderings, "_scaled_phis", off_by_one)
+    for t in enumerate_templates(2):
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            fit_linear_phi(t)
+
+
+MIXED = LinearForm(
+    (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(7)), minv=1
+)
+
+
+def test_linear_form_sums_match_fraction_oracle(tmp_path, monkeypatch):
+    # the integer sums of zeta0..2 and evaluate against plain Fraction sums,
+    # on fitted forms, the same forms read back from the cache, and a form
+    # whose denominators differ
+    monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(coeffs, "_disk_cache", True)
+    fitted = [f for d in range(1, 6) for _, f in coeffs.template_data.__wrapped__(d)]
+    loaded = [f for d in range(1, 6) for _, f in coeffs._load_templates(d)]
+    assert len(fitted) == len(loaded) == 551
+    for form in [*fitted, *loaded, MIXED]:
+        for beta in [
+            tuple(range(3, 4 + form.minv + form.ell)),
+            tuple(2 + 5 * i % 7 for i in range(form.minv + form.ell)),
+        ]:
+            expected = form_by_fractions(form, beta)
+            got = (form.zeta0, form.zeta1, form.zeta2, form.evaluate(beta))
+            assert got == expected, (form, beta)
+    assert form_by_fractions(MIXED, (9, 1, 2, 3)) == (
+        Fraction(13, 2), Fraction(79, 6), Fraction(7), Fraction(121, 6)
+    )
 
 
 def test_check_linear_form_rejects_unreversed_reflection():
