@@ -13,19 +13,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Template, check_cogenus, conjugate, enumerate_templates
 from .orderings import LinearForm, _scaled_phis, check_linear_form, fit_linear_phi
 from .series import RatSeries, sigma
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     delta: int
     A: Fraction
     L: Fraction
@@ -36,16 +34,8 @@ class CoeffTable:
     b: tuple[Fraction, ...]  # b[i-1] is the weight of v'_i, 1 <= i <= delta
 
     def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "A": str(self.A),
-            "L": str(self.L),
-            "H": str(self.H),
-            "D": str(self.D),
-            "C": str(self.C),
-            "Ctilde": str(self.Ctilde),
-            "b": [str(v) for v in self.b],
-        }
+        row = {name: str(value) for name, value in self._asdict().items()}
+        return {**row, "delta": self.delta, "b": [str(v) for v in self.b]}
 
 
 CACHE_VERSION = 2

@@ -8,23 +8,32 @@ orderings against a width sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class _EdgeFields(NamedTuple):
     lo: int
     hi: int
     weight: int = 1
 
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
-            raise ValueError(f"edge needs 0 <= lo < hi, got ({self.lo}, {self.hi})")
-        if self.weight < 1:
-            raise ValueError(f"edge weight must be positive, got {self.weight}")
-        if self.hi - self.lo == 1 and self.weight == 1:
+
+class Edge(_EdgeFields):
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int, weight: int = 1):
+        if not 0 <= lo < hi:
+            raise ValueError(f"edge needs 0 <= lo < hi, got ({lo}, {hi})")
+        if weight < 1:
+            raise ValueError(f"edge weight must be positive, got {weight}")
+        if hi - lo == 1 and weight == 1:
             raise ValueError("length-1 weight-1 edges are not allowed")
+        return tuple.__new__(cls, (lo, hi, weight))
+
+    @classmethod
+    def _make(cls, iterable) -> "Edge":
+        # _replace builds through _make: both go through the checks above
+        return cls(*iterable)
 
     @property
     def span(self) -> int:
@@ -42,15 +51,49 @@ def _coerce_edge(e) -> Edge:
     return Edge(*e)
 
 
-@dataclass(frozen=True, eq=False)
 class LongEdgeGraph:
-    """An immutable multiset of edges, kept sorted by (lo, hi, weight)."""
+    """An immutable multiset of edges, kept sorted by (lo, hi, weight).  The
+    other fields are set in one pass; the empty graph has no ends."""
 
-    edges: tuple[Edge, ...] = ()
+    __slots__ = (
+        "edges", "multiplicity", "cogenus", "minv", "maxv", "epsilon0", "epsilon1"
+    )
 
-    def __post_init__(self):
-        canon = tuple(sorted(_coerce_edge(e) for e in self.edges))
-        object.__setattr__(self, "edges", canon)
+    def __init__(self, edges=()):
+        edges = tuple(sorted(map(_coerce_edge, edges)))
+        minv = edges[0].lo if edges else 0  # edges are sorted by lower end first
+        mu, cogenus, maxv, heavy0, heavy1 = 1, 0, 0, False, False
+        for lo, hi, w in edges:
+            mu *= w * w
+            cogenus += (hi - lo) * w - 1
+            heavy0 |= lo == minv and w > 1
+            if hi > maxv:
+                maxv, heavy1 = hi, False
+            heavy1 |= hi == maxv and w > 1
+        init = object.__setattr__
+        init(self, "edges", edges)
+        init(self, "multiplicity", mu)
+        init(self, "cogenus", cogenus)
+        if edges:
+            init(self, "minv", minv)
+            init(self, "maxv", maxv)
+            # 1 iff every edge at the leftmost (rightmost) vertex has weight 1
+            init(self, "epsilon0", int(not heavy0))
+            init(self, "epsilon1", int(not heavy1))
+
+    def __getattr__(self, name):
+        # reached for a slot left unset: an end field of the empty graph
+        if name in ("minv", "maxv", "epsilon0", "epsilon1"):
+            raise ValueError(f"{name} is undefined on the empty graph")
+        raise AttributeError(f"{type(self).__name__!r} has no attribute {name!r}")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.edges,)
 
     # equality ignores the subclass so enumerated templates compare equal
     # to plain graphs with the same edge multiset
@@ -73,29 +116,6 @@ class LongEdgeGraph:
     def is_empty(self) -> bool:
         return not self.edges
 
-    @cached_property
-    def multiplicity(self) -> int:
-        m = 1
-        for e in self.edges:
-            m *= e.weight * e.weight
-        return m
-
-    @cached_property
-    def cogenus(self) -> int:
-        return sum(e.cogenus for e in self.edges)
-
-    @property
-    def minv(self) -> int:
-        if self.is_empty:
-            raise ValueError("minv is undefined on the empty graph")
-        return self.edges[0].lo  # edges are sorted by their lower end first
-
-    @cached_property
-    def maxv(self) -> int:
-        if self.is_empty:
-            raise ValueError("maxv is undefined on the empty graph")
-        return max(e.hi for e in self.edges)
-
     @property
     def length(self) -> int:
         return self.maxv - self.minv
@@ -109,18 +129,6 @@ class LongEdgeGraph:
         return self.lambda_(j) - sum(
             1 for e in self.edges if e.lo == j - 1 and e.hi == j
         )
-
-    @cached_property
-    def epsilon0(self) -> int:
-        """1 iff every edge touching the leftmost occupied vertex has weight 1."""
-        v = self.minv
-        return int(all(e.weight == 1 for e in self.edges if e.lo == v))
-
-    @cached_property
-    def epsilon1(self) -> int:
-        """1 iff every edge touching the rightmost occupied vertex has weight 1."""
-        v = self.maxv
-        return int(all(e.weight == 1 for e in self.edges if e.hi == v))
 
     def shift(self, k: int) -> "LongEdgeGraph":
         if self.is_empty or k == 0:
@@ -148,8 +156,10 @@ class LongEdgeGraph:
 class Template(LongEdgeGraph):
     """A graph anchored at vertex 0 whose edges cover every interior vertex."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, edges=()):
+        super().__init__(edges)
         if not self.is_template():
             raise ValueError(f"not a template: {tuple(self.edges)}")
 

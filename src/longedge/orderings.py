@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
@@ -333,8 +332,7 @@ def _scaled_phis(
     return plan.scale, out
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """Affine form c_0 + sum_j c_j * beta_{minv+j-1} with exact coefficients.
 
     eta[0] is the constant term; eta[j] for 1 <= j <= ell multiplies the

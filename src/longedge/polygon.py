@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 from typing import Iterator, NamedTuple, Sequence
@@ -61,22 +60,26 @@ def _pair(item: object, what: str) -> tuple[object, object]:
     return first, second
 
 
-@dataclass(frozen=True)
-class HTPolygon:
+class _HTPolygonFields(NamedTuple):
+    dt: int
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+
+
+class HTPolygon(_HTPolygonFields):
     """Convex lattice polygon whose non-horizontal edges have unit height step.
 
     dt is the top width; left[i] and right[i] are the horizontal moves of the
     two boundary chains between heights i and i+1 below the top.
     """
 
-    dt: int
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", _int(self.dt, "top width"))
-        object.__setattr__(self, "left", _int_seq(self.left, "left direction"))
-        object.__setattr__(self, "right", _int_seq(self.right, "right direction"))
+    def __new__(cls, dt: int, left: Sequence[int], right: Sequence[int]):
+        dt = _int(dt, "top width")
+        left = _int_seq(left, "left direction")
+        right = _int_seq(right, "right direction")
+        self = tuple.__new__(cls, (dt, left, right))
         if self.dt < 0:
             raise ValueError("top width must be nonnegative")
         if len(self.left) != len(self.right):
@@ -90,6 +93,12 @@ class HTPolygon:
         beta = self.beta()  # raises on a negative width
         if not any(beta):
             raise ValueError("zero-area polygon")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "HTPolygon":
+        # _replace builds through _make: both go through the checks above
+        return cls(*iterable)
 
     @property
     def height(self) -> int:
@@ -277,8 +286,7 @@ def internal_vertices(p: HTPolygon) -> tuple[InternalVertex, ...]:
     )
 
 
-@dataclass(frozen=True)
-class PolygonStats:
+class PolygonStats(NamedTuple):
     area: int  # normalized: twice the Euclidean area
     ll: int  # lattice length of the boundary
     height: int
@@ -354,8 +362,7 @@ def polygon_stats(p: HTPolygon) -> PolygonStats:
     )
 
 
-@dataclass(frozen=True)
-class ToricInvariants:
+class ToricInvariants(NamedTuple):
     Lsq: int
     LK: int
     Ksq: Fraction

@@ -10,11 +10,10 @@ count Q, related to the plain count N by an exponential transform.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coeffs import b_coeffs, cor, diffq, template_coefficients
 from .graphs import Template, check_cogenus, enumerate_templates
@@ -30,8 +29,7 @@ from .polygon import (
 from .series import RatSeries, log_exp_coeffs
 
 
-@dataclass(frozen=True)
-class UniversalPolynomial:
+class UniversalPolynomial(NamedTuple):
     """Linear form giving the logarithmic count Q at one node count."""
 
     delta: int
@@ -207,8 +205,7 @@ def q_from_n(n_values: Sequence[Rational]) -> list[Fraction]:
 METHODS = ("bruteforce", "closed", "geometric")
 
 
-@dataclass(frozen=True)
-class NodeCountReport:
+class NodeCountReport(NamedTuple):
     """Per-method counts for one polygon, with exact agreement checks.
 
     n[method] lists N^0..N^d and q[method] lists Q^1..Q^d as far as the
@@ -227,13 +224,11 @@ class NodeCountReport:
 
     def to_dict(self) -> dict:
         return {
-            "polygon": self.polygon,
-            "delta_max": self.delta_max,
+            **self._asdict(),
             "methods": list(self.methods),
             "n": {m: [str(v) for v in vals] for m, vals in self.n.items()},
             "q": {m: [str(v) for v in vals] for m, vals in self.q.items()},
             "skipped": {m: dict(info) for m, info in self.skipped.items()},
-            "agree": self.agree,
             "disagreements": [dict(d) for d in self.disagreements],
         }
 

@@ -322,6 +322,33 @@ def test_direct_route_does_not_load_hashlib(tmp_path):
     assert proc.stdout.split() == ["False"], proc.stderr
 
 
+# Runs the command line as `python -m longedge.cli` does, or with no
+# arguments only imports the package, then prints which of dataclasses and
+# inspect it loaded (interpreter start-up may load them on its own).
+RECORD_MACHINERY = """
+import runpy
+import sys
+before = set(sys.modules)
+if sys.argv[1:]:
+    try:
+        runpy.run_module("longedge.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+else:
+    import longedge
+print(sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv", [["series", "b1", "--order", "3"], []])
+def test_start_up_loads_no_dataclasses(argv, tmp_path):
+    # the records are NamedTuples and slotted classes: importing dataclasses,
+    # and the inspect module it pulls in, would slow every process's start-up
+    proc = longedge_process(argv, tmp_path, RECORD_MACHINERY)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
+    assert proc.stdout.startswith("1, -1, -5, 39") == bool(argv)
+
+
 class TestSeveri:
     def _polygon_file(self, tmp_path, payload):
         path = tmp_path / "p.json"

@@ -44,7 +44,7 @@ def test_minv_maxv_length():
     assert (G2.minv, G2.maxv, G2.length) == (3, 5, 2)
     assert LongEdgeGraph([(0, 1, 2)]).length == 1
     assert LongEdgeGraph([(0, 3, 1)]).length == 3
-    for prop in ("minv", "maxv", "length"):
+    for prop in ("minv", "maxv", "length", "epsilon0", "epsilon1"):
         with pytest.raises(ValueError, match="empty"):
             getattr(LongEdgeGraph(), prop)
 
