@@ -29,7 +29,6 @@ from .coeffs import (
     cor_doubleprime,
     diffq,
     q_beta_delta,
-    q_delta_linearized,
     template_coefficients,
     template_data,
 )

@@ -40,7 +40,7 @@ def _template_rows(delta: int) -> list[dict]:
                 "zeta0": str(form.zeta0),
                 "zeta1": str(form.zeta1),
                 "zeta2": str(form.zeta2),
-                "eta0": str(form.eta[0]),
+                "eta0": str(form.eta0),
             }
         )
     return rows

@@ -1,11 +1,13 @@
 """Universal coefficients extracted from template sums.
 
 Everything in this module is an exact rational derived from the templates of
-a fixed cogenus: the log-side width-sequence sums, their linearization, the
-five linear-form coefficients, the end-of-range correction DiffQ, and the
-singular corrections COR and COR''.  The fitted templates behind them are
-also kept on disk, one hash-stamped JSON file per cogenus, so a process fits
-only what no earlier process has.
+a fixed cogenus: the log-side width-sequence sum, the five linear-form
+coefficients, the end-of-range correction DiffQ, and the singular
+corrections COR and COR''.  Each reads a template's fitted form only through
+its four moments eta0, zeta0, zeta1 and zeta2.  The fitted templates are
+also kept on disk, one hash-stamped JSON file per cogenus holding each
+template's edges and moments, so a process fits only what no earlier
+process has.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class CoeffTable(NamedTuple):
         return {**row, "delta": self.delta, "b": [str(v) for v in self.b]}
 
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _disk_cache = True
 
 TemplateData = tuple[tuple[Template, LinearForm], ...]
@@ -96,10 +98,11 @@ def _load_templates(delta: int) -> TemplateData | None:
         if [row["edges"] for row in rows] != [_edge_rows(t) for t in templates]:
             return None
         for t, row in zip(templates, rows):
-            eta = tuple(Fraction(c) for c in row["eta"])
-            if len(eta) != t.length + 1:
+            moments = row["moments"]
+            # four strings: a JSON number would put a float into the sums
+            if not isinstance(moments, list) or list(map(type, moments)) != [str] * 4:
                 return None
-            data.append((t, LinearForm(eta, minv=t.minv)))
+            data.append((t, LinearForm(*map(Fraction, moments))))
     except (KeyError, TypeError, ValueError):
         return None
     return tuple(data)
@@ -108,10 +111,7 @@ def _load_templates(delta: int) -> TemplateData | None:
 def _store_templates(delta: int, data: TemplateData) -> None:
     """Write one cogenus atomically; an unusable directory skips the write."""
     rows = [
-        {
-            "edges": _edge_rows(t),
-            "eta": [str(c) for c in form.eta],
-        }
+        {"edges": _edge_rows(t), "moments": [str(m) for m in form]}
         for t, form in data
     ]
     payload = {"version": CACHE_VERSION, "delta": delta, "templates": rows}
@@ -151,15 +151,14 @@ def template_data(delta: int) -> TemplateData:
 
 def _fit_templates(delta: int) -> TemplateData:
     """Fit the first template of each conjugate pair met in canonical order;
-    the other takes the reflected form, checked at the fit's probe widths."""
+    the other takes the reflected moments, checked at the fit's probe widths."""
     forms: dict[Template, LinearForm] = {}
     for t in enumerate_templates(delta):
         mirror = forms.get(conjugate(t))
         if mirror is None:
             forms[t] = fit_linear_phi(t)
         else:
-            eta = mirror.eta
-            forms[t] = LinearForm((eta[0], *reversed(eta[1:])))
+            forms[t] = mirror.reflected(t.length)
             check_linear_form(t, forms[t])
     return tuple(forms.items())
 
@@ -179,22 +178,6 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     return total
 
 
-def q_delta_linearized(beta: Sequence[int], delta: int) -> Fraction:
-    """Same template sum with every term replaced by its fitted linear form."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    beta = tuple(beta)
-    m = len(beta) - 1
-    total = Fraction(0)
-    for t, form in template_data(delta):
-        ell = t.length
-        acc = Fraction(0)
-        for k in t.shifts(m):
-            acc += form.evaluate(beta[k : k + ell])
-        total += t.multiplicity * acc
-    return total
-
-
 @lru_cache(maxsize=None)
 def _template_sums(delta: int) -> tuple[Fraction, ...]:
     """(A, L, H, D, C) for one cogenus, before the b column exists."""
@@ -205,7 +188,7 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
     for t, form in template_data(delta):
         mu = t.multiplicity
         ends = t.length - t.epsilon0 - t.epsilon1
-        eta0, zeta0 = mu * form.eta[0], mu * form.zeta0
+        eta0, zeta0 = mu * form.eta0, mu * form.zeta0
         spread = zeta0 * ends
         a += zeta0
         l -= spread
@@ -263,13 +246,23 @@ def b_coeffs(delta: int, i: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def diffq(p: int, delta: int) -> Fraction:
-    """Deviation of the true sum from its linearization at widths p*(0,1,...,delta)."""
+    """Deviation of the true sum from its linearization at widths p*(0,1,...,delta).
+
+    At the widths p*(k, ..., k+ell-1) under a shift k, a template's form is
+    eta0 + p*(k*zeta0 + zeta1), so the linearization is summed over the
+    shifts in closed form.
+    """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
         return Fraction(0)
-    beta = tuple(p * j for j in range(delta + 1))
-    return q_beta_delta(beta, delta) - q_delta_linearized(beta, delta)
+    linear = Fraction(0)
+    for t, form in template_data(delta):
+        shifts = t.shifts(delta)
+        linear += t.multiplicity * (
+            len(shifts) * (form.eta0 + p * form.zeta1) + p * sum(shifts) * form.zeta0
+        )
+    return q_beta_delta(tuple(p * j for j in range(delta + 1)), delta) - linear
 
 
 def cor(p: int, delta: int) -> Fraction:

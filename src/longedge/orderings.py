@@ -9,7 +9,8 @@ multiset S, the sum running over its sub-multisets T.  Both are counted by
 recurrences: P by a transfer over the gaps, phi by an integer recurrence
 over the sub-multisets in mixed-radix order.  On the semiallowable region
 phi_beta is linear in beta, and fit_linear_phi recovers that linear form
-exactly.
+exactly, as the four moments (eta0, zeta0, zeta1, zeta2) of a LinearForm:
+all that the coefficient sums read of it, whatever the template's length.
 
 P is counted in batches.  p_counts(shape, windows) takes one shape, its
 edges shifted to start at vertex 0, and the widths under it at many places:
@@ -17,7 +18,8 @@ the windows.  It lists the transfer's states and moves once for the shape
 and applies each window's own factors to them, and it memoizes every
 (shape, window) value.  Callers hand over whole batches: p_beta_shifts
 every admitted shift of a template, _scaled_phis every width sequence for
-each sub-multiset, fit_linear_phi its base point, bumps and probes at once.
+each sub-multiset, fit_linear_phi its four fit widths and two probes at
+once.
 _scaled_phis keeps phi in integers, scaled by lcm(1..|S|), and the fit and
 its probe check use those integers; phi_beta and phi_betas divide once.
 
@@ -177,7 +179,7 @@ def _shared(value):
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
-    t = _sub(g.edges)
+    t = _plan_sub(g.edges)
     return _counts(t, [_window(t, tuple(beta))])[0]
 
 
@@ -187,7 +189,7 @@ def p_beta_shifts(
     """p_beta(g.shift(k), beta) for each k in shifts, without building the
     shifted graphs, in one batch: g's record moves, and the widths stay whole."""
     beta = tuple(beta)
-    t = _graph_sub(g)
+    t = _plan_sub(g.edges)
     return _counts(t, [_window(t, beta, k) for k in shifts])
 
 
@@ -218,13 +220,6 @@ def _sub(edges: tuple[Edge, ...]) -> _Sub:
     return _Sub(len(edges), lo, hi, tuple(lams), tuple(shape))
 
 
-@lru_cache(maxsize=None)
-def _graph_sub(g: LongEdgeGraph) -> _Sub:
-    """_sub of a whole graph, kept: the direct route asks for each template's
-    record at every width sequence of every reordering."""
-    return _sub(g.edges)
-
-
 class _LogPlan(NamedTuple):
     """The sub-multisets T of an edge multiset S as vectors of copies per
     edge class, in itertools.product order: empty first, S last.  That order
@@ -251,8 +246,9 @@ def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
 
 @lru_cache(maxsize=None)
 def _plan_sub(edges: tuple[Edge, ...]) -> _Sub:
-    """_sub of a sub-multiset, kept: the plans of many templates hold the
-    same sub-multisets, and each record is built once for all of them."""
+    """_sub of an edge multiset, kept: the plans of many templates hold the
+    same sub-multisets, and the direct route asks for each template's record
+    at every width sequence, so each record is built once for all of them."""
     return _sub(edges)
 
 
@@ -333,102 +329,89 @@ def _scaled_phis(
 
 
 class LinearForm(NamedTuple):
-    """Affine form c_0 + sum_j c_j * beta_{minv+j-1} with exact coefficients.
+    """The four moments of the affine form eta_0 + sum_j eta_j beta_{j-1}
+    that phi takes on a template's semiallowable widths.
 
-    eta[0] is the constant term; eta[j] for 1 <= j <= ell multiplies the
-    width at position minv+j-1.
+    zeta_i is the sum over j >= 1 of C(j-1, i) eta_j.  The coefficient
+    sums read no more of the form than these four numbers, and at the widths
+    p*(k, k+1, ...) the form is eta0 + p*(k*zeta0 + zeta1).
     """
 
-    eta: tuple[Fraction, ...]
-    minv: int = 0
+    eta0: Fraction
+    zeta0: Fraction
+    zeta1: Fraction
+    zeta2: Fraction
 
-    @property
-    def ell(self) -> int:
-        return len(self.eta) - 1
-
-    def _zeta(self, i: int) -> Fraction:
-        return _dot([comb(j - 1, i) for j in range(1, len(self.eta))], self.eta[1:])
-
-    @property
-    def zeta0(self) -> Fraction:
-        return self._zeta(0)
-
-    @property
-    def zeta1(self) -> Fraction:
-        return self._zeta(1)
-
-    @property
-    def zeta2(self) -> Fraction:
-        return self._zeta(2)
-
-    def evaluate(self, beta: Sequence[int]) -> Fraction:
-        widths = [beta[self.minv + j - 1] for j in range(1, len(self.eta))]
-        return _dot([1, *widths], self.eta)
-
-
-def _dot(weights: Sequence[int], values: Sequence[Fraction]) -> Fraction:
-    """sum of w * v over integer weights and rational values, summed in
-    integers over the values' common denominator: one Fraction in all."""
-    den = lcm(*(v.denominator for v in values))
-    return Fraction(
-        sum(w * v.numerator * (den // v.denominator) for w, v in zip(weights, values)),
-        den,
-    )
+    def reflected(self, ell: int) -> LinearForm:
+        """The moments of the conjugate template's form, whose eta_1..eta_ell
+        are this form's reversed: C(ell-1-x, i) expanded in C(x, 0..2)."""
+        eta0, z0, z1, z2 = self
+        return LinearForm(
+            eta0, z0, (ell - 1) * z0 - z1, comb(ell - 1, 2) * z0 - (ell - 2) * z1 + z2
+        )
 
 
 def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
-    """Recover the linear form that phi_beta takes on the semiallowable region.
+    """Recover the moments of the linear form that phi_beta takes on a
+    template's semiallowable region.
 
-    phi_beta only reads the widths at positions minv..maxv-1, and any widths
-    >= cogenus+2 are semiallowable with room for unit bumps, so the form is
-    pinned down by one base point and one bump per position.  The base, the
-    bumps and check_linear_form's two probes are evaluated in one batch.
+    Widths >= cogenus+2 are semiallowable, and the region is closed upwards,
+    so phi is the form at a flat base b, at b+1, and at b+j and b+C(j,2) in
+    position j = 0..ell-1; the last three differ from the base by zeta0,
+    zeta1 and zeta2.  Those four widths and check_linear_form's two probes
+    are evaluated in one batch.
     """
     if g.is_empty:
         raise ValueError("fit_linear_phi is undefined on the empty graph")
-    lo, hi = g.minv, g.maxv
-    base_val = g.cogenus + 2
-    base = (base_val,) * hi  # height M = maxv-1, the smallest valid ambient range
-    bumps = [base[:pos] + (base_val + 1,) + base[pos + 1 :] for pos in range(lo, hi)]
+    if g.minv != 0:
+        raise ValueError(f"fit_linear_phi needs a template, lowest vertex 0: {g}")
+    b, ell = g.cogenus + 2, g.maxv
+    fits = [
+        (b,) * ell,
+        (b + 1,) * ell,
+        tuple(b + j for j in range(ell)),
+        tuple(b + comb(j, 2) for j in range(ell)),
+    ]
     probes = _probes(g)
-    # phi and the form scaled by the plan's scale, so the fit and its
+    # phi and the moments scaled by the plan's scale, so the fit and its
     # probe check stay in integers
-    scale, (f0, *values) = _scaled_phis(g, [base, *bumps, *probes])
-    coeffs = [v - f0 for v in values[: len(bumps)]]
-    eta0 = f0 - base_val * sum(coeffs)
-    _check_probes(
-        g,
-        probes,
-        values[len(bumps) :],
-        [eta0 + sum(map(operator.mul, coeffs, probe[lo:])) for probe in probes],
-    )
-    return LinearForm(tuple(Fraction(c, scale) for c in (eta0, *coeffs)), minv=lo)
+    scale, (f0, *values) = _scaled_phis(g, [*fits, *(p for p, _ in probes)])
+    zetas = [v - f0 for v in values[:3]]
+    moments = (f0 - b * zetas[0], *zetas)
+    _check_probes(g, probes, values[3:], moments)
+    return LinearForm(*(Fraction(m, scale) for m in moments))
 
 
-def _probes(g: LongEdgeGraph) -> list[tuple[int, ...]]:
-    """Two widths inside the semiallowable region, one flat and one uneven."""
-    d, hi = g.cogenus, g.maxv
-    return [(d + 5,) * hi, tuple(d + 2 + (i % 3) for i in range(hi))]
+def _probes(g: LongEdgeGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Two widths inside the semiallowable region, one flat and one that
+    moves along all three moments, each with the weights that give the form
+    there from (eta0, zeta0, zeta1, zeta2)."""
+    b, ell = g.cogenus + 2, g.maxv
+    return [
+        ((b + 3,) * ell, (1, b + 3, 0, 0)),
+        (tuple(b + 2 + 3 * j + comb(j, 2) for j in range(ell)), (1, b + 2, 3, 1)),
+    ]
 
 
 def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
     """Raise ArithmeticError unless form equals phi_beta(g, .) at two probe
-    widths, one flat and one uneven, both inside the semiallowable region."""
+    widths inside the semiallowable region: a flat one, and one that moves
+    along zeta0, zeta1 and zeta2 at once."""
     probes = _probes(g)
-    scale, values = _scaled_phis(g, probes)
-    _check_probes(g, probes, values, [scale * form.evaluate(p) for p in probes])
+    scale, values = _scaled_phis(g, [p for p, _ in probes])
+    _check_probes(g, probes, values, [scale * m for m in form])
 
 
 def _check_probes(
     g: LongEdgeGraph,
-    probes: list[tuple[int, ...]],
+    probes: list[tuple[tuple[int, ...], tuple[int, ...]]],
     values: list[int],
-    expected: list[Fraction],
+    moments: Sequence[int | Fraction],
 ) -> None:
     """check_linear_form's test: scale * phi_beta(g, .) at the probes
-    against the form at the probes, scaled the same."""
-    for probe, value, want in zip(probes, values, expected):
-        if value != want:
+    against the form at the probes, from its moments scaled the same."""
+    for (probe, weights), value in zip(probes, values):
+        if value != sum(map(operator.mul, weights, moments)):
             raise ArithmeticError(
                 f"linear form disagrees with direct evaluation of {g} at "
                 f"{list(probe)}; linearity is guaranteed there, so this is a bug"

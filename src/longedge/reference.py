@@ -3,7 +3,9 @@
 TABLE1 lists every template of cogenus 1 and 2 with its fitted linear form.
 Columns per row: edges, delta, ell, mu, eps0, eps1, lam (crossing weights at
 gaps 1..ell), olam (same minus the count of exact gap edges), eta (constant
-term plus one coefficient per width position), zeta0, zeta1, zeta2.
+term plus one coefficient per width position), zeta0, zeta1, zeta2.  The
+library keeps only eta0 and the zetas; the table1 suite rebuilds eta_1..eta_ell
+from them, which is exact because no template here is longer than 3.
 
 COEFF_ROWS freezes the universal coefficient table for cogenus 1 to 7, in the
 same string form the library serializes.  Rows 4 to 6 were generated by

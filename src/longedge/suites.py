@@ -91,13 +91,14 @@ def table1() -> list[Check]:
         if key not in computed:
             checks.append((f"template {list(key)}: present", False))
             continue
-        t, form = computed[key]
+        t, (eta0, z0, z1, z2) = computed[key]
         gaps = range(1, t.length + 1)
+        # eta_1..eta_ell from the moments, exact for ell <= 3, as here
+        eta = (eta0, z0 - z1 + z2, z1 - 2 * z2, z2)[: t.length + 1]
         row = dict(
             edges=ref["edges"], delta=t.cogenus, ell=t.length, mu=t.multiplicity,
             eps0=t.epsilon0, eps1=t.epsilon1, lam=tuple(map(t.lambda_, gaps)),
-            olam=tuple(map(t.olambda, gaps)), eta=form.eta,
-            zeta0=form.zeta0, zeta1=form.zeta1, zeta2=form.zeta2,
+            olam=tuple(map(t.olambda, gaps)), eta=eta, zeta0=z0, zeta1=z1, zeta2=z2,
         )
         checks.append((f"template {list(key)}", row == ref))
     return checks

@@ -1,18 +1,26 @@
 """Reference implementations that only the test suite calls: brute-force
-counts, rules read off the graph walk, and the v-local split of reorderings."""
+counts, rules read off the graph walk, the linear form fitted one
+coefficient per width position, and the v-local split of reorderings."""
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
-from longedge.graphs import Edge, LongEdgeGraph, Template, _edge_pool
-from longedge.orderings import LinearForm, p_counts
+from longedge.graphs import (
+    Edge,
+    LongEdgeGraph,
+    Template,
+    _edge_pool,
+    enumerate_templates,
+)
+from longedge.orderings import LinearForm, p_counts, phi_betas
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -259,20 +267,51 @@ def phi_by_partitions(g: LongEdgeGraph, beta, count) -> Fraction:
     return total
 
 
-def form_by_fractions(form: LinearForm, beta) -> tuple[Fraction, ...]:
-    """(zeta0, zeta1, zeta2, form at beta) of a linear form, each summed one
-    Fraction term at a time: zeta_i is the sum over j >= 1 of
-    C(j-1, i) eta_j, and the form at beta is eta_0 plus the sum of
-    eta_j beta_{minv+j-1}."""
-    eta = form.eta
-    zetas = [
-        sum((comb(j - 1, i) * eta[j] for j in range(1, len(eta))), Fraction(0))
-        for i in range(3)
-    ]
-    value = eta[0] + sum(
-        (eta[j] * beta[form.minv + j - 1] for j in range(1, len(eta))), Fraction(0)
-    )
-    return (*zetas, value)
+class EtaForm(NamedTuple):
+    """An affine form by its ell+1 coefficients:
+    eta[0] + sum over j >= 1 of eta[j] * beta[minv+j-1]."""
+
+    eta: tuple[Fraction, ...]
+    minv: int = 0
+
+    def evaluate(self, beta) -> Fraction:
+        widths = beta[self.minv : self.minv + len(self.eta) - 1]
+        return self.eta[0] + sum(map(operator.mul, self.eta[1:], widths), Fraction(0))
+
+    def moments(self) -> LinearForm:
+        """(eta0, zeta0, zeta1, zeta2), each summed one Fraction term at a
+        time: zeta_i is the sum over j >= 1 of C(j-1, i) eta_j."""
+        zetas = (
+            sum((comb(j, i) * c for j, c in enumerate(self.eta[1:])), Fraction(0))
+            for i in range(3)
+        )
+        return LinearForm(self.eta[0], *zetas)
+
+
+@lru_cache(maxsize=None)
+def fit_by_bumps(g: LongEdgeGraph) -> EtaForm:
+    """The form phi_beta takes on g's semiallowable region, one coefficient
+    per width position under g: phi at a flat base of cogenus + 2 and at
+    one unit bump per position, so ell + 1 widths for a graph of length ell."""
+    lo, hi = g.minv, g.maxv
+    b = g.cogenus + 2
+    base = (b,) * hi
+    bumps = [base[:pos] + (b + 1,) + base[pos + 1 :] for pos in range(lo, hi)]
+    f0, *values = phi_betas(g, [base, *bumps])
+    coeffs = [v - f0 for v in values]
+    return EtaForm((f0 - b * sum(coeffs), *coeffs), lo)
+
+
+def q_delta_linearized(beta, delta: int) -> Fraction:
+    """The template sum of q_beta_delta with every term replaced by the
+    bump fit's form, evaluated at each admitted shift."""
+    beta = tuple(beta)
+    total = Fraction(0)
+    for t in enumerate_templates(delta):
+        form = fit_by_bumps(t)
+        shifted = (form.evaluate(beta[k:]) for k in t.shifts(len(beta) - 1))
+        total += t.multiplicity * sum(shifted, Fraction(0))
+    return total
 
 
 def reversal_cogenus(p: HTPolygon, left: Sequence[int], right: Sequence[int]) -> int:

@@ -156,8 +156,8 @@ def cache_digest(payload):
 
 
 # The two templates of cogenus 1 with their fitted forms, as cached.
-WEIGHT2_ROW = {"edges": [[0, 1, 2]], "eta": ["-1", "1"]}
-ARC_ROW = {"edges": [[0, 2, 1]], "eta": ["0", "1", "1"]}
+WEIGHT2_ROW = {"edges": [[0, 1, 2]], "moments": ["-1", "1", "0", "0"]}
+ARC_ROW = {"edges": [[0, 2, 1]], "moments": ["0", "2", "1", "0"]}
 
 
 class TestCache:
@@ -179,7 +179,7 @@ class TestCache:
 
     def test_file_created_and_reused(self, isolated_cache, fits):
         template_data(1)
-        path = isolated_cache / "templates-v2-delta1.json"
+        path = isolated_cache / "templates-v3-delta1.json"
         assert path.exists()
         first = path.read_bytes()
         template_data.cache_clear()
@@ -195,7 +195,7 @@ class TestCache:
 
     def test_rebuild_is_deterministic(self, isolated_cache):
         template_data(2)
-        path = isolated_cache / "templates-v2-delta2.json"
+        path = isolated_cache / "templates-v3-delta2.json"
         first = path.read_bytes()
         path.unlink()
         template_data.cache_clear()
@@ -204,9 +204,9 @@ class TestCache:
 
     def test_tampered_payload_is_discarded(self, isolated_cache, fits):
         fresh = template_data(1)
-        path = isolated_cache / "templates-v2-delta1.json"
+        path = isolated_cache / "templates-v3-delta1.json"
         data = json.loads(path.read_text())
-        data["templates"][0]["eta"][0] = "999"
+        data["templates"][0]["moments"][0] = "999"
         path.write_text(json.dumps(data))
         template_data.cache_clear()
         assert template_data(1) == fresh
@@ -219,26 +219,34 @@ class TestCache:
     @pytest.mark.parametrize(
         "templates",
         [
-            [{"edges": [[0, 1, 1]], "eta": ["0", "0"]}],
-            [{"edges": [[1, 2, 2]], "eta": ["0", "0"]}],
-            [{"edges": [[0, 1, 3]], "eta": ["0", "0"]}],
-            [{"edges": "x", "eta": ["0"]}],
-            [{"eta": ["0"]}],
-            [{"edges": [[0, 1, 2]], "eta": ["x", "0"]}],
+            [{"edges": [[0, 1, 1]], "moments": ["0", "0", "0", "0"]}],
+            [{"edges": [[1, 2, 2]], "moments": ["0", "0", "0", "0"]}],
+            [{"edges": [[0, 1, 3]], "moments": ["0", "0", "0", "0"]}],
+            [{"edges": "x", "moments": ["0"]}],
+            [{"moments": ["0"]}],
+            [{"edges": [[0, 1, 2]], "moments": ["x", "0", "0", "0"]}],
             "x",
             # hash-valid lists of true rows that are not the cogenus's
             # templates in canonical order: one missing, swapped, duplicated
             [WEIGHT2_ROW],
             [ARC_ROW, WEIGHT2_ROW],
             [WEIGHT2_ROW, ARC_ROW, ARC_ROW],
+            # JSON numbers where the rational strings belong: 0.5 would
+            # enter the sums as a float, and Infinity would overflow them
+            [{**WEIGHT2_ROW, "moments": ["-1", 0.5, "0", "0"]}, ARC_ROW],
+            [{**WEIGHT2_ROW, "moments": ["-1", "1", "0", "0"]},
+             {**ARC_ROW, "moments": ["0", float("inf"), "1", "0"]}],
+            # three moments, or five
+            [{**WEIGHT2_ROW, "moments": ["-1", "1", "0"]}, ARC_ROW],
+            [WEIGHT2_ROW, {**ARC_ROW, "moments": ["0", "2", "1", "0", "0"]}],
         ],
     )
     def test_hash_valid_malformed_file_is_recomputed(
         self, isolated_cache, fits, templates
     ):
-        payload = {"version": 2, "delta": 1, "templates": templates}
+        payload = {"version": 3, "delta": 1, "templates": templates}
         isolated_cache.mkdir(parents=True)
-        path = isolated_cache / "templates-v2-delta1.json"
+        path = isolated_cache / "templates-v3-delta1.json"
         path.write_text(json.dumps({**payload, "hash": cache_digest(payload)}))
         assert len(template_data(1)) == 2
         assert len(fits) == 2
@@ -246,18 +254,19 @@ class TestCache:
 
     def test_other_versions_are_removed(self, isolated_cache):
         isolated_cache.mkdir(parents=True)
-        old = isolated_cache / "templates-v1-delta1.json"
-        old.write_text("{}")
-        other = isolated_cache / "templates-v1-delta2.json"
+        olds = [isolated_cache / f"templates-v{v}-delta1.json" for v in (1, 2)]
+        for old in olds:
+            old.write_text("{}")
+        other = isolated_cache / "templates-v2-delta2.json"
         other.write_text("{}")
         fresh = template_data(1)
-        assert not old.exists()
+        assert not any(old.exists() for old in olds)
         assert other.exists()  # another cogenus is left alone
         assert coeffs._load_templates(1) == fresh
 
     def test_garbage_file_is_ignored(self, isolated_cache, capsys):
         isolated_cache.mkdir(parents=True)
-        (isolated_cache / "templates-v2-delta1.json").write_text("not json")
+        (isolated_cache / "templates-v3-delta1.json").write_text("not json")
         code, out, _ = run(["templates", "--delta", "1"], capsys)
         assert code == 0
         assert len(json.loads(out)) == 2
@@ -265,7 +274,7 @@ class TestCache:
     def test_no_cache_flag_skips_disk(self, isolated_cache, capsys):
         code, _, _ = run(["templates", "--delta", "1", "--no-cache"], capsys)
         assert code == 0
-        assert not (isolated_cache / "templates-v2-delta1.json").exists()
+        assert not (isolated_cache / "templates-v3-delta1.json").exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_unusable_directory_falls_back(self, tmp_path, monkeypatch, below):
@@ -282,7 +291,7 @@ class TestCache:
     def test_warm_output_matches_cold(self, tmp_path):
         argv = ["coeffs", "--delta", "2", "--format", "json"]
         cold = longedge_process(argv, tmp_path)
-        assert (tmp_path / "templates-v2-delta2.json").exists()
+        assert (tmp_path / "templates-v3-delta2.json").exists()
         warm = longedge_process(argv, tmp_path)
         assert cold.returncode == warm.returncode == 0
         assert warm.stdout == cold.stdout

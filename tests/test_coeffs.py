@@ -13,7 +13,6 @@ from longedge.coeffs import (
     cor_doubleprime,
     diffq,
     q_beta_delta,
-    q_delta_linearized,
     template_coefficients,
     template_data,
 )
@@ -21,7 +20,7 @@ from longedge.orderings import fit_linear_phi
 from longedge.polygon import BetaStats, beta_stats
 from longedge.series import RatSeries
 
-from oracles import enumerate_graphs, p_by_walk, phi_by_partitions
+from oracles import enumerate_graphs, p_by_walk, phi_by_partitions, q_delta_linearized
 
 
 def test_beta_stats():
@@ -106,11 +105,22 @@ def test_diffq_fixed_values():
         diffq(-1, 1)
 
 
+def test_diffq_matches_linearized_oracle():
+    # the closed sum of eta0 + p*(k*zeta0 + zeta1) over the shifts against
+    # the bump fit's forms evaluated shift by shift; diffq(0, delta) is 0 by
+    # definition, though the two sums differ there
+    for delta in range(1, 6):
+        for p in range(5):
+            beta = tuple(p * j for j in range(delta + 1))
+            linear = q_beta_delta(beta, delta) - q_delta_linearized(beta, delta)
+            assert diffq(p, delta) == (linear if p else 0), (p, delta)
+
+
 def test_diffq_end_template_closed_form():
     # for p >= delta only templates touching the top contribute, linearly in p
     for delta in (1, 2, 3):
         ends = [
-            (t.multiplicity, form.zeta1, form.eta[0])
+            (t.multiplicity, form.zeta1, form.eta0)
             for t, form in template_data(delta)
             if t.epsilon0 == 1
         ]

@@ -23,10 +23,11 @@ from longedge.suites import triangle
 
 from oracles import (
     Allowability,
+    EtaForm,
     allowability_by_walk,
     brute_force_orderings,
     enumerate_graphs,
-    form_by_fractions,
+    fit_by_bumps,
     is_semiallowable,
     p_by_compositions,
     p_by_walk,
@@ -210,7 +211,7 @@ def test_transfer_walk_counts(monkeypatch):
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     coeffs.template_data.__wrapped__(5)  # a cold template_data(5)
     # the empty multiset of every fit is one shape, walked once
-    assert (len(windows), sum(windows)) == (986, 3959)
+    assert (len(windows), sum(windows)) == (1008, 3881)
     windows.clear()
     monkeypatch.setattr(orderings, "_P_MEMO", {})
     for delta in range(6):
@@ -307,23 +308,30 @@ def test_phi_empty_graph_is_zero():
 
 
 def test_linear_form_zeta():
-    form = LinearForm((Fraction(0), Fraction(1), Fraction(1), Fraction(1)))
-    assert (form.zeta0, form.zeta1, form.zeta2) == (3, 3, 1)
+    # the oracle's moments and evaluation, on a form worked by hand
+    form = EtaForm((Fraction(0), Fraction(1), Fraction(1), Fraction(1)))
+    assert form.moments() == LinearForm(0, 3, 3, 1)
     assert form.evaluate((2, 3, 4)) == 9
+    mixed = EtaForm((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(7)), 1)
+    assert mixed.moments() == (Fraction(1, 2), Fraction(13, 2), Fraction(79, 6), 7)
+    assert mixed.evaluate((9, 1, 2, 3)) == Fraction(121, 6)
 
 
 def test_fit_linear_phi_table1():
     for row in TABLE1:
-        form = fit_linear_phi(LongEdgeGraph(row["edges"]))
-        assert form.eta == row["eta"], row["edges"]
-        assert form.zeta0 == row["zeta0"]
-        assert form.zeta1 == row["zeta1"]
-        assert form.zeta2 == row["zeta2"]
+        g = LongEdgeGraph(row["edges"])
+        moments = (row["eta"][0], row["zeta0"], row["zeta1"], row["zeta2"])
+        assert fit_linear_phi(g) == moments, row["edges"]
+        assert fit_by_bumps(g).eta == row["eta"], row["edges"]
 
 
 def test_fit_linear_phi_shifted_graph():
-    base = fit_linear_phi(LongEdgeGraph([(0, 1, 2)]))
-    shifted = fit_linear_phi(LongEdgeGraph([(2, 3, 2)]))
+    # the library fits templates only; the oracle reads a shifted graph's
+    # widths from its lowest vertex on
+    with pytest.raises(ValueError, match="lowest vertex 0"):
+        fit_linear_phi(LongEdgeGraph([(2, 3, 2)]))
+    base = fit_by_bumps(LongEdgeGraph([(0, 1, 2)]))
+    shifted = fit_by_bumps(LongEdgeGraph([(2, 3, 2)]))
     assert shifted.eta == base.eta
     assert shifted.minv == 2
     assert shifted.evaluate((9, 9, 5, 9)) == base.evaluate((5,))
@@ -366,41 +374,36 @@ def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
             fit_linear_phi(t)
 
 
-MIXED = LinearForm(
-    (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(7)), minv=1
-)
-
-
 def test_linear_form_sums_match_fraction_oracle(tmp_path, monkeypatch):
-    # the integer sums of zeta0..2 and evaluate against plain Fraction sums,
-    # on fitted forms, the same forms read back from the cache, and a form
-    # whose denominators differ
+    # the four-point moments of a cold build, reflected conjugates included,
+    # and the same moments read back from the cache, against the moments of
+    # the bump fit summed one Fraction at a time, on every template
     monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(coeffs, "_disk_cache", True)
-    fitted = [f for d in range(1, 6) for _, f in coeffs.template_data.__wrapped__(d)]
-    loaded = [f for d in range(1, 6) for _, f in coeffs._load_templates(d)]
-    assert len(fitted) == len(loaded) == 551
-    for form in [*fitted, *loaded, MIXED]:
-        for beta in [
-            tuple(range(3, 4 + form.minv + form.ell)),
-            tuple(2 + 5 * i % 7 for i in range(form.minv + form.ell)),
-        ]:
-            expected = form_by_fractions(form, beta)
-            got = (form.zeta0, form.zeta1, form.zeta2, form.evaluate(beta))
-            assert got == expected, (form, beta)
-    assert form_by_fractions(MIXED, (9, 1, 2, 3)) == (
-        Fraction(13, 2), Fraction(79, 6), Fraction(7), Fraction(121, 6)
-    )
+    fitted = [row for d in range(1, 6) for row in coeffs.template_data.__wrapped__(d)]
+    loaded = [row for d in range(1, 6) for row in coeffs._load_templates(d)]
+    assert len(fitted) == 551 and loaded == fitted
+    for t, form in fitted:
+        assert form == fit_by_bumps(t).moments(), t
+
+
+def test_phi_at_the_uneven_probe_matches_bump_fit():
+    # the widths d+2+(i mod 3) that the fit no longer probes
+    for d in range(1, 5):
+        for t in enumerate_templates(d):
+            beta = tuple(d + 2 + i % 3 for i in range(t.length))
+            assert phi_beta(t, beta) == fit_by_bumps(t).evaluate(beta), t
 
 
 def test_check_linear_form_rejects_unreversed_reflection():
-    # a conjugate's form is the reversed one; forgetting to reverse is caught
+    # a conjugate's moments are the reflected ones; forgetting to reflect
+    # them is caught
     lopsided = 0
     for t in enumerate_templates(3):
         f = fit_linear_phi(t)
         c = conjugate(t)
-        check_linear_form(c, LinearForm((f.eta[0], *reversed(f.eta[1:]))))
-        if tuple(f.eta[1:]) != tuple(reversed(f.eta[1:])):
+        check_linear_form(c, f.reflected(t.length))
+        if f.reflected(t.length) != f:
             lopsided += 1
             with pytest.raises(ArithmeticError, match="disagrees"):
                 check_linear_form(c, f)
@@ -417,7 +420,7 @@ def test_fit_linear_phi_rejects_empty():
 def test_phi_agrees_with_fit_on_semiallowable_points(data):
     pool = enumerate_graphs(1, 2) + enumerate_graphs(2, 3)
     g = data.draw(st.sampled_from(pool))
-    form = fit_linear_phi(g)
+    form = fit_by_bumps(g)
     d = g.cogenus
     beta = data.draw(
         st.lists(
@@ -426,6 +429,8 @@ def test_phi_agrees_with_fit_on_semiallowable_points(data):
     )
     assert is_semiallowable(g, beta)
     assert phi_beta(g, beta) == form.evaluate(beta)
+    if g.minv == 0:
+        assert fit_linear_phi(g) == form.moments()
 
 
 def test_conjugate_identities():
@@ -434,7 +439,9 @@ def test_conjugate_identities():
             f = fit_linear_phi(t)
             fc = fit_linear_phi(conjugate(t))
             ell = t.length
-            assert fc.eta[0] == f.eta[0]
+            assert fc.eta0 == f.eta0
             assert fc.zeta0 == f.zeta0
             assert f.zeta1 + fc.zeta1 == (ell - 1) * f.zeta0
-            assert tuple(fc.eta[1:]) == tuple(reversed(f.eta[1:]))
+            assert fc == f.reflected(ell)
+            e, ec = fit_by_bumps(t).eta, fit_by_bumps(conjugate(t)).eta
+            assert ec == (e[0], *reversed(e[1:]))

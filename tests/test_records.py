@@ -80,8 +80,8 @@ def test_records_are_tuples_and_graphs_are_not():
     edge = Edge(0, 2)
     assert edge == (0, 2, 1) and edge[1] == 2 and tuple(edge) == (0, 2, 1)
     assert hash(edge) == hash((0, 2, 1))
-    form = LinearForm((1, 2))
-    assert form == ((1, 2), 0) and form.minv == 0
+    form = LinearForm(1, 2, 3, 4)
+    assert form == (1, 2, 3, 4) and form.zeta2 == 4
     assert list(SHARP) == [0, (-1, -1, 0, 0), (2, 2, 0, 0)]
     graph = LongEdgeGraph([(0, 2, 1)])
     assert graph == Template([(0, 2, 1)]) and graph != graph.edges

@@ -10,7 +10,6 @@ from longedge.coeffs import (
     cor,
     diffq,
     q_beta_delta,
-    q_delta_linearized,
     template_coefficients,
 )
 from longedge.graphs import enumerate_templates
@@ -40,7 +39,7 @@ from longedge.suites import (
     rectangle,
     triangle,
 )
-from oracles import n_by_graphs, p_by_walk
+from oracles import n_by_graphs, p_by_walk, q_delta_linearized
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
