@@ -17,11 +17,12 @@ import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .graphs import Template, check_cogenus, conjugate, enumerate_templates
-from .orderings import LinearForm, _scaled_phis, check_linear_form, fit_linear_phi
+from .orderings import LinearForm, _check, _divided, _fit, _FitTable, _scaled_phis
 from .series import RatSeries, sigma
 
 
@@ -151,16 +152,23 @@ def template_data(delta: int) -> TemplateData:
 
 def _fit_templates(delta: int) -> TemplateData:
     """Fit the first template of each conjugate pair met in canonical order;
-    the other takes the reflected moments, checked at the fit's probe widths."""
-    forms: dict[Template, LinearForm] = {}
-    for t in enumerate_templates(delta):
-        mirror = forms.get(conjugate(t))
+    the other takes the reflected moments, checked at the fit's probe widths.
+    All of them read P from one table, dropped when the last is fitted, and
+    the moments stay integers, times their plan's scale, until the end: a
+    template and its conjugate have as many edges, so one scale."""
+    templates = enumerate_templates(delta)
+    table = _FitTable(delta, max(t.length for t in templates))
+    scaled: dict[Template, tuple[int, LinearForm]] = {}
+    for t in templates:
+        mirror = scaled.get(conjugate(t))
         if mirror is None:
-            forms[t] = fit_linear_phi(t)
+            scaled[t] = _fit(t, table)
         else:
-            forms[t] = mirror.reflected(t.length)
-            check_linear_form(t, forms[t])
-    return tuple(forms.items())
+            scale, moments = mirror
+            scaled[t] = scale, moments.reflected(t.length)
+            _check(t, scaled[t][1], table)
+    table.drop()
+    return tuple((t, _divided(*form)) for t, form in scaled.items())
 
 
 def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
@@ -180,28 +188,42 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _template_sums(delta: int) -> tuple[Fraction, ...]:
-    """(A, L, H, D, C) for one cogenus, before the b column exists."""
+    """(A, L, H, D, C) for one cogenus, before the b column exists.
+
+    Summed in integers: every moment over den, the lcm of the cogenus's
+    moment denominators, with one division per sum at the end.
+    """
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    data = template_data(delta)
+    den = lcm(*(m.denominator for _, form in data for m in form))
     # a, l and l_alt are summed without their factor 1/2, applied at the end
-    a = l = h = d = c = l_alt = Fraction(0)
-    for t, form in template_data(delta):
+    a = l = h = d = c = l_alt = 0
+    for t, form in data:
         mu = t.multiplicity
+        eta0, zeta0, zeta1, zeta2 = (
+            mu * m.numerator * (den // m.denominator) for m in form
+        )
         ends = t.length - t.epsilon0 - t.epsilon1
-        eta0, zeta0 = mu * form.eta0, mu * form.zeta0
         spread = zeta0 * ends
         a += zeta0
         l -= spread
         h += eta0 + spread
-        d -= mu * (form.zeta2 + form.zeta1 * (1 - t.epsilon0))
+        d -= zeta2 + zeta1 * (1 - t.epsilon0)
         c -= eta0 * ends
         l_alt += eta0
-    a, l, l_alt = a / 2, l / 2, l_alt / 2
     if l != l_alt:
         raise ArithmeticError(
-            f"the two formulas for L disagree at delta={delta}: {l} vs {l_alt}"
+            f"the two formulas for L disagree at delta={delta}: "
+            f"{Fraction(l, 2 * den)} vs {Fraction(l_alt, 2 * den)}"
         )
-    return a, l, h, d, c
+    return (
+        Fraction(a, 2 * den),
+        Fraction(l, 2 * den),
+        Fraction(h, den),
+        Fraction(d, den),
+        Fraction(c, den),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -18,10 +18,12 @@ the windows.  It lists the transfer's states and moves once for the shape
 and applies each window's own factors to them, and it memoizes every
 (shape, window) value.  Callers hand over whole batches: p_beta_shifts
 every admitted shift of a template, _scaled_phis every width sequence for
-each sub-multiset, fit_linear_phi its four fit widths and two probes at
-once.
-_scaled_phis keeps phi in integers, scaled by lcm(1..|S|), and the fit and
-its probe check use those integers; phi_beta and phi_betas divide once.
+each sub-multiset.  The fits of one cogenus evaluate phi at six widths that
+depend on the position alone, so a _FitTable counts each sub-multiset's P
+there once for all the templates that hold it.
+phi is kept in integers, scaled by lcm(1..|S|), and the fit and its probe
+check use those integers; phi_beta, phi_betas and the fitted moments
+divide once.
 
 One rule, in _window, decides whether an edge multiset fits the widths: it
 must lie in the vertex range 0..M+1, and every gap's width must cover the
@@ -41,7 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Edge, LongEdgeGraph
 
@@ -232,16 +234,23 @@ class _LogPlan(NamedTuple):
     scale: int
 
 
-@lru_cache(maxsize=None)
-def _log_plan(edges: tuple[Edge, ...]) -> _LogPlan:
+def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
+    """The log plan of an edge multiset, built afresh: a fit reads each
+    template's plan once, so it keeps none of them."""
     classes = sorted(Counter(edges).items())
-    vectors = itertools.product(*(range(mult + 1) for _, mult in classes))
-    subs = tuple(
-        _plan_sub(tuple(e for (e, _), c in zip(classes, v) for _ in range(c)))
-        for v in vectors
-    )
+    # each sub-multiset's edge tuple, grown one class at a time by that
+    # class's runs of 0..mult copies: itertools.product order
+    keys: list[tuple[Edge, ...]] = [()]
+    for e, mult in classes:
+        runs = [(e,) * c for c in range(mult + 1)]
+        keys = [key + run for key in keys for run in runs]
     splits = _splits(tuple(mult for _, mult in classes))
-    return _LogPlan(subs, splits, lcm(*range(1, len(edges) + 1)))
+    return _LogPlan(tuple(map(_plan_sub, keys)), splits, lcm(*range(1, len(edges) + 1)))
+
+
+# the plans kept for q_beta_delta, which reads a template's plan at every
+# width sequence it is asked about
+_log_plan = lru_cache(maxsize=None)(_plan)
 
 
 @lru_cache(maxsize=None)
@@ -299,18 +308,29 @@ def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction
 def _scaled_phis(
     g: LongEdgeGraph, betas: Sequence[Sequence[int]]
 ) -> tuple[int, list[int]]:
-    """(scale, [scale * phi_beta(g, beta) for each beta]), all integers.
-
-    With h[T] = scale * phi(T), the log derivative gives
-    |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
-    """
+    """(scale, [scale * phi_beta(g, beta) for each beta]), all integers."""
     betas = [tuple(beta) for beta in betas]
     if g.is_empty:
         return 1, [0] * len(betas)
     plan = _log_plan(g.edges)
-    columns = [_counts(t, [_window(t, beta) for beta in betas]) for t in plan.subs]
+    rows = [_counts(t, [_window(t, beta) for beta in betas]) for t in plan.subs]
+    return plan.scale, _recurrence(g, plan, betas, zip(*rows))
+
+
+def _recurrence(
+    g: LongEdgeGraph,
+    plan: _LogPlan,
+    betas: Sequence[Sequence[int]],
+    columns: Iterable[Sequence[int]],
+) -> list[int]:
+    """scale * phi_beta(g, beta) for each beta, from P of each of the plan's
+    sub-multisets at beta: one column per beta, in plan order.
+
+    With h[T] = scale * phi(T), the log derivative gives
+    |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
+    """
     out = []
-    for beta, p in zip(betas, zip(*columns)):
+    for beta, p in zip(betas, columns):
         size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
         for at in range(1, len(p)):
             t = plan.subs[at]
@@ -325,7 +345,69 @@ def _scaled_phis(
                 )
             size_h.append(acc)
         out.append(h)
-    return plan.scale, out
+    return out
+
+
+class _FitTable:
+    """P of each sub-multiset record at the six widths that fits of one
+    cogenus evaluate, for as long as those fits run.
+
+    The widths are the four fit points, a flat base b = cogenus + 2, b + 1,
+    b + j and b + C(j, 2) in position j, then the two probes, the flat b + 3
+    and b + 2 + 3j + C(j, 2), which moves along all three moments.  Each
+    is a function of the position alone, so a record's windows, and its P
+    there, are the same in every template that holds it.  A record's row
+    is counted once: its fit column (the first four values) when a fitted
+    template first holds it, its probe column (the last two) when any
+    template does, in one _counts batch for all it lacks.
+    """
+
+    __slots__ = ("widths", "weights", "rows")
+
+    def __init__(self, cogenus: int, length: int):
+        b = cogenus + 2
+        js = range(length)
+        self.widths = [
+            (b,) * length,
+            (b + 1,) * length,
+            tuple(b + j for j in js),
+            tuple(b + comb(j, 2) for j in js),
+            (b + 3,) * length,
+            tuple(b + 2 + 3 * j + comb(j, 2) for j in js),
+        ]
+        # the form at each probe from its (eta0, zeta0, zeta1, zeta2)
+        self.weights = ((1, b + 3, 0, 0), (1, b + 2, 3, 1))
+        # record -> P at the six widths; None where not yet counted
+        self.rows: dict[_Sub, tuple[int | None, ...]] = {}
+
+    def columns(self, plan: _LogPlan, first: int) -> list[tuple[int, ...]]:
+        """P of each of the plan's records at widths[first:], one column
+        per width; first is 0 for a fit and 4 for a probe check."""
+        rows = []
+        for t in plan.subs:
+            row = self.rows.get(t)
+            if row is None or row[first] is None:
+                # a row that has its probe column lacks at most its fit column
+                have = row[4:] if row else ()
+                lack = self.widths[first : 6 - len(have)]
+                values = _counts(t, [_window(t, beta) for beta in lack])
+                row = self.rows[t] = (None,) * first + tuple(values) + have
+            rows.append(row)
+        return list(zip(*rows))[first:]
+
+    def drop(self) -> None:
+        """Forget what the fits left in the P memo: the values of every
+        shape the table counted."""
+        for t in self.rows:
+            _P_MEMO.pop(t.shape, None)
+
+
+def _fit_phis(g: LongEdgeGraph, table: _FitTable, first: int) -> tuple[int, list[int]]:
+    """(scale, [scale * phi_beta(g, beta) for beta in table.widths[first:]]),
+    with P read from the table: where fits and probe checks get phi."""
+    plan = _plan(g.edges)
+    betas = [w[: g.maxv] for w in table.widths[first:]]
+    return plan.scale, _recurrence(g, plan, betas, table.columns(plan, first))
 
 
 class LinearForm(NamedTuple):
@@ -359,60 +441,59 @@ def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
     so phi is the form at a flat base b, at b+1, and at b+j and b+C(j,2) in
     position j = 0..ell-1; the last three differ from the base by zeta0,
     zeta1 and zeta2.  Those four widths and check_linear_form's two probes
-    are evaluated in one batch.
+    (see _FitTable) are evaluated in one batch.
     """
     if g.is_empty:
         raise ValueError("fit_linear_phi is undefined on the empty graph")
     if g.minv != 0:
         raise ValueError(f"fit_linear_phi needs a template, lowest vertex 0: {g}")
-    b, ell = g.cogenus + 2, g.maxv
-    fits = [
-        (b,) * ell,
-        (b + 1,) * ell,
-        tuple(b + j for j in range(ell)),
-        tuple(b + comb(j, 2) for j in range(ell)),
-    ]
-    probes = _probes(g)
-    # phi and the moments scaled by the plan's scale, so the fit and its
-    # probe check stay in integers
-    scale, (f0, *values) = _scaled_phis(g, [*fits, *(p for p, _ in probes)])
+    return _divided(*_fit(g, _FitTable(g.cogenus, g.maxv)))
+
+
+def _fit(g: LongEdgeGraph, table: _FitTable) -> tuple[int, LinearForm]:
+    """fit_linear_phi of a template of the table's cogenus, as the plan's
+    scale and the moments times it: phi, the fit and its probe check stay
+    in integers."""
+    scale, (f0, *values) = _fit_phis(g, table, 0)
     zetas = [v - f0 for v in values[:3]]
-    moments = (f0 - b * zetas[0], *zetas)
-    _check_probes(g, probes, values[3:], moments)
+    moments = LinearForm(f0 - (g.cogenus + 2) * zetas[0], *zetas)
+    _check_probes(g, table, values[3:], moments)
+    return scale, moments
+
+
+def _divided(scale: int, moments: LinearForm) -> LinearForm:
+    """The form whose moments times scale are the given integers."""
     return LinearForm(*(Fraction(m, scale) for m in moments))
-
-
-def _probes(g: LongEdgeGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Two widths inside the semiallowable region, one flat and one that
-    moves along all three moments, each with the weights that give the form
-    there from (eta0, zeta0, zeta1, zeta2)."""
-    b, ell = g.cogenus + 2, g.maxv
-    return [
-        ((b + 3,) * ell, (1, b + 3, 0, 0)),
-        (tuple(b + 2 + 3 * j + comb(j, 2) for j in range(ell)), (1, b + 2, 3, 1)),
-    ]
 
 
 def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
     """Raise ArithmeticError unless form equals phi_beta(g, .) at two probe
     widths inside the semiallowable region: a flat one, and one that moves
     along zeta0, zeta1 and zeta2 at once."""
-    probes = _probes(g)
-    scale, values = _scaled_phis(g, [p for p, _ in probes])
-    _check_probes(g, probes, values, [scale * m for m in form])
+    table = _FitTable(g.cogenus, g.maxv)
+    scale, values = _fit_phis(g, table, 4)
+    _check_probes(g, table, values, [scale * m for m in form])
+
+
+def _check(g: LongEdgeGraph, moments: LinearForm, table: _FitTable) -> None:
+    """check_linear_form of a graph of the table's cogenus, with its
+    moments times the scale of g's plan."""
+    _, values = _fit_phis(g, table, 4)
+    _check_probes(g, table, values, moments)
 
 
 def _check_probes(
     g: LongEdgeGraph,
-    probes: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    table: _FitTable,
     values: list[int],
     moments: Sequence[int | Fraction],
 ) -> None:
     """check_linear_form's test: scale * phi_beta(g, .) at the probes
     against the form at the probes, from its moments scaled the same."""
-    for (probe, weights), value in zip(probes, values):
+    for probe, weights, value in zip(table.widths[4:], table.weights, values):
         if value != sum(map(operator.mul, weights, moments)):
             raise ArithmeticError(
                 f"linear form disagrees with direct evaluation of {g} at "
-                f"{list(probe)}; linearity is guaranteed there, so this is a bug"
+                f"{list(probe[: g.maxv])}; linearity is guaranteed there, so "
+                "this is a bug"
             )

@@ -314,6 +314,33 @@ def q_delta_linearized(beta, delta: int) -> Fraction:
     return total
 
 
+def template_sums_by_fractions(
+    delta: int, data: Sequence[tuple[Template, LinearForm]]
+) -> tuple[Fraction, ...]:
+    """(A, L, H, D, C) of one cogenus from its templates and moments,
+    summed one Fraction at a time, with the same check that the two
+    formulas for L agree."""
+    # a, l and l_alt are summed without their factor 1/2, applied at the end
+    a = l = h = d = c = l_alt = Fraction(0)
+    for t, form in data:
+        mu = t.multiplicity
+        ends = t.length - t.epsilon0 - t.epsilon1
+        eta0, zeta0 = mu * form.eta0, mu * form.zeta0
+        spread = zeta0 * ends
+        a += zeta0
+        l -= spread
+        h += eta0 + spread
+        d -= mu * (form.zeta2 + form.zeta1 * (1 - t.epsilon0))
+        c -= eta0 * ends
+        l_alt += eta0
+    a, l, l_alt = a / 2, l / 2, l_alt / 2
+    if l != l_alt:
+        raise ArithmeticError(
+            f"the two formulas for L disagree at delta={delta}: {l} vs {l_alt}"
+        )
+    return a, l, h, d, c
+
+
 def reversal_cogenus(p: HTPolygon, left: Sequence[int], right: Sequence[int]) -> int:
     """Total reversal weight of a reordering of the boundary directions."""
     left = tuple(left)

@@ -143,8 +143,8 @@ COUNT_FITS = """
 import sys
 from longedge import cli, coeffs
 fits = []
-fit = coeffs.fit_linear_phi
-coeffs.fit_linear_phi = lambda t: fits.append(t) or fit(t)
+fit = coeffs._fit
+coeffs._fit = lambda t, table: fits.append(t) or fit(t, table)
 assert cli.main(sys.argv[1:]) == 0
 print(len(fits))
 """
@@ -172,9 +172,9 @@ class TestCache:
     @pytest.fixture
     def fits(self, monkeypatch):
         calls = []
-        fit = coeffs.fit_linear_phi
-        counting = lambda t: calls.append(t) or fit(t)
-        monkeypatch.setattr(coeffs, "fit_linear_phi", counting)
+        fit = coeffs._fit
+        counting = lambda t, table: calls.append(t) or fit(t, table)
+        monkeypatch.setattr(coeffs, "_fit", counting)
         return calls
 
     def test_file_created_and_reused(self, isolated_cache, fits):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,13 @@ from longedge.orderings import fit_linear_phi
 from longedge.polygon import BetaStats, beta_stats
 from longedge.series import RatSeries
 
-from oracles import enumerate_graphs, p_by_walk, phi_by_partitions, q_delta_linearized
+from oracles import (
+    enumerate_graphs,
+    p_by_walk,
+    phi_by_partitions,
+    q_delta_linearized,
+    template_sums_by_fractions,
+)
 
 
 def test_beta_stats():
@@ -91,6 +98,41 @@ def test_h_vanishes_and_both_l_formulas_agree():
     # the L agreement is asserted inside the sum; H must come out zero
     for delta in (1, 2, 3, 4):
         assert template_coefficients(delta).H == 0
+
+
+def test_integer_sums_match_fraction_oracle(tmp_path, monkeypatch):
+    # the integer sums against the same sums taken one Fraction at a time,
+    # over a cold build and then over the templates read back from the cache
+    monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(coeffs, "_disk_cache", True)
+    for source in ("cold", "loaded"):
+        template_data.cache_clear()
+        coeffs._template_sums.cache_clear()
+        for delta in range(1, 7):
+            expected = template_sums_by_fractions(delta, template_data(delta))
+            assert coeffs._template_sums(delta) == expected, (source, delta)
+        # the second pass must load every cogenus, not fit it
+        monkeypatch.setattr(coeffs, "_fit_templates", None)
+
+
+@pytest.mark.parametrize("moment", ["eta0", "zeta0"])
+def test_integer_sums_catch_a_moment_off_by_one_over_den(monkeypatch, moment):
+    # one template's eta0 or zeta0 off by the least step the sums can
+    # see, 1/den: one formula for L moves and the other does not
+    delta = 4
+    data = template_data(delta)
+    den = lcm(*(m.denominator for _, form in data for m in form))
+    assert den > 1
+    # a template with a middle, so that zeta0 reaches L
+    at = next(i for i, (t, _) in enumerate(data) if t.length - t.epsilon0 - t.epsilon1)
+    t, form = data[at]
+    off = form._replace(**{moment: getattr(form, moment) + Fraction(1, den)})
+    bumped = data[:at] + ((t, off),) + data[at + 1 :]
+    monkeypatch.setattr(coeffs, "template_data", lambda d: bumped)
+    with pytest.raises(ArithmeticError, match="the two formulas for L disagree"):
+        coeffs._template_sums.__wrapped__(delta)
+    with pytest.raises(ArithmeticError, match="the two formulas for L disagree"):
+        template_sums_by_fractions(delta, bumped)
 
 
 def test_diffq_fixed_values():

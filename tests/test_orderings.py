@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -219,6 +220,24 @@ def test_transfer_walk_counts(monkeypatch):
     assert (len(windows), sum(windows)) == (500, 1152)
 
 
+def test_fit_counts_each_record_once_per_cogenus(monkeypatch):
+    # work counts, never wall time: over a cold delta <= 5 build, a record
+    # is counted in one _counts batch per cogenus, or in two when a
+    # conjugate's probe check meets it before a fit does; no batch is made
+    # per plan entry, and no table outlives its cogenus's fit
+    batches = []
+    counts = orderings._counts
+    monkeypatch.setattr(
+        orderings, "_counts", lambda t, ws: batches.append(len(ws)) or counts(t, ws)
+    )
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
+    for delta in range(1, 6):
+        coeffs.template_data.__wrapped__(delta)
+    assert (len(batches), sum(batches)) == (1303, 5888)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, orderings._FitTable)]
+
+
 def _edges_of(t) -> Counter:
     return Counter(
         (t.lo + a, t.lo + b, w)
@@ -358,20 +377,46 @@ def test_log_plans_build_each_record_once(monkeypatch):
     assert orderings._splits.cache_info().misses == 31
 
 
-@pytest.mark.parametrize("probe", [-2, -1])
-def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
-    # phi at one probe off by 1/scale: the fit's own check must catch it
-    scaled = orderings._scaled_phis
+def _probe_off_by_one(monkeypatch, probe, first):
+    # phi at one probe off by 1/scale wherever the fit reads phi from its
+    # table from the given first width on: 0 for fits, 4 for probe checks
+    fit_phis = orderings._fit_phis
 
-    def off_by_one(g, betas):
-        scale, values = scaled(g, betas)
-        values[probe] += 1
+    def off_by_one(g, table, at):
+        scale, values = fit_phis(g, table, at)
+        if at == first:
+            values[probe] += 1
         return scale, values
 
-    monkeypatch.setattr(orderings, "_scaled_phis", off_by_one)
+    monkeypatch.setattr(orderings, "_fit_phis", off_by_one)
+
+
+@pytest.mark.parametrize("probe", [-2, -1])
+def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
+    # the fit's own check must catch it, alone and in a cold build
+    _probe_off_by_one(monkeypatch, probe, 0)
     for t in enumerate_templates(2):
         with pytest.raises(ArithmeticError, match="disagrees"):
             fit_linear_phi(t)
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        coeffs._fit_templates(2)
+
+
+@pytest.mark.parametrize("probe", [-2, -1])
+def test_check_linear_form_probe_check_rejects(monkeypatch, probe):
+    # a conjugate's reflected moments are right, and phi at one of its
+    # probes is off by 1/scale: its check must catch it, alone and in a
+    # cold build
+    forms = [
+        (conjugate(t), fit_linear_phi(t).reflected(t.length))
+        for t in enumerate_templates(3)
+    ]
+    _probe_off_by_one(monkeypatch, probe, 4)
+    for c, form in forms:
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            check_linear_form(c, form)
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        coeffs._fit_templates(3)
 
 
 def test_linear_form_sums_match_fraction_oracle(tmp_path, monkeypatch):

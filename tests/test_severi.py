@@ -177,7 +177,8 @@ class TestBruteForce:
             raise AssertionError("the direct route reached the fitted route")
 
         monkeypatch.setattr(coeffs, "template_data", refuse)
-        monkeypatch.setattr(coeffs, "fit_linear_phi", refuse)
+        monkeypatch.setattr(coeffs, "_fit", refuse)
+        monkeypatch.setattr(orderings, "_fit", refuse)
         monkeypatch.setattr(orderings, "fit_linear_phi", refuse)
         assert n_bruteforce(triangle(5), 4) == 36975
 
