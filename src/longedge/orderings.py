@@ -16,11 +16,11 @@ P is counted in batches.  p_counts(shape, windows) takes one shape, its
 edges shifted to start at vertex 0, and the widths under it at many places:
 the windows.  It lists the transfer's states and moves once for the shape
 and applies each window's own factors to them, and it memoizes every
-(shape, window) value.  Callers hand over whole batches: p_beta_shifts
-every admitted shift of a template, _scaled_phis every width sequence for
-each sub-multiset.  The fits of one cogenus evaluate phi at six widths that
-depend on the position alone, so a _FitTable counts each sub-multiset's P
-there once for all the templates that hold it.
+(shape, window) value.  Callers hand over whole batches: _scaled_phis
+every width sequence for each sub-multiset.  The fits of one cogenus
+evaluate phi at six widths that depend on the position alone, so a
+_FitTable counts each sub-multiset's P there once for all the templates
+that hold it.
 phi is kept in integers, scaled by lcm(1..|S|), and the fit and its probe
 check use those integers; phi_beta, phi_betas and the fitted moments
 divide once.
@@ -28,11 +28,10 @@ divide once.
 One rule, in _window, decides whether an edge multiset fits the widths: it
 must lie in the vertex range 0..M+1, and every gap's width must cover the
 weight crossing it.  It reads a _Sub, the record of the multiset's span,
-crossing weights and shape; p_beta, p_beta_shifts and every term of phi
-reach P through it.  Only non-strict P is counted here.  The strict
-count of a shifted template, where no weight >= 2 edge may end at 0 or
-M+1, is P at the shifts that the end rule Template.shifts admits and 0 at
-the others.
+crossing weights and shape; p_beta and every term of phi reach P
+through it.  Only non-strict P is counted here.  The strict count of a
+shifted template, where no weight >= 2 edge may end at 0 or M+1, is P at
+the shifts that the end rule Template.shifts admits and 0 at the others.
 """
 
 from __future__ import annotations
@@ -185,16 +184,6 @@ def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     return _counts(t, [_window(t, tuple(beta))])[0]
 
 
-def p_beta_shifts(
-    g: LongEdgeGraph, beta: Sequence[int], shifts: Sequence[int]
-) -> list[int]:
-    """p_beta(g.shift(k), beta) for each k in shifts, without building the
-    shifted graphs, in one batch: g's record moves, and the widths stay whole."""
-    beta = tuple(beta)
-    t = _plan_sub(g.edges)
-    return _counts(t, [_window(t, beta, k) for k in shifts])
-
-
 class _Sub(NamedTuple):
     """An edge multiset T as the fit rule and p_counts read it."""
 
@@ -256,8 +245,8 @@ _log_plan = lru_cache(maxsize=None)(_plan)
 @lru_cache(maxsize=None)
 def _plan_sub(edges: tuple[Edge, ...]) -> _Sub:
     """_sub of an edge multiset, kept: the plans of many templates hold the
-    same sub-multisets, and the direct route asks for each template's record
-    at every width sequence, so each record is built once for all of them."""
+    same sub-multisets, and q_beta_delta reads each template's plan at
+    every width sequence, so each record is built once for all of them."""
     return _sub(edges)
 
 

@@ -9,15 +9,16 @@ count Q, related to the plain count N by an exponential transform.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from numbers import Rational
 from typing import NamedTuple, Sequence
 
 from .coeffs import b_coeffs, cor, diffq, template_coefficients
-from .graphs import Template, check_cogenus, enumerate_templates
-from .orderings import p_beta_shifts
+from .graphs import check_cogenus
 from .polygon import (
     HTPolygon,
     PolygonStats,
@@ -97,68 +98,126 @@ def n_bruteforce(p: HTPolygon, delta: int) -> int:
     0..len(beta), where strict P is 0 when a weight >= 2 edge ends at 0 or
     len(beta).
 
-    The vertices that no edge strictly straddles split G uniquely into
-    shifted templates, ends shared, and empty gaps.  mu, cogenus and strict
-    P factor over that split: an empty gap counts 1, and a template shifted
-    by k counts P at the shifts the end rule admits,
-    1 - epsilon0 <= k <= len(beta) - 1 - length + epsilon1, and 0 at the
-    others.  So G is counted as a chain of blocks against the widths, with
-    no fitted form.
+    The graphs are not listed one by one.  P counts the ways to order each
+    edge in one gap it straddles and to interleave each gap's edges with
+    its filler edges, so G and its orderings are built together, vertex by
+    vertex, in one integer transfer over the widths (_chains).  No
+    template, fitted form or P memo is read.
     """
     return _direct_counts(p, delta)[delta]
 
 
 def _direct_counts(p: HTPolygon, delta: int) -> list[int]:
     """The direct counts N^0..N^delta in one pass: reorderings with equal
-    widths share one chain table, filled to the deepest remaining cogenus
-    any of them needs, and a reordering of cost c reads N^(c+r) from the
-    table's f[0][r]."""
+    widths share one transfer, run to the deepest remaining cogenus any of
+    them needs, and a reordering of cost c reads N^(c+r) from its f[r]."""
     _require_edges(p, "bruteforce", delta)
     costs: dict[tuple[int, ...], Counter] = {}
     for ro in reorderings(p, delta):
         costs.setdefault(ro.beta, Counter())[ro.cogenus] += 1
     counts = [0] * (delta + 1)
     for beta, by_cost in costs.items():
-        first = _chains(beta, delta - min(by_cost))
+        table = _chains(beta, delta - min(by_cost))
         for cost, times in by_cost.items():
             for r in range(delta - cost + 1):
-                counts[cost + r] += times * first[r]
+                counts[cost + r] += times * table[r]
     return counts
 
 
-def _weights(t: Template, beta: Sequence[int]) -> list[int]:
-    """The weight of t shifted by k, for k = 0..len(beta) - 1: mu * P_beta
-    where the end rule t.shifts admits k, and 0 elsewhere."""
-    weights = [0] * len(beta)
-    shifts = t.shifts(len(beta) - 1)
-    for k, n in zip(shifts, p_beta_shifts(t, beta, shifts)):
-        weights[k] = t.multiplicity * n
-    return weights
+@lru_cache(maxsize=None)
+def _openings(
+    first: bool, reach: int, budget: int
+) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], int], ...]:
+    """Every way to open long edges (v, v + span, w) at one vertex v of
+    _chains, of cogenus at most budget, each copy ordered in a gap under it.
+
+    span <= reach, the number of vertices after v, or budget + 2 when more
+    follow: no edge of cogenus <= budget is that long.  An edge that starts
+    at the first vertex or ends at the last has weight 1 (the end rule).
+    Ways that change a state alike are summed.  Each is
+    (cost, increments, joins, factor).  The increments are added to a
+    state of _chains, gap by gap from v's: (crossing weight, edges
+    ordered) for the first budget + 1 gaps, interleaved.  joins lists
+    (index, M) for each gap that M copies join, and a state whose gap
+    held s edges multiplies in C(s + M, M).  factor is w^2 per copy times
+    M! / prod m! per gap, m copies of each class there.
+    """
+    grown = {(0, (0,) * (2 * budget + 2)): 1}
+    for span in range(1, min(reach, budget + 1) + 1):
+        for weight in range(1, (budget + 1) // span + 1):
+            if span * weight == 1 or weight > 1 and (first or span == reach):
+                continue
+            cost = span * weight - 1
+            square = weight * weight
+            for gap in range(span):
+                # one more copy of the class, ordered in this gap
+                step = [0] * (2 * budget + 2)
+                step[0 : 2 * span : 2] = [weight] * span
+                step[2 * gap + 1] = 1
+                more = dict(grown)
+                for (used, inc), factor in grown.items():
+                    m = 0
+                    while used + cost <= budget:
+                        used += cost
+                        m += 1
+                        inc = tuple(map(operator.add, inc, step))
+                        # times w^2 and C(s, m) / C(s - 1, m - 1) = s / m
+                        factor = factor * square * inc[2 * gap + 1] // m
+                        key = (used, inc)
+                        more[key] = more.get(key, 0) + factor
+                grown = more
+    return tuple(
+        (cost, inc, _joins(inc[1::2]), factor) for (cost, inc), factor in grown.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _joins(counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(index in the increments, M) for each gap that M > 0 copies join,
+    kept once for every opening that joins alike."""
+    return tuple((2 * gap + 1, m) for gap, m in enumerate(counts) if m)
 
 
 def _chains(beta: Sequence[int], rest: int) -> list[int]:
-    """Weighted counts of the graphs of cogenus 0..rest on 0..len(beta),
-    filled in from the right: f[k][r] counts those of cogenus r on
-    k..len(beta), whose first block, from k, is an empty gap or a template
-    shifted by k, weighed by _weights: 0 unless the end rule t.shifts
-    admits k.  Returns f[0]."""
+    """Weighted counts mu * P_beta^strict of the graphs of cogenus 0..rest
+    on the vertices 0..len(beta), in one transfer over the vertices.
+
+    At vertex v the edges that start there open (_openings), each copy
+    ordered in a gap it straddles; then gap v closes: its fill = beta[v]
+    minus the weight crossing it must be >= 0, and its s edges interleave
+    with the fill filler edges, C(fill + s, s) ways.  Gap by gap this gives
+    P's (fill + s)! / (fill! prod c!).  A state is the crossing weight and
+    the edges ordered in each of the next rest + 1 gaps, interleaved:
+    rest + 1 gaps is as far as an edge reaches.  States are kept apart by
+    the cogenus used.
+    """
     top = len(beta)
-    f = [[0] * (rest + 1) for _ in range(top + 1)]
-    f[top][0] = 1
-    blocks = [
-        (t.cogenus, t.maxv, _weights(t, beta))
-        for c in range(1, rest + 1)
-        for t in enumerate_templates(c)
-    ]
-    for k in range(top - 1, -1, -1):
-        row = f[k] = f[k + 1][:]  # the gap from k to k+1 is empty
-        for c, length, weights in blocks:
-            w = weights[k]
-            if w:
-                after = f[k + length]
-                for r in range(c, rest + 1):
-                    row[r] += w * after[r - c]
-    return f[0]
+    layers = [{} for _ in range(rest + 1)]  # by cogenus used: state -> weight
+    layers[0][(0,) * (2 * rest + 2)] = 1
+    for v, width in enumerate(beta):
+        after: list[dict] = [{} for _ in range(rest + 1)]
+        for used, states in enumerate(layers):
+            if not states:
+                continue
+            budget = rest - used
+            ways = _openings(v == 0, min(top - v, budget + 2), budget)
+            tail = 2 * budget + 2  # the gaps past the increments' reach
+            for cost, inc, joins, factor in ways:
+                out = after[used + cost]
+                for state, value in states.items():
+                    new = tuple(map(operator.add, state, inc))
+                    fill = width - new[0]
+                    if fill < 0:
+                        continue
+                    value *= factor
+                    for i, m in joins:
+                        value *= comb(new[i], m)
+                    if new[1]:
+                        value *= comb(fill + new[1], fill)
+                    new = new[2:] + state[tail:] + (0, 0)  # gap v closes
+                    out[new] = out.get(new, 0) + value
+        layers = after
+    return [sum(states.values()) for states in layers]
 
 
 def q_polygon(p: HTPolygon, delta: int) -> Fraction:

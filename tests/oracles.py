@@ -1,6 +1,7 @@
 """Reference implementations that only the test suite calls: brute-force
-counts, rules read off the graph walk, the linear form fitted one
-coefficient per width position, and the v-local split of reorderings."""
+counts, rules read off the graph walk, the direct count as a chain of
+templates, the linear form fitted one coefficient per width position, and
+the v-local split of reorderings."""
 
 from __future__ import annotations
 
@@ -20,7 +21,14 @@ from longedge.graphs import (
     _edge_pool,
     enumerate_templates,
 )
-from longedge.orderings import LinearForm, p_counts, phi_betas
+from longedge.orderings import (
+    LinearForm,
+    _counts,
+    _plan_sub,
+    _window,
+    p_counts,
+    phi_betas,
+)
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -85,6 +93,50 @@ def n_by_graphs(p: HTPolygon, delta: int) -> int:
             for g in enumerate_graphs(rest, len(ro.beta))
         )
     return total
+
+
+def block_weights(t: Template, beta: Sequence[int]) -> list[int]:
+    """The weight of t shifted by k, for k = 0..len(beta) - 1: mu * P_beta
+    where the end rule t.shifts admits k, and 0 elsewhere.  P comes from
+    one p_counts batch over the admitted shifts: t's record moves, and the
+    widths stay whole."""
+    beta = tuple(beta)
+    weights = [0] * len(beta)
+    shifts = t.shifts(len(beta) - 1)
+    record = _plan_sub(t.edges)
+    found = _counts(record, [_window(record, beta, k) for k in shifts])
+    for k, n in zip(shifts, found):
+        weights[k] = t.multiplicity * n
+    return weights
+
+
+def chains_by_templates(beta: Sequence[int], rest: int) -> list[int]:
+    """The direct count's table, mu * P_beta^strict summed over the graphs
+    of cogenus 0..rest on the vertices 0..len(beta), as chains of blocks.
+
+    The vertices that no edge strictly straddles split a graph uniquely
+    into shifted templates, ends shared, and empty gaps; mu, cogenus and
+    strict P factor over that split.  f[k][r] counts the graphs of cogenus
+    r on k..len(beta), whose first block, from k, is an empty gap or a
+    template shifted by k, weighed by block_weights.  Returns f[0].
+    """
+    top = len(beta)
+    f = [[0] * (rest + 1) for _ in range(top + 1)]
+    f[top][0] = 1
+    blocks = [
+        (t.cogenus, t.maxv, block_weights(t, beta))
+        for c in range(1, rest + 1)
+        for t in enumerate_templates(c)
+    ]
+    for k in range(top - 1, -1, -1):
+        row = f[k] = f[k + 1][:]  # the gap from k to k+1 is empty
+        for c, length, weights in blocks:
+            w = weights[k]
+            if w:
+                after = f[k + length]
+                for r in range(c, rest + 1):
+                    row[r] += w * after[r - c]
+    return f[0]
 
 
 class Allowability(enum.Enum):

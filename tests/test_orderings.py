@@ -18,6 +18,7 @@ from longedge.orderings import (
     p_beta,
     phi_beta,
 )
+from longedge.polygon import reorderings
 from longedge.reference import TABLE1
 from longedge.severi import n_bruteforce
 from longedge.suites import triangle
@@ -27,6 +28,7 @@ from oracles import (
     EtaForm,
     allowability_by_walk,
     brute_force_orderings,
+    chains_by_templates,
     enumerate_graphs,
     fit_by_bumps,
     is_semiallowable,
@@ -146,8 +148,9 @@ def test_p_beta_reads_only_spanned_positions(edges, beta, noise):
 
 
 def test_p_count_matches_composition_walk(monkeypatch):
-    # every (shape, window) that fitting each template of cogenus <= 4 and a
-    # direct count at cogenus 5 hand to p_counts, in their batches
+    # every (shape, window) that fitting each template of cogenus <= 4 and
+    # the template chain of a direct count at cogenus 5 hand to p_counts,
+    # in their batches
     keys = set()
     count = orderings.p_counts
 
@@ -159,7 +162,8 @@ def test_p_count_matches_composition_walk(monkeypatch):
     for d in range(1, 5):
         for t in enumerate_templates(d):
             fit_linear_phi(t)
-    n_bruteforce(triangle(7), 5)
+    for ro in reorderings(triangle(7), 5):
+        chains_by_templates(ro.beta, 5 - ro.cogenus)
     monkeypatch.undo()
     # and classes of three or four copies that straddle three or four gaps
     keys |= {
@@ -213,11 +217,12 @@ def test_transfer_walk_counts(monkeypatch):
     coeffs.template_data.__wrapped__(5)  # a cold template_data(5)
     # the empty multiset of every fit is one shape, walked once
     assert (len(windows), sum(windows)) == (1008, 3881)
+    # the direct count is one transfer over the widths, and walks none
     windows.clear()
     monkeypatch.setattr(orderings, "_P_MEMO", {})
     for delta in range(6):
         n_bruteforce(triangle(7), delta)
-    assert (len(windows), sum(windows)) == (500, 1152)
+    assert (len(windows), sum(windows)) == (0, 0)
 
 
 def test_fit_counts_each_record_once_per_cogenus(monkeypatch):

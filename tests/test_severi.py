@@ -26,7 +26,6 @@ from longedge.severi import (
     q_from_n,
     q_geometric,
     q_polygon,
-    _weights,
     report,
     that_delta,
 )
@@ -39,7 +38,13 @@ from longedge.suites import (
     rectangle,
     triangle,
 )
-from oracles import n_by_graphs, p_by_walk, q_delta_linearized
+from oracles import (
+    block_weights,
+    chains_by_templates,
+    n_by_graphs,
+    p_by_walk,
+    q_delta_linearized,
+)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -112,6 +117,18 @@ class TestBruteForce:
         assert n_bruteforce(triangle(7), 5) == 33720354
         assert n_bruteforce(TWO_SIDED, 3) == 696463
         assert n_bruteforce(triangle(8), 6) == 3356773532
+        # the octic at eight nodes, where the closed and geometric routes agree
+        assert n_bruteforce(triangle(8), 8) == 336507128820
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.lists(st.integers(0, 9), min_size=1, max_size=10),
+        rest=st.integers(0, 5),
+    )
+    def test_transfer_matches_template_chain(self, beta, rest):
+        import longedge.severi as sv
+
+        assert sv._chains(tuple(beta), rest) == chains_by_templates(beta, rest)
 
     @pytest.mark.parametrize(
         "p", [p for _, p in GRAPH_ORACLE_POLYGONS],
@@ -144,9 +161,10 @@ class TestBruteForce:
         assert rep.n["bruteforce"] == each
 
     def test_block_weights_match_walk_strictness(self):
-        # at every shift, the end rule's weight against the strict count
-        # read off the graph walk; with ell rows or fewer at most one shift
-        # fits, and it reaches both ends of the vertex range
+        # at every shift, the template chain's weight under the end rule
+        # against the strict count read off the graph walk; with ell rows
+        # or fewer at most one shift fits, and it reaches both ends of the
+        # vertex range
         excluded = single = 0
         for d in range(1, 6):
             for t in enumerate_templates(d):
@@ -158,7 +176,7 @@ class TestBruteForce:
                         tuple(1 + 2 * i % 5 for i in range(n)),  # often too narrow
                         (1,) * n,
                     ):
-                        weights = _weights(t, beta)
+                        weights = block_weights(t, beta)
                         assert len(weights) == n
                         for k, w in enumerate(weights):
                             g = t.shift(k)
@@ -170,16 +188,20 @@ class TestBruteForce:
         assert excluded > 1000 and single > 100
 
     def test_never_fits(self, monkeypatch):
+        # the direct route reads no fitted form, template or P count
         import longedge.coeffs as coeffs
+        import longedge.graphs as graphs
         import longedge.orderings as orderings
 
         def refuse(*args):
-            raise AssertionError("the direct route reached the fitted route")
+            raise AssertionError("the direct route reached the template route")
 
         monkeypatch.setattr(coeffs, "template_data", refuse)
         monkeypatch.setattr(coeffs, "_fit", refuse)
         monkeypatch.setattr(orderings, "_fit", refuse)
         monkeypatch.setattr(orderings, "fit_linear_phi", refuse)
+        monkeypatch.setattr(graphs, "enumerate_templates", refuse)
+        monkeypatch.setattr(orderings, "p_counts", refuse)
         assert n_bruteforce(triangle(5), 4) == 36975
 
     def test_zero_nodes(self):
