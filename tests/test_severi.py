@@ -12,7 +12,7 @@ from longedge.coeffs import (
     q_beta_delta,
     template_coefficients,
 )
-from longedge.graphs import enumerate_templates
+from longedge.graphs import MAX_COGENUS, enumerate_templates
 from longedge.polygon import (
     HTPolygon,
     polygon_stats,
@@ -119,6 +119,8 @@ class TestBruteForce:
         assert n_bruteforce(triangle(8), 6) == 3356773532
         # the octic at eight nodes, where the closed and geometric routes agree
         assert n_bruteforce(triangle(8), 8) == 336507128820
+        # the decic at eight nodes, by the tuple-state transfer
+        assert n_bruteforce(triangle(10), 8) == 59546865647151
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -129,6 +131,34 @@ class TestBruteForce:
         import longedge.severi as sv
 
         assert sv._chains(tuple(beta), rest) == chains_by_templates(beta, rest)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.lists(st.integers(0, 9), min_size=1, max_size=10),
+        rest=st.integers(0, 5),
+    )
+    def test_transfer_is_mirror_symmetric(self, beta, rest):
+        # the end rule treats both ends alike, so mirrored widths share a
+        # transfer in _direct_counts
+        import longedge.severi as sv
+
+        assert sv._chains(tuple(beta), rest) == sv._chains(tuple(beta[::-1]), rest)
+
+    def test_packed_fields_hold_the_deepest_cogenus(self):
+        # a gap is crossed by weight <= 2 * rest and holds <= rest edges, and
+        # one field of a packed state must hold both at every allowed cogenus
+        import longedge.severi as sv
+
+        assert 2 * MAX_COGENUS <= sv._MASK
+        for budget in range(MAX_COGENUS + 1):
+            for first in (True, False):
+                for _, inc, _, _, _ in sv._openings(first, budget + 2, budget):
+                    fields = []
+                    while inc:
+                        fields.append(inc & sv._MASK)
+                        inc >>= sv._FIELD
+                    assert max(fields[0::2], default=0) <= 2 * budget
+                    assert max(fields[1::2], default=0) <= budget
 
     @pytest.mark.parametrize(
         "p", [p for _, p in GRAPH_ORACLE_POLYGONS],
