@@ -1,13 +1,14 @@
 """Universal coefficients extracted from template sums.
 
-Everything in this module is an exact rational derived from the templates of
-a fixed cogenus: the log-side width-sequence sum, the five linear-form
-coefficients, the end-of-range correction DiffQ, and the singular
-corrections COR and COR''.  Each reads a template's fitted form only through
-its four moments eta0, zeta0, zeta1 and zeta2.  The fitted templates are
-also kept on disk, one hash-stamped JSON file per cogenus holding each
-template's edges and moments, so a process fits only what no earlier
-process has.
+Everything in this module is an exact rational at a fixed cogenus.  The
+five linear-form coefficients, the linearization in the end-of-range
+correction DiffQ, and the singular corrections COR and COR'' are sums over
+the templates, each reading a template's fitted form only through its four
+moments eta0, zeta0, zeta1 and zeta2.  The log-side width-sequence sum,
+the other half of DiffQ, reads no template: it is the log of the direct
+transfer's counts (orderings._chains).  The fitted templates are also kept
+on disk, one hash-stamped JSON file per cogenus holding each template's
+edges and moments, so a process fits only what no earlier process has.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .graphs import Template, check_cogenus, conjugate, enumerate_templates
-from .orderings import LinearForm, _check, _divided, _fit, _FitTable, _scaled_phis
+from .orderings import BetaSeq, LinearForm, _chains, _check, _divided, _fit, _FitTable
 from .series import RatSeries, sigma
 
 
@@ -172,18 +173,20 @@ def _fit_templates(delta: int) -> TemplateData:
 
 
 def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
-    """Log-transformed ordering sum over shifted templates, evaluated exactly."""
+    """The log-side sum: mu * phi_beta of every template at every shift the
+    end rule admits.  phi is the log coefficient of the ordering generating
+    function and vanishes off shifted templates, so the sum is [t^delta] of
+    log(sum_r N_r t^r), N_r the direct count of cogenus r at the widths beta
+    (Block, "Computing node polynomials for plane curves", 2011): one
+    transfer (_chains), with no template, fit or log plan read."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    beta = tuple(beta)
-    m = len(beta) - 1
-    total = Fraction(0)
-    for t, _ in template_data(delta):
-        # t shifted by k >= 0 against beta is t against beta[k:]: the
-        # non-strict count reads only the widths under the graph
-        scale, terms = _scaled_phis(t, [beta[k:] for k in t.shifts(m)])
-        total += Fraction(t.multiplicity * sum(terms), scale)
-    return total
+    check_cogenus(delta)
+    try:
+        beta = BetaSeq(beta)
+    except TypeError:
+        raise ValueError(f"widths must be integers, got {beta!r}") from None
+    return RatSeries(_chains(beta, delta)).log()[delta]
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +273,8 @@ def b_coeffs(delta: int, i: int) -> Fraction:
 def diffq(p: int, delta: int) -> Fraction:
     """Deviation of the true sum from its linearization at widths p*(0,1,...,delta).
 
-    At the widths p*(k, ..., k+ell-1) under a shift k, a template's form is
+    The true sum is q_beta_delta, from the direct transfer.  At the widths
+    p*(k, ..., k+ell-1) under a shift k, a template's form is
     eta0 + p*(k*zeta0 + zeta1), so the linearization is summed over the
     shifts in closed form.
     """

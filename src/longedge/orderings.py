@@ -16,8 +16,8 @@ P is counted in batches.  p_counts(shape, windows) takes one shape, its
 edges shifted to start at vertex 0, and the widths under it at many places:
 the windows.  It lists the transfer's states and moves once for the shape
 and applies each window's own factors to them, and it memoizes every
-(shape, window) value.  Callers hand over whole batches: _scaled_phis
-every width sequence for each sub-multiset.  The fits of one cogenus
+(shape, window) value.  Callers hand over whole batches: phi_betas every
+width sequence for each sub-multiset.  The fits of one cogenus
 evaluate phi at six widths that depend on the position alone, so a
 _FitTable counts each sub-multiset's P there once for all the templates
 that hold it.
@@ -32,6 +32,11 @@ crossing weights and shape; p_beta and every term of phi reach P
 through it.  Only non-strict P is counted here.  The strict count of a
 shifted template, where no weight >= 2 edge may end at 0 or M+1, is P at
 the shifts that the end rule Template.shifts admits and 0 at the others.
+
+_chains counts the other way round, with no template: the strict sum
+mu * P^strict over every graph of each cogenus on a width sequence, in one
+integer transfer over the vertices.  The direct route reads those counts,
+and so does coeffs.q_beta_delta through their log.
 """
 
 from __future__ import annotations
@@ -225,7 +230,8 @@ class _LogPlan(NamedTuple):
 
 def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
     """The log plan of an edge multiset, built afresh: a fit reads each
-    template's plan once, so it keeps none of them."""
+    template's plan once, and phi_betas reads one plan for all its widths,
+    so none is kept."""
     classes = sorted(Counter(edges).items())
     # each sub-multiset's edge tuple, grown one class at a time by that
     # class's runs of 0..mult copies: itertools.product order
@@ -237,16 +243,10 @@ def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
     return _LogPlan(tuple(map(_plan_sub, keys)), splits, lcm(*range(1, len(edges) + 1)))
 
 
-# the plans kept for q_beta_delta, which reads a template's plan at every
-# width sequence it is asked about
-_log_plan = lru_cache(maxsize=None)(_plan)
-
-
 @lru_cache(maxsize=None)
 def _plan_sub(edges: tuple[Edge, ...]) -> _Sub:
     """_sub of an edge multiset, kept: the plans of many templates hold the
-    same sub-multisets, and q_beta_delta reads each template's plan at
-    every width sequence, so each record is built once for all of them."""
+    same sub-multisets, so each record is built once for all of them."""
     return _sub(edges)
 
 
@@ -290,20 +290,13 @@ def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
 def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction]:
     """phi_beta(g, beta) for each beta, with one p_counts batch per
     sub-multiset for all of them."""
-    scale, numerators = _scaled_phis(g, betas)
-    return [Fraction(h, scale) for h in numerators]
-
-
-def _scaled_phis(
-    g: LongEdgeGraph, betas: Sequence[Sequence[int]]
-) -> tuple[int, list[int]]:
-    """(scale, [scale * phi_beta(g, beta) for each beta]), all integers."""
     betas = [tuple(beta) for beta in betas]
     if g.is_empty:
-        return 1, [0] * len(betas)
-    plan = _log_plan(g.edges)
+        return [Fraction(0)] * len(betas)
+    plan = _plan(g.edges)
     rows = [_counts(t, [_window(t, beta) for beta in betas]) for t in plan.subs]
-    return plan.scale, _recurrence(g, plan, betas, zip(*rows))
+    numerators = _recurrence(g, plan, betas, zip(*rows))
+    return [Fraction(h, plan.scale) for h in numerators]
 
 
 def _recurrence(
@@ -486,3 +479,114 @@ def _check_probes(
                 f"{list(probe[: g.maxv])}; linearity is guaranteed there, so "
                 "this is a bug"
             )
+
+
+# A state of _chains packs each gap into two fields of _FIELD bits, the
+# crossing weight and then the edges ordered there, the gap nearest first.
+# A field holds up to 31, at least the 2 * MAX_COGENUS either value reaches.
+_FIELD = 5
+_MASK = (1 << _FIELD) - 1
+_GAP = 2 * _FIELD
+
+
+@lru_cache(maxsize=None)
+def _openings(
+    first: bool, reach: int, budget: int
+) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...], int], ...]:
+    """Every way to open long edges (v, v + span, w) at one vertex v of
+    _chains, of cogenus at most budget, each copy ordered in a gap under it.
+
+    span <= reach, the number of vertices after v, or budget + 2 when more
+    follow: no edge of cogenus <= budget is that long.  An edge that starts
+    at the first vertex or ends at the last has weight 1 (the end rule).
+    Ways that change a state alike are summed.  Each is
+    (cost, increment, crossing, joins, factor).  The increment is packed
+    like a state of _chains, the weight crossing and the copies ordered in
+    each gap from v's on, and is added to it; crossing is its low field,
+    the weight it adds at gap v.  joins lists (shift, M) for each gap that
+    M copies join, shift locating the gap's edge field, and a state whose
+    gap held s edges multiplies in C(s + M, M).  factor is w^2 per copy
+    times M! / prod m! per gap, m copies of each class there.
+    """
+    grown = [{} for _ in range(budget + 1)]  # by cost: increment -> factor
+    grown[0][0] = 1
+    for span in range(1, min(reach, budget + 1) + 1):
+        for weight in range(1, (budget + 1) // span + 1):
+            if span * weight == 1 or weight > 1 and (first or span == reach):
+                continue
+            cost = span * weight - 1
+            square = weight * weight
+            crossing = weight * sum(1 << _GAP * gap for gap in range(span))
+            for gap in range(span):
+                # one more copy of the class, ordered in this gap; the costs
+                # are walked down, so no way made in this pass grows again
+                shift = _GAP * gap + _FIELD
+                step = crossing + (1 << shift)
+                for used in range(budget - cost, -1, -1):
+                    for inc, factor in grown[used].items():
+                        m = 0
+                        for out in grown[used + cost :: cost]:
+                            m += 1
+                            inc += step
+                            # times w^2 and C(s, m) / C(s - 1, m - 1) = s / m
+                            factor = factor * square * (inc >> shift & _MASK) // m
+                            out[inc] = out.get(inc, 0) + factor
+    ways = []
+    for cost, incs in enumerate(grown):
+        for inc, factor in incs.items():
+            joins = []
+            shift, fields = _FIELD, inc >> _FIELD
+            while fields:
+                if fields & _MASK:
+                    joins.append((shift, fields & _MASK))
+                shift += _GAP
+                fields >>= _GAP
+            ways.append((cost, inc, inc & _MASK, tuple(joins), factor))
+    return tuple(ways)
+
+
+def _chains(beta: Sequence[int], rest: int) -> list[int]:
+    """Weighted counts mu * P_beta^strict of the graphs of cogenus 0..rest
+    on the vertices 0..len(beta), in one transfer over the vertices.
+
+    At vertex v the edges that start there open (_openings), each copy
+    ordered in a gap it straddles; then gap v closes: its fill = beta[v]
+    minus the weight crossing it must be >= 0, and its s edges interleave
+    with the fill filler edges, C(fill + s, s) ways.  Gap by gap this gives
+    P's (fill + s)! / (fill! prod c!).  A state is one int: the crossing
+    weight and the edges ordered in each gap from v's on, _FIELD bits each,
+    interleaved (the low field is gap v's crossing weight).  Every long
+    edge has cost >= 1 and weight <= cost + 1, so a gap is crossed by
+    weight <= 2 * rest and holds <= rest edges; 2 * rest, at most 16 at
+    graphs.MAX_COGENUS, must fit a field, so adding never carries.
+    Opening edges adds the increment and closing gap v shifts the state
+    right by two fields.  States are kept apart by the cogenus used.
+    """
+    top = len(beta)
+    layers = [{} for _ in range(rest + 1)]  # by cogenus used: state -> weight
+    layers[0][0] = 1
+    for v, width in enumerate(beta):
+        after: list[dict] = [{} for _ in range(rest + 1)]
+        for used, states in enumerate(layers):
+            if not states:
+                continue
+            budget = rest - used
+            ways = _openings(v == 0, min(top - v, budget + 2), budget)
+            for cost, inc, crossing, joins, factor in ways:
+                out = after[used + cost]
+                room = width - crossing
+                for state, value in states.items():
+                    fill = room - (state & _MASK)
+                    if fill < 0:
+                        continue
+                    new = state + inc
+                    value *= factor
+                    for shift, m in joins:
+                        value *= comb(new >> shift & _MASK, m)
+                    s = new >> _FIELD & _MASK
+                    if s:
+                        value *= comb(fill + s, s)
+                    new >>= _GAP  # gap v closes
+                    out[new] = out.get(new, 0) + value
+        layers = after
+    return [sum(states.values()) for states in layers]

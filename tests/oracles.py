@@ -354,9 +354,23 @@ def fit_by_bumps(g: LongEdgeGraph) -> EtaForm:
     return EtaForm((f0 - b * sum(coeffs), *coeffs), lo)
 
 
+def q_beta_by_templates(beta, delta: int) -> Fraction:
+    """The log-side sum Q_beta as the template loop: phi of every template,
+    times its multiplicity, at each shift the end rule admits.  t shifted
+    by k >= 0 against beta is t against beta[k:]: the non-strict count
+    reads only the widths under the graph."""
+    beta = tuple(beta)
+    m = len(beta) - 1
+    total = Fraction(0)
+    for t in enumerate_templates(delta):
+        phis = phi_betas(t, [beta[k:] for k in t.shifts(m)])
+        total += t.multiplicity * sum(phis, Fraction(0))
+    return total
+
+
 def q_delta_linearized(beta, delta: int) -> Fraction:
-    """The template sum of q_beta_delta with every term replaced by the
-    bump fit's form, evaluated at each admitted shift."""
+    """The template sum of q_beta_by_templates with every term replaced by
+    the bump fit's form, evaluated at each admitted shift."""
     beta = tuple(beta)
     total = Fraction(0)
     for t in enumerate_templates(delta):

@@ -25,6 +25,7 @@ from oracles import (
     enumerate_graphs,
     p_by_walk,
     phi_by_partitions,
+    q_beta_by_templates,
     q_delta_linearized,
     template_sums_by_fractions,
 )
@@ -147,6 +148,23 @@ def test_diffq_fixed_values():
         diffq(-1, 1)
 
 
+# diffq(p, delta) for p = 1..4, as the template loop over phi computed it;
+# test_diffq_fixed_values pins delta = 1 and 2
+DIFFQ_PINNED = {
+    3: ("119/3", "-296/3", "-227", "-1066/3"),
+    4: ("-4159/4", "1230", "12675/4", "10225/2"),
+    5: ("109959/5", "-86272/5", "-241683/5", "-397974/5"),
+    6: ("-2633309/6", "779632/3", "1555303/2", "3899477/3"),
+    7: ("60018174/7", "-28733280/7", "-90768786/7", "-153482760/7"),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(DIFFQ_PINNED))
+def test_diffq_pinned_values(delta):
+    values = [diffq(p, delta) for p in range(1, 5)]
+    assert values == [Fraction(v) for v in DIFFQ_PINNED[delta]]
+
+
 def test_diffq_matches_linearized_oracle():
     # the closed sum of eta0 + p*(k*zeta0 + zeta1) over the shifts against
     # the bump fit's forms evaluated shift by shift; diffq(0, delta) is 0 by
@@ -154,7 +172,7 @@ def test_diffq_matches_linearized_oracle():
     for delta in range(1, 6):
         for p in range(5):
             beta = tuple(p * j for j in range(delta + 1))
-            linear = q_beta_delta(beta, delta) - q_delta_linearized(beta, delta)
+            linear = q_beta_by_templates(beta, delta) - q_delta_linearized(beta, delta)
             assert diffq(p, delta) == (linear if p else 0), (p, delta)
 
 
@@ -199,14 +217,47 @@ def test_q_beta_delta_triangle():
         q_beta_delta((1, 1), 0)
 
 
-def test_q_beta_delta_builds_one_log_plan_per_template():
-    # every shift of a template reads the template's own plan
-    from longedge import orderings
+def test_q_beta_delta_reads_no_template(monkeypatch):
+    # the log of one direct transfer: no template, fit or log plan
+    from longedge import graphs, orderings
 
-    template_data(4)
-    orderings._log_plan.cache_clear()
-    assert q_beta_delta(tuple(2 * j for j in range(5)), 4) == -41732
-    assert orderings._log_plan.cache_info().currsize == len(template_data(4)) == 102
+    def refuse(*args):
+        raise AssertionError("q_beta_delta reached the template side")
+
+    for module, name in (
+        (coeffs, "template_data"),
+        (coeffs, "enumerate_templates"),
+        (graphs, "enumerate_templates"),
+        (orderings, "_plan"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert q_beta_delta((0, 2, 4, 6, 8), 4) == -41732
+
+
+@pytest.mark.parametrize(
+    "beta,delta,match",
+    [
+        ((-1, 2), 1, "nonnegative"),
+        ((2, -1, 3), 2, "nonnegative"),
+        ((1.5, 2), 1, "integers"),
+        ((2, 2.0, 2), 2, "integers"),
+        ((), 1, "empty"),
+        ((0, 1, 2), 9, "out of reach"),
+    ],
+)
+def test_q_beta_delta_rejects_bad_input(beta, delta, match):
+    with pytest.raises(ValueError, match=match):
+        q_beta_delta(beta, delta)
+
+
+@given(
+    beta=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8),
+    delta=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_q_beta_delta_matches_template_loop(beta, delta):
+    # zeros, length 1 and widths that are not semiallowable all drawn
+    assert q_beta_delta(beta, delta) == q_beta_by_templates(beta, delta)
 
 
 def q_beta_oracle(beta, delta):

@@ -257,7 +257,7 @@ def test_log_plan_splits_sit_at_mixed_radix_positions():
         LongEdgeGraph([(0, 3, 1)] * 3 + [(1, 2, 2)] * 2 + [(2, 4, 1)]).edges
     )
     for s in multisets:
-        plan = orderings._log_plan(s)
+        plan = orderings._plan(s)
         subs = [_edges_of(t) for t in plan.subs]
         assert subs[0] == Counter()
         assert subs[-1] == Counter((e.lo, e.hi, e.weight) for e in s)
@@ -369,12 +369,12 @@ def test_log_plans_build_each_record_once(monkeypatch):
     sub = orderings._sub
     monkeypatch.setattr(orderings, "_sub", lambda edges: calls.append(edges) or sub(edges))
     monkeypatch.setattr(coeffs, "_disk_cache", False)
-    for memo in (orderings._log_plan, orderings._plan_sub, orderings._splits):
+    for memo in (orderings._plan_sub, orderings._splits):
         memo.cache_clear()
     for delta in range(1, 6):
         coeffs.template_data.__wrapped__(delta)
     plans = [
-        orderings._log_plan(t.edges) for d in range(1, 6) for t in enumerate_templates(d)
+        orderings._plan(t.edges) for d in range(1, 6) for t in enumerate_templates(d)
     ]
     held = {(t.lo, t.shape) for plan in plans for t in plan.subs}
     assert len(calls) == len(set(calls)) == len(held) == 1004

@@ -128,9 +128,9 @@ class TestBruteForce:
         rest=st.integers(0, 5),
     )
     def test_transfer_matches_template_chain(self, beta, rest):
-        import longedge.severi as sv
+        import longedge.orderings as orderings
 
-        assert sv._chains(tuple(beta), rest) == chains_by_templates(beta, rest)
+        assert orderings._chains(tuple(beta), rest) == chains_by_templates(beta, rest)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -140,23 +140,23 @@ class TestBruteForce:
     def test_transfer_is_mirror_symmetric(self, beta, rest):
         # the end rule treats both ends alike, so mirrored widths share a
         # transfer in _direct_counts
-        import longedge.severi as sv
+        from longedge.orderings import _chains
 
-        assert sv._chains(tuple(beta), rest) == sv._chains(tuple(beta[::-1]), rest)
+        assert _chains(tuple(beta), rest) == _chains(tuple(beta[::-1]), rest)
 
     def test_packed_fields_hold_the_deepest_cogenus(self):
         # a gap is crossed by weight <= 2 * rest and holds <= rest edges, and
         # one field of a packed state must hold both at every allowed cogenus
-        import longedge.severi as sv
+        import longedge.orderings as orderings
 
-        assert 2 * MAX_COGENUS <= sv._MASK
+        assert 2 * MAX_COGENUS <= orderings._MASK
         for budget in range(MAX_COGENUS + 1):
             for first in (True, False):
-                for _, inc, _, _, _ in sv._openings(first, budget + 2, budget):
+                for _, inc, _, _, _ in orderings._openings(first, budget + 2, budget):
                     fields = []
                     while inc:
-                        fields.append(inc & sv._MASK)
-                        inc >>= sv._FIELD
+                        fields.append(inc & orderings._MASK)
+                        inc >>= orderings._FIELD
                     assert max(fields[0::2], default=0) <= 2 * budget
                     assert max(fields[1::2], default=0) <= budget
 
