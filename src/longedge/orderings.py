@@ -35,8 +35,10 @@ the shifts that the end rule Template.shifts admits and 0 at the others.
 
 _chains counts the other way round, with no template: the strict sum
 mu * P^strict over every graph of each cogenus on a width sequence, in one
-integer transfer over the vertices.  The direct route reads those counts,
-and so does coeffs.q_beta_delta through their log.
+integer transfer over the vertices.  It opens the edges at a vertex one
+class and one gap at a time and keeps nothing between calls.  The direct
+route reads those counts, and so does coeffs.q_beta_delta through their
+log.
 """
 
 from __future__ import annotations
@@ -489,104 +491,68 @@ _MASK = (1 << _FIELD) - 1
 _GAP = 2 * _FIELD
 
 
-@lru_cache(maxsize=None)
-def _openings(
-    first: bool, reach: int, budget: int
-) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...], int], ...]:
-    """Every way to open long edges (v, v + span, w) at one vertex v of
-    _chains, of cogenus at most budget, each copy ordered in a gap under it.
-
-    span <= reach, the number of vertices after v, or budget + 2 when more
-    follow: no edge of cogenus <= budget is that long.  An edge that starts
-    at the first vertex or ends at the last has weight 1 (the end rule).
-    Ways that change a state alike are summed.  Each is
-    (cost, increment, crossing, joins, factor).  The increment is packed
-    like a state of _chains, the weight crossing and the copies ordered in
-    each gap from v's on, and is added to it; crossing is its low field,
-    the weight it adds at gap v.  joins lists (shift, M) for each gap that
-    M copies join, shift locating the gap's edge field, and a state whose
-    gap held s edges multiplies in C(s + M, M).  factor is w^2 per copy
-    times M! / prod m! per gap, m copies of each class there.
-    """
-    grown = [{} for _ in range(budget + 1)]  # by cost: increment -> factor
-    grown[0][0] = 1
-    for span in range(1, min(reach, budget + 1) + 1):
-        for weight in range(1, (budget + 1) // span + 1):
-            if span * weight == 1 or weight > 1 and (first or span == reach):
-                continue
-            cost = span * weight - 1
-            square = weight * weight
-            crossing = weight * sum(1 << _GAP * gap for gap in range(span))
-            for gap in range(span):
-                # one more copy of the class, ordered in this gap; the costs
-                # are walked down, so no way made in this pass grows again
-                shift = _GAP * gap + _FIELD
-                step = crossing + (1 << shift)
-                for used in range(budget - cost, -1, -1):
-                    for inc, factor in grown[used].items():
-                        m = 0
-                        for out in grown[used + cost :: cost]:
-                            m += 1
-                            inc += step
-                            # times w^2 and C(s, m) / C(s - 1, m - 1) = s / m
-                            factor = factor * square * (inc >> shift & _MASK) // m
-                            out[inc] = out.get(inc, 0) + factor
-    ways = []
-    for cost, incs in enumerate(grown):
-        for inc, factor in incs.items():
-            joins = []
-            shift, fields = _FIELD, inc >> _FIELD
-            while fields:
-                if fields & _MASK:
-                    joins.append((shift, fields & _MASK))
-                shift += _GAP
-                fields >>= _GAP
-            ways.append((cost, inc, inc & _MASK, tuple(joins), factor))
-    return tuple(ways)
-
-
 def _chains(beta: Sequence[int], rest: int) -> list[int]:
     """Weighted counts mu * P_beta^strict of the graphs of cogenus 0..rest
     on the vertices 0..len(beta), in one transfer over the vertices.
 
-    At vertex v the edges that start there open (_openings), each copy
-    ordered in a gap it straddles; then gap v closes: its fill = beta[v]
-    minus the weight crossing it must be >= 0, and its s edges interleave
-    with the fill filler edges, C(fill + s, s) ways.  Gap by gap this gives
-    P's (fill + s)! / (fill! prod c!).  A state is one int: the crossing
-    weight and the edges ordered in each gap from v's on, _FIELD bits each,
-    interleaved (the low field is gap v's crossing weight).  Every long
-    edge has cost >= 1 and weight <= cost + 1, so a gap is crossed by
-    weight <= 2 * rest and holds <= rest edges; 2 * rest, at most 16 at
-    graphs.MAX_COGENUS, must fit a field, so adding never carries.
-    Opening edges adds the increment and closing gap v shifts the state
-    right by two fields.  States are kept apart by the cogenus used.
+    At vertex v the long edges (v, v + span, w) open one class and one gap
+    at a time: for each class of cost span * w - 1 <= rest, with weight 1
+    where the edge starts at the first vertex or ends at the last (the end
+    rule), and each gap g < span it straddles, every state takes m = 0, 1,
+    ... copies ordered in gap g.  A copy adds its weight to the crossing of
+    each gap under it and one edge to gap g, and multiplies the value by
+    w^2 (s + m) / m, s the edges gap g held before: over the classes a gap
+    takes, that is (s + M)! / (s! prod m!).  Every copy crosses gap v, so
+    a state stops taking copies once gap v's crossing passes beta[v].
+    Then gap v closes: its fill = beta[v] minus the weight crossing it
+    must be >= 0, and its s edges interleave with the fill filler edges,
+    C(fill + s, s) ways.  Gap by gap this gives P's
+    (fill + s)! / (fill! prod c!).
+
+    A state is one int: the crossing weight and the edges ordered in each
+    gap from v's on, _FIELD bits each, interleaved (the low field is gap
+    v's crossing weight).  Every long edge has cost >= 1 and weight <=
+    cost + 1, so a gap is crossed by weight <= 2 * rest and holds <= rest
+    edges; 2 * rest, at most 16 at graphs.MAX_COGENUS, must fit a field,
+    so adding never carries.  A copy is one addition and closing gap v
+    shifts the state right by two fields.  States are kept apart by the
+    cogenus used, and each step walks those layers downwards, so no state
+    it makes takes copies again in the same step.
     """
     top = len(beta)
     layers = [{} for _ in range(rest + 1)]  # by cogenus used: state -> weight
     layers[0][0] = 1
     for v, width in enumerate(beta):
-        after: list[dict] = [{} for _ in range(rest + 1)]
+        for span in range(1, min(top - v, rest + 1) + 1):
+            for weight in range(1, (rest + 1) // span + 1):
+                if span * weight == 1 or weight > 1 and (v == 0 or span == top - v):
+                    continue
+                cost = span * weight - 1
+                square = weight * weight
+                crossing = weight * sum(1 << _GAP * gap for gap in range(span))
+                for gap in range(span):
+                    shift = _GAP * gap + _FIELD
+                    step = crossing + (1 << shift)
+                    for used in range(rest - cost, -1, -1):
+                        outs = layers[used + cost :: cost]
+                        for state, value in layers[used].items():
+                            m = 0
+                            for out in outs:
+                                state += step
+                                if state & _MASK > width:
+                                    break
+                                m += 1
+                                value = value * square * (state >> shift & _MASK) // m
+                                out[state] = out.get(state, 0) + value
         for used, states in enumerate(layers):
-            if not states:
-                continue
-            budget = rest - used
-            ways = _openings(v == 0, min(top - v, budget + 2), budget)
-            for cost, inc, crossing, joins, factor in ways:
-                out = after[used + cost]
-                room = width - crossing
-                for state, value in states.items():
-                    fill = room - (state & _MASK)
-                    if fill < 0:
-                        continue
-                    new = state + inc
-                    value *= factor
-                    for shift, m in joins:
-                        value *= comb(new >> shift & _MASK, m)
-                    s = new >> _FIELD & _MASK
-                    if s:
-                        value *= comb(fill + s, s)
-                    new >>= _GAP  # gap v closes
-                    out[new] = out.get(new, 0) + value
-        layers = after
+            closed = layers[used] = {}
+            for state, value in states.items():
+                fill = width - (state & _MASK)
+                if fill < 0:
+                    continue
+                s = state >> _FIELD & _MASK
+                if s:
+                    value *= comb(fill + s, s)
+                state >>= _GAP  # gap v closes
+                closed[state] = closed.get(state, 0) + value
     return [sum(states.values()) for states in layers]

@@ -144,21 +144,61 @@ class TestBruteForce:
 
         assert _chains(tuple(beta), rest) == _chains(tuple(beta[::-1]), rest)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+        rest=st.integers(6, 8),
+    )
+    def test_transfer_is_mirror_symmetric_near_full_fields(self, beta, rest):
+        # wide gaps at the deepest cogenera, where a gap's crossing field
+        # comes near its bound 2 * rest
+        from longedge.orderings import _chains
+
+        assert _chains(tuple(beta), rest) == _chains(tuple(beta[::-1]), rest)
+
+    def test_pinned_deep_transfers(self):
+        # computed by the transfer that listed every opening at a vertex
+        # before it ran; at (16,) * 4 a gap is crossed by weight 16, one
+        # more than a 4-bit field holds
+        from longedge.orderings import _chains
+
+        assert _chains((16,) * 4, 8) == [
+            1, 216, 22015, 1408700, 63524832, 2148377384, 56621893667,
+            1193110716180, 20463444524601,
+        ]
+        assert _chains((9,) * 10, 8)[-1] == 9130318771729521
+        assert _chains(tuple(range(0, 25, 3)), 8)[-1] == 42411421293118500
+
     def test_packed_fields_hold_the_deepest_cogenus(self):
         # a gap is crossed by weight <= 2 * rest and holds <= rest edges, and
-        # one field of a packed state must hold both at every allowed cogenus
+        # one field of a packed state must hold both at every allowed
+        # cogenus: every multiset of long-edge classes (span, weight) of
+        # total cost span * weight - 1 <= budget could cross one gap
         import longedge.orderings as orderings
 
         assert 2 * MAX_COGENUS <= orderings._MASK
+        classes = [
+            (span * weight - 1, weight)
+            for span in range(1, MAX_COGENUS + 2)
+            for weight in range(1, MAX_COGENUS + 2)
+            if 1 <= span * weight - 1 <= MAX_COGENUS
+        ]
+
+        def crossings(at, budget):
+            """(weight, count) of each multiset of classes[at:] within budget."""
+            if at == len(classes):
+                yield 0, 0
+                return
+            cost, weight = classes[at]
+            for m in range(budget // cost + 1):
+                for w, n in crossings(at + 1, budget - m * cost):
+                    yield w + m * weight, n + m
+
         for budget in range(MAX_COGENUS + 1):
-            for first in (True, False):
-                for _, inc, _, _, _ in orderings._openings(first, budget + 2, budget):
-                    fields = []
-                    while inc:
-                        fields.append(inc & orderings._MASK)
-                        inc >>= orderings._FIELD
-                    assert max(fields[0::2], default=0) <= 2 * budget
-                    assert max(fields[1::2], default=0) <= budget
+            weights, counts = zip(*crossings(0, budget))
+            # budget edges (v, v + 1, 2) reach both bounds
+            assert max(weights) == 2 * budget
+            assert max(counts) == budget
 
     @pytest.mark.parametrize(
         "p", [p for _, p in GRAPH_ORACLE_POLYGONS],
