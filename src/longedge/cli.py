@@ -16,7 +16,13 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .coeffs import a_series, template_coefficients, template_data, use_disk_cache
+from .coeffs import (
+    _edge_rows,
+    a_series,
+    template_coefficients,
+    template_data,
+    use_disk_cache,
+)
 from .graphs import check_cogenus
 from .polygon import polygon_from_dict
 from .series import b1_b2, d2g2, dg2, disc, g2, partition_series
@@ -29,7 +35,7 @@ def _template_rows(delta: int) -> list[dict]:
     for g, form in template_data(delta):
         rows.append(
             {
-                "edges": [[e.lo, e.hi, e.weight] for e in g.edges],
+                "edges": _edge_rows(g),
                 "delta": g.cogenus,
                 "ell": g.length,
                 "mu": g.multiplicity,

@@ -1,14 +1,18 @@
 """Universal coefficients extracted from template sums.
 
 Everything in this module is an exact rational at a fixed cogenus.  The
-five linear-form coefficients, the linearization in the end-of-range
-correction DiffQ, and the singular corrections COR and COR'' are sums over
-the templates, each reading a template's fitted form only through its four
-moments eta0, zeta0, zeta1 and zeta2.  The log-side width-sequence sum,
-the other half of DiffQ, reads no template: it is the log of the direct
-transfer's counts (orderings._chains).  The fitted templates are also kept
-on disk, one hash-stamped JSON file per cogenus holding each template's
-edges and moments, so a process fits only what no earlier process has.
+five linear-form coefficients A, L, H, D and C are sums over the
+templates, each reading a template's fitted form only through its four
+moments eta0, zeta0, zeta1 and zeta2; _template_sums is the one place
+that sums them.  The closed count is the linear form A*area + L*ll +
+H*height + D*idet + C in the width statistics (_linear_part), plus the
+end-of-range correction DiffQ at each end vertex and the b terms.  DiffQ
+is the log-side width-sequence sum at p*(0..delta) less that same linear
+form there; the log-side sum reads no template: it is the log of the
+direct transfer's counts (orderings._chains).  The fitted templates are
+also kept on disk, one hash-stamped JSON file per cogenus holding each
+template's edges and moments, so a process fits only what no earlier
+process has.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .graphs import Template, check_cogenus, conjugate, enumerate_templates
 from .orderings import BetaSeq, LinearForm, _chains, _check, _divided, _fit, _FitTable
+from .polygon import BetaStats, PolygonStats, beta_stats
 from .series import RatSeries, sigma
 
 
@@ -154,9 +159,10 @@ def template_data(delta: int) -> TemplateData:
 def _fit_templates(delta: int) -> TemplateData:
     """Fit the first template of each conjugate pair met in canonical order;
     the other takes the reflected moments, checked at the fit's probe widths.
-    All of them read P from one table, dropped when the last is fitted, and
-    the moments stay integers, times their plan's scale, until the end: a
-    template and its conjugate have as many edges, so one scale."""
+    All of them read P from one column table, the only place P is kept,
+    which goes when the fit returns; the moments stay integers, times their
+    plan's scale, until the end: a template and its conjugate have as many
+    edges, so one scale."""
     templates = enumerate_templates(delta)
     table = _FitTable(delta, max(t.length for t in templates))
     scaled: dict[Template, tuple[int, LinearForm]] = {}
@@ -168,7 +174,6 @@ def _fit_templates(delta: int) -> TemplateData:
             scale, moments = mirror
             scaled[t] = scale, moments.reflected(t.length)
             _check(t, scaled[t][1], table)
-    table.drop()
     return tuple((t, _divided(*form)) for t, form in scaled.items())
 
 
@@ -229,6 +234,13 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
     )
 
 
+def _linear_part(delta: int, stats: BetaStats | PolygonStats) -> Fraction:
+    """A*area + L*ll + H*height + D*idet + C at one cogenus: the closed
+    count's linear form in the width statistics."""
+    a, l, h, d, c = _template_sums(delta)
+    return a * stats.area + l * stats.ll + h * stats.height + d * stats.idet + c
+
+
 @lru_cache(maxsize=None)
 def template_coefficients(delta: int) -> CoeffTable:
     """The five universal sums over templates of one cogenus, plus the b column."""
@@ -273,22 +285,15 @@ def b_coeffs(delta: int, i: int) -> Fraction:
 def diffq(p: int, delta: int) -> Fraction:
     """Deviation of the true sum from its linearization at widths p*(0,1,...,delta).
 
-    The true sum is q_beta_delta, from the direct transfer.  At the widths
-    p*(k, ..., k+ell-1) under a shift k, a template's form is
-    eta0 + p*(k*zeta0 + zeta1), so the linearization is summed over the
-    shifts in closed form.
+    The true sum is q_beta_delta, from the direct transfer; the
+    linearization is the closed count's linear form at those widths' stats.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
         return Fraction(0)
-    linear = Fraction(0)
-    for t, form in template_data(delta):
-        shifts = t.shifts(delta)
-        linear += t.multiplicity * (
-            len(shifts) * (form.eta0 + p * form.zeta1) + p * sum(shifts) * form.zeta0
-        )
-    return q_beta_delta(tuple(p * j for j in range(delta + 1)), delta) - linear
+    beta = tuple(p * j for j in range(delta + 1))
+    return q_beta_delta(beta, delta) - _linear_part(delta, beta_stats(beta))
 
 
 def cor(p: int, delta: int) -> Fraction:

@@ -15,12 +15,13 @@ all that the coefficient sums read of it, whatever the template's length.
 P is counted in batches.  p_counts(shape, windows) takes one shape, its
 edges shifted to start at vertex 0, and the widths under it at many places:
 the windows.  It lists the transfer's states and moves once for the shape
-and applies each window's own factors to them, and it memoizes every
-(shape, window) value.  Callers hand over whole batches: phi_betas every
-width sequence for each sub-multiset.  The fits of one cogenus
-evaluate phi at six widths that depend on the position alone, so a
-_FitTable counts each sub-multiset's P there once for all the templates
-that hold it.
+and applies each window's own factors to them, and keeps nothing between
+calls.  Callers hand over whole batches: phi_betas every width sequence
+for each sub-multiset.  The fits of one cogenus evaluate phi at six
+widths that depend on the position alone, so a _FitTable counts each
+sub-multiset's P there once for all the templates that hold it: that
+table, which lives as long as the cogenus's fit, is the only place P is
+kept.
 phi is kept in integers, scaled by lcm(1..|S|), and the fit and its probe
 check use those integers; phi_beta, phi_betas and the fitted moments
 divide once.
@@ -80,28 +81,22 @@ def beta_from_divergence(d: Sequence[int]) -> BetaSeq:
     return BetaSeq(out)
 
 
-# P of each shape, by window: filled in by p_counts, one walk per batch
-_P_MEMO: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-
 def p_counts(shape: tuple[int, ...], windows: Sequence[tuple[int, ...]]) -> list[int]:
     """P of a graph whose lowest vertex is 0, at each window: the graph is
     given as its edges' (lo, hi, weight) run together, and gap j holds
     window[j-1] edges in all, so each window must cover the weight crossing
     each gap (the fit rule _window checks that).
 
-    Values are memoized by (shape, window).  The windows not yet known are
-    counted together, duplicates once, in one walk of the transfer (_walk).
-    P does not change when a graph is shifted or when widths outside its
-    span change, so all shifts of one shape at the same local widths share
-    one entry.
+    The distinct windows are counted together in one walk of the transfer
+    (_walk), and a call with no window walks nothing.  Nothing is kept:
+    a caller that asks again for the same P keeps it itself, as the fit's
+    column table does.
     """
-    known = _P_MEMO.setdefault(shape, {})
-    missing = [w for w in dict.fromkeys(windows) if w not in known]
-    if missing:
-        for window, value in zip(missing, _walk(shape, missing)):
-            known[_shared(window)] = value
-    return [known[w] for w in windows]
+    distinct = list(dict.fromkeys(windows))
+    if not distinct:
+        return []
+    found = dict(zip(distinct, _walk(shape, distinct)))
+    return [found[w] for w in windows]
 
 
 def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
@@ -176,13 +171,6 @@ def _placements(
         rest = tuple([n - c for n, c, end in zip(left, placed, last) if not end])
         out.append((rest, s, ways))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _shared(value):
-    """The first value seen equal to this one, so that the P memo's many
-    equal window keys hold one object between them."""
-    return value
 
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
@@ -266,13 +254,13 @@ def _splits(mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _window(t: _Sub, beta: tuple[int, ...], k: int = 0) -> tuple[int, ...] | None:
-    """The widths under T shifted by k, or None unless T fits there: it lies
-    in the vertex range 0..M+1 and every gap's width covers the weight
-    crossing it."""
-    if t.hi + k > len(beta):
+def _window(t: _Sub, beta: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The widths under T, or None unless T fits there: it lies in the
+    vertex range 0..M+1 and every gap's width covers the weight crossing
+    it."""
+    if t.hi > len(beta):
         return None
-    window = beta[t.lo + k : t.hi + k]
+    window = beta[t.lo : t.hi]
     return None if any(map(operator.lt, window, t.lams)) else window
 
 
@@ -378,12 +366,6 @@ class _FitTable:
                 row = self.rows[t] = (None,) * first + tuple(values) + have
             rows.append(row)
         return list(zip(*rows))[first:]
-
-    def drop(self) -> None:
-        """Forget what the fits left in the P memo: the values of every
-        shape the table counted."""
-        for t in self.rows:
-            _P_MEMO.pop(t.shape, None)
 
 
 def _fit_phis(g: LongEdgeGraph, table: _FitTable, first: int) -> tuple[int, list[int]]:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from numbers import Rational
 from typing import NamedTuple, Sequence
 
-from .coeffs import b_coeffs, cor, diffq, template_coefficients
+from .coeffs import _linear_part, b_coeffs, cor, diffq, template_coefficients
 from .graphs import check_cogenus
 from .orderings import _chains
 from .polygon import (
@@ -69,13 +69,17 @@ def that_delta(delta: int) -> UniversalPolynomial:
     )
 
 
-def _edge_shortfall(min_edge: int, method: str, delta: int) -> str | None:
-    """Why a route cannot reach this node count, or None if it can: the
-    direct count needs every edge of length >= delta - 1, the closed and
-    geometric forms need length >= delta."""
-    need = delta - 1 if method == "bruteforce" else delta
-    if min_edge >= need:
-        return None
+def _reach(min_edge: int, method: str) -> int:
+    """The deepest node count a route reaches: the direct count needs every
+    edge of length >= delta - 1, the closed and geometric forms need
+    length >= delta."""
+    return min_edge + 1 if method == "bruteforce" else min_edge
+
+
+def _edge_shortfall(min_edge: int, method: str, delta: int) -> str:
+    """Why a route cannot reach a node count past its reach: each node
+    count further needs every edge one longer."""
+    need = delta - _reach(min_edge, method) + min_edge
     return f"needs every edge of length >= {need}, shortest is {min_edge}"
 
 
@@ -85,8 +89,8 @@ def _require_edges(p: HTPolygon, method: str, delta: int) -> PolygonStats:
         raise ValueError(f"delta must be >= {lowest}")
     check_cogenus(delta)
     stats = polygon_stats(p)
-    shortfall = _edge_shortfall(stats.min_edge, method, delta)
-    if shortfall:
+    if delta > _reach(stats.min_edge, method):
+        shortfall = _edge_shortfall(stats.min_edge, method, delta)
         raise ValueError(f"the {method} route {shortfall}")
     return stats
 
@@ -129,14 +133,7 @@ def _direct_counts(p: HTPolygon, delta: int) -> list[int]:
 def q_polygon(p: HTPolygon, delta: int) -> Fraction:
     """Closed form in the polygon's width statistics."""
     stats = _require_edges(p, "closed", delta)
-    tab = template_coefficients(delta)
-    total = (
-        tab.A * stats.area
-        + tab.L * stats.ll
-        + tab.H * stats.height
-        + tab.D * stats.idet
-        + tab.C
-    )
+    total = _linear_part(delta, stats)
     total += diffq(stats.tdet, delta) + diffq(stats.bdet, delta)
     for i, count in stats.vprime.items():
         total += b_coeffs(delta, i) * count
@@ -213,14 +210,10 @@ def report(
     q_vals: dict = {}
     skipped: dict = {}
     for m in methods:
-        reach = 0  # the deepest delta the route's precondition allows
-        for delta in range(1, delta_max + 1):
-            shortfall = _edge_shortfall(stats.min_edge, m, delta)
-            if shortfall:
-                reason = f"precondition unmet: {shortfall}"
-                skipped.setdefault(m, {})[str(delta)] = reason
-                break
-            reach = delta
+        reach = min(delta_max, _reach(stats.min_edge, m))
+        if reach < delta_max:
+            shortfall = _edge_shortfall(stats.min_edge, m, reach + 1)
+            skipped[m] = {str(reach + 1): f"precondition unmet: {shortfall}"}
         if m == "bruteforce":
             ns = [Fraction(n) for n in _direct_counts(p, reach)[1:]]
             qs = q_from_n(ns)

@@ -16,7 +16,7 @@ from .graphs import check_cogenus
 from .polygon import HTPolygon, polygon_stats, toric_invariants
 from .reference import COEFF_ROWS, TABLE1
 from .series import gyz_check
-from .severi import n_bruteforce, report
+from .severi import METHODS, _reach, n_bruteforce, report
 
 Check = tuple[str, bool]
 
@@ -144,7 +144,8 @@ def oracle() -> list[Check]:
     shortest edge allows up to delta = 5, with no count skipped."""
     checks: list[Check] = []
     for name, p in oracle_corpus():
-        top = min(5, polygon_stats(p).min_edge)
+        min_edge = polygon_stats(p).min_edge
+        top = min(5, *(_reach(min_edge, m) for m in METHODS))
         rep = report(p, top)
         direct = n_bruteforce(p, 0) == 1 and rep.n["bruteforce"] == rep.n["closed"]
         geometric = rep.q["geometric"] == rep.q["closed"]

@@ -104,7 +104,7 @@ def block_weights(t: Template, beta: Sequence[int]) -> list[int]:
     weights = [0] * len(beta)
     shifts = t.shifts(len(beta) - 1)
     record = _plan_sub(t.edges)
-    found = _counts(record, [_window(record, beta, k) for k in shifts])
+    found = _counts(record, [_window(record, beta[k:]) for k in shifts])
     for k, n in zip(shifts, found):
         weights[k] = t.multiplicity * n
     return weights

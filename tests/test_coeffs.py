@@ -176,6 +176,22 @@ def test_diffq_matches_linearized_oracle():
             assert diffq(p, delta) == (linear if p else 0), (p, delta)
 
 
+def test_row_linear_part_matches_template_shift_sum():
+    # at the widths p*(k, ..., k+ell-1) under a shift k a template's form is
+    # eta0 + p*(k*zeta0 + zeta1); summed over every template and admitted
+    # shift, that is the row's linear form at the stats of p*(0..delta)
+    for delta in range(1, 7):
+        for p in range(1, 6):
+            shift_sum = Fraction(0)
+            for t, form in template_data(delta):
+                for k in t.shifts(delta):
+                    shift_sum += t.multiplicity * (
+                        form.eta0 + p * (k * form.zeta0 + form.zeta1)
+                    )
+            stats = beta_stats(tuple(p * j for j in range(delta + 1)))
+            assert coeffs._linear_part(delta, stats) == shift_sum, (p, delta)
+
+
 def test_diffq_end_template_closed_form():
     # for p >= delta only templates touching the top contribute, linearly in p
     for delta in (1, 2, 3):

@@ -187,8 +187,7 @@ def test_p_count_matches_composition_walk(monkeypatch):
 )
 def test_p_counts_batches_match_composition_walk(edges, extras, data):
     # a batch with a duplicate window and the window that just fits, then a
-    # single window from the memo and one walked alone, each against the
-    # composition walk
+    # single window from each end of it, each against the composition walk
     g = LongEdgeGraph(edges)
     g = g.shift(-g.minv)
     shape = tuple(x for e in g.edges for x in (e.lo, e.hi, e.weight))
@@ -196,30 +195,29 @@ def test_p_counts_batches_match_composition_walk(edges, extras, data):
     windows = [tuple(lam + x for lam, x in zip(tight, extra)) for extra in extras]
     batch = data.draw(st.permutations([*windows, tight, windows[0]]))
     expected = [p_by_compositions(shape, w) for w in batch]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orderings, "_P_MEMO", {})
-        assert orderings.p_counts(shape, batch) == expected
-        assert orderings.p_counts(shape, batch[:1]) == expected[:1]
-        patch.setattr(orderings, "_P_MEMO", {})
-        assert orderings.p_counts(shape, batch[-1:]) == expected[-1:]
+    assert orderings.p_counts(shape, batch) == expected
+    assert orderings.p_counts(shape, batch[:1]) == expected[:1]
+    assert orderings.p_counts(shape, batch[-1:]) == expected[-1:]
+    assert orderings.p_counts(shape, []) == []
 
 
 def test_transfer_walk_counts(monkeypatch):
-    # work counts, never wall time: from an empty memo, each p_counts batch
-    # walks the transfer once, for the distinct windows it does not know
-    windows = []
-    walk = orderings._walk
+    # work counts, never wall time: each p_counts call that has a window
+    # walks the transfer once, for its distinct windows, and keeps nothing
+    calls, windows = [], []
+    count, walk = orderings.p_counts, orderings._walk
+    monkeypatch.setattr(
+        orderings, "p_counts", lambda shape, ws: calls.append(bool(ws)) or count(shape, ws)
+    )
     monkeypatch.setattr(
         orderings, "_walk", lambda shape, ws: windows.append(len(ws)) or walk(shape, ws)
     )
-    monkeypatch.setattr(orderings, "_P_MEMO", {})
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     coeffs.template_data.__wrapped__(5)  # a cold template_data(5)
-    # the empty multiset of every fit is one shape, walked once
-    assert (len(windows), sum(windows)) == (1008, 3881)
+    assert len(windows) == sum(calls)
+    assert (len(windows), sum(windows)) == (1011, 4361)
     # the direct count is one transfer over the widths, and walks none
     windows.clear()
-    monkeypatch.setattr(orderings, "_P_MEMO", {})
     for delta in range(6):
         n_bruteforce(triangle(7), delta)
     assert (len(windows), sum(windows)) == (0, 0)
