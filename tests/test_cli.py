@@ -100,6 +100,21 @@ class TestTemplates:
         assert out == ""
         assert len(json.loads(target.read_text())) == 2
 
+    # the digest of each cogenus's JSON table as printed before the cogenus
+    # fit moved behind orderings.fit_templates
+    @pytest.mark.parametrize("delta, digest", [
+        (1, "9342a3329d15f80ae9d6d930caf3d3967d1920a3efa39d2ff95c7319e346ed78"),
+        (2, "170b5b75c80d76bedd3b51c674d013da9cd685c7d230390e58ec9967e71e48fe"),
+        (3, "e267002e5e41a0099c2e3a88bd289039402b7e80e8a7dcc43b77458e42aa50b9"),
+        (4, "b459fec257ec6faf88f3029d4416f7d39a783c0ccfd1004f988a1df437f83a4a"),
+        (5, "0e647104a4e54a33ccbc9a7b8177a0a88c6d435807872da122d50c4db8d4cdfa"),
+        (6, "3d0a372068e9c89a202ce74d2d2d2f85b29d097c6c63fa00918d4753732100d8"),
+    ])
+    def test_json_table_is_pinned(self, delta, digest, capsys):
+        code, out, _ = run(["templates", "--delta", str(delta), "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCoeffs:
     def test_frozen_rows(self, capsys):
