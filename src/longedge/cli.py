@@ -93,7 +93,7 @@ COEFF_COLUMNS = ("delta", "A", "L", "H", "D", "C", "Ctilde", "b")
 def cmd_templates(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
-    rows = [] if args.delta == 0 else _template_rows(args.delta)
+    rows = _template_rows(args.delta)
     if args.format == "json":
         text = json.dumps(rows, indent=2)
     else:

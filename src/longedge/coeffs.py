@@ -9,9 +9,10 @@ H*height + D*idet + C in the width statistics (_linear_part), plus the
 end-of-range correction DiffQ at each end vertex and the b terms.  DiffQ
 is the log-side width-sequence sum at p*(0..delta) less that same linear
 form there; the log-side sum reads no template: it is the log of the
-direct transfer's counts (orderings._chains).  The fitted templates are
-also kept on disk, one hash-stamped JSON file per cogenus holding each
-template's edges and moments, so a process fits only what no earlier
+direct transfer's counts (orderings._chains).  template_data asks
+orderings.fit_templates for a cogenus's forms, the one fit step, and keeps
+them in memory and on disk, one hash-stamped JSON file per cogenus holding
+each template's edges and moments, so a process fits only what no earlier
 process has.
 """
 
@@ -26,8 +27,8 @@ from math import lcm
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .graphs import Template, check_cogenus, conjugate, enumerate_templates
-from .orderings import BetaSeq, LinearForm, _chains, _check, _divided, _fit, _FitTable
+from .graphs import Template, check_cogenus, enumerate_templates
+from .orderings import BetaSeq, LinearForm, _chains, fit_templates
 from .polygon import BetaStats, PolygonStats, beta_stats
 from .series import RatSeries, sigma
 
@@ -144,37 +145,20 @@ def _store_templates(delta: int, data: TemplateData) -> None:
 
 @lru_cache(maxsize=None)
 def template_data(delta: int) -> TemplateData:
-    """Templates of one cogenus with their fitted linear forms.
+    """Templates of one cogenus with their fitted linear forms; none below
+    cogenus 1.
 
     Kept in memory and in the on-disk cache; fitted only on a miss.
     """
+    if delta < 1:
+        return ()
     data = _load_templates(delta) if _disk_cache else None
     if data is None:
-        data = _fit_templates(delta)
+        templates = enumerate_templates(delta)
+        data = tuple(zip(templates, fit_templates(templates)))
         if _disk_cache:
             _store_templates(delta, data)
     return data
-
-
-def _fit_templates(delta: int) -> TemplateData:
-    """Fit the first template of each conjugate pair met in canonical order;
-    the other takes the reflected moments, checked at the fit's probe widths.
-    All of them read P from one column table, the only place P is kept,
-    which goes when the fit returns; the moments stay integers, times their
-    plan's scale, until the end: a template and its conjugate have as many
-    edges, so one scale."""
-    templates = enumerate_templates(delta)
-    table = _FitTable(delta, max(t.length for t in templates))
-    scaled: dict[Template, tuple[int, LinearForm]] = {}
-    for t in templates:
-        mirror = scaled.get(conjugate(t))
-        if mirror is None:
-            scaled[t] = _fit(t, table)
-        else:
-            scale, moments = mirror
-            scaled[t] = scale, moments.reflected(t.length)
-            _check(t, scaled[t][1], table)
-    return tuple((t, _divided(*form)) for t, form in scaled.items())
 
 
 def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:

@@ -8,9 +8,12 @@ the log coefficient phi(S) = [x^S] log(sum_T P_beta(T) x^T) of the edge
 multiset S, the sum running over its sub-multisets T.  Both are counted by
 recurrences: P by a transfer over the gaps, phi by an integer recurrence
 over the sub-multisets in mixed-radix order.  On the semiallowable region
-phi_beta is linear in beta, and fit_linear_phi recovers that linear form
-exactly, as the four moments (eta0, zeta0, zeta1, zeta2) of a LinearForm:
-all that the coefficient sums read of it, whatever the template's length.
+phi_beta is linear in beta, and fit_templates recovers that linear form
+exactly for every template of a cogenus, as the four moments (eta0, zeta0,
+zeta1, zeta2) of a LinearForm: all that the coefficient sums read of it,
+whatever the template's length.  It is the one way into the fit: it pairs
+conjugates, reflects one's moments for the other and probe-checks them
+all, and fit_linear_phi is fit_templates of one template.
 
 P is counted in batches.  p_counts(shape, windows) takes one shape, its
 edges shifted to start at vertex 0, and the widths under it at many places:
@@ -20,8 +23,8 @@ calls.  Callers hand over whole batches: phi_betas every width sequence
 for each sub-multiset.  The fits of one cogenus evaluate phi at six
 widths that depend on the position alone, so a _FitTable counts each
 sub-multiset's P there once for all the templates that hold it: that
-table, which lives as long as the cogenus's fit, is the only place P is
-kept.
+table, which lives as long as one fit_templates call, is the only place P
+is kept.
 phi is kept in integers, scaled by lcm(1..|S|), and the fit and its probe
 check use those integers; phi_beta, phi_betas and the fitted moments
 divide once.
@@ -52,7 +55,7 @@ from functools import lru_cache
 from math import comb, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Edge, LongEdgeGraph
+from .graphs import Edge, LongEdgeGraph, conjugate
 
 
 class BetaSeq(tuple):
@@ -401,61 +404,57 @@ class LinearForm(NamedTuple):
 
 def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
     """Recover the moments of the linear form that phi_beta takes on a
-    template's semiallowable region.
-
-    Widths >= cogenus+2 are semiallowable, and the region is closed upwards,
-    so phi is the form at a flat base b, at b+1, and at b+j and b+C(j,2) in
-    position j = 0..ell-1; the last three differ from the base by zeta0,
-    zeta1 and zeta2.  Those four widths and check_linear_form's two probes
-    (see _FitTable) are evaluated in one batch.
-    """
+    template's semiallowable region: fit_templates of g alone."""
     if g.is_empty:
         raise ValueError("fit_linear_phi is undefined on the empty graph")
     if g.minv != 0:
         raise ValueError(f"fit_linear_phi needs a template, lowest vertex 0: {g}")
-    return _divided(*_fit(g, _FitTable(g.cogenus, g.maxv)))
+    return fit_templates((g,))[0]
 
 
-def _fit(g: LongEdgeGraph, table: _FitTable) -> tuple[int, LinearForm]:
-    """fit_linear_phi of a template of the table's cogenus, as the plan's
-    scale and the moments times it: phi, the fit and its probe check stay
-    in integers."""
-    scale, (f0, *values) = _fit_phis(g, table, 0)
-    zetas = [v - f0 for v in values[:3]]
-    moments = LinearForm(f0 - (g.cogenus + 2) * zetas[0], *zetas)
-    _check_probes(g, table, values[3:], moments)
-    return scale, moments
+def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
+    """The moments of the linear form that phi_beta takes on each template's
+    semiallowable region, in input order: the fit of a cogenus.
 
-
-def _divided(scale: int, moments: LinearForm) -> LinearForm:
-    """The form whose moments times scale are the given integers."""
-    return LinearForm(*(Fraction(m, scale) for m in moments))
-
-
-def check_linear_form(g: LongEdgeGraph, form: LinearForm) -> None:
-    """Raise ArithmeticError unless form equals phi_beta(g, .) at two probe
-    widths inside the semiallowable region: a flat one, and one that moves
-    along zeta0, zeta1 and zeta2 at once."""
-    table = _FitTable(g.cogenus, g.maxv)
-    scale, values = _fit_phis(g, table, 4)
-    _check_probes(g, table, values, [scale * m for m in form])
-
-
-def _check(g: LongEdgeGraph, moments: LinearForm, table: _FitTable) -> None:
-    """check_linear_form of a graph of the table's cogenus, with its
-    moments times the scale of g's plan."""
-    _, values = _fit_phis(g, table, 4)
-    _check_probes(g, table, values, moments)
+    Widths >= cogenus+2 are semiallowable, and the region is closed upwards,
+    so with b = 2 + the largest cogenus given, phi is the form at a flat
+    base b, at b+1, and at b+j and b+C(j,2) in position j = 0..ell-1; the
+    last three differ from the base by zeta0, zeta1 and zeta2.  The first
+    template of each conjugate pair met is fitted there; the other takes
+    the reflected moments.  Every template is then checked at two probes
+    inside the region (see _FitTable).  All of them read P from one column
+    table, which goes when the fit returns.  The moments stay integers,
+    times their plan's scale, until the end: a template and its conjugate
+    have as many edges, so one scale.
+    """
+    if not templates:
+        return ()
+    cogenus = max(t.cogenus for t in templates)
+    table = _FitTable(cogenus, max(t.maxv for t in templates))
+    scaled: dict[LongEdgeGraph, tuple[int, LinearForm]] = {}
+    for t in templates:
+        mirror = scaled.get(conjugate(t))
+        if mirror is None:
+            scale, (f0, *values) = _fit_phis(t, table, 0)
+            zetas = [v - f0 for v in values[:3]]
+            moments = LinearForm(f0 - (cogenus + 2) * zetas[0], *zetas)
+            probes = values[3:]
+        else:
+            scale, moments = mirror[0], mirror[1].reflected(t.length)
+            _, probes = _fit_phis(t, table, 4)
+        _check_probes(t, table, probes, moments)
+        scaled[t] = scale, moments
+    return tuple(
+        LinearForm(*(Fraction(m, scale) for m in moments))
+        for scale, moments in map(scaled.get, templates)
+    )
 
 
 def _check_probes(
-    g: LongEdgeGraph,
-    table: _FitTable,
-    values: list[int],
-    moments: Sequence[int | Fraction],
+    g: LongEdgeGraph, table: _FitTable, values: list[int], moments: Sequence[int]
 ) -> None:
-    """check_linear_form's test: scale * phi_beta(g, .) at the probes
-    against the form at the probes, from its moments scaled the same."""
+    """Raise ArithmeticError unless scale * phi_beta(g, .) at the probes
+    equals the form there, from its moments times the same scale."""
     for probe, weights, value in zip(table.widths[4:], table.weights, values):
         if value != sum(map(operator.mul, weights, moments)):
             raise ArithmeticError(

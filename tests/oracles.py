@@ -186,7 +186,15 @@ def p_by_walk(g: LongEdgeGraph, beta, strict: bool) -> int:
         return 1
     lo = g.minv
     shape = tuple(x for e in g.edges for x in (e.lo - lo, e.hi - lo, e.weight))
-    return p_counts(shape, [tuple(beta[lo : g.maxv])])[0]
+    return _p_at(shape, tuple(beta[lo : g.maxv]))
+
+
+@lru_cache(maxsize=None)
+def _p_at(shape: tuple[int, ...], window: tuple[int, ...]) -> int:
+    """p_counts at one window, kept: the tests ask for the same P many
+    times, a graph both strict and loose, a shifted template at every shift
+    and a part of one graph in the partitions of many others."""
+    return p_counts(shape, [window])[0]
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

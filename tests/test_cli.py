@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import longedge
-from longedge import cli, coeffs
+from longedge import cli, coeffs, orderings
 from longedge.cli import MAX_SERIES_ORDER
 from longedge.coeffs import template_data
 from longedge.graphs import MAX_COGENUS
@@ -153,13 +153,20 @@ def longedge_process(argv, cache_dir, script=None):
     )
 
 
-# Runs the command line and prints how many templates it fitted.
+# Runs the command line and prints how many templates it fitted: phi read
+# at the fit widths, from the table's first width on, once per fit.
 COUNT_FITS = """
 import sys
-from longedge import cli, coeffs
+from longedge import cli, orderings
 fits = []
-fit = coeffs._fit
-coeffs._fit = lambda t, table: fits.append(t) or fit(t, table)
+fit_phis = orderings._fit_phis
+
+def counting(t, table, first):
+    if first == 0:
+        fits.append(t)
+    return fit_phis(t, table, first)
+
+orderings._fit_phis = counting
 assert cli.main(sys.argv[1:]) == 0
 print(len(fits))
 """
@@ -186,10 +193,17 @@ class TestCache:
 
     @pytest.fixture
     def fits(self, monkeypatch):
+        # a template is fitted where phi is read at the fit widths, from the
+        # table's first width on; a probe check reads from the fifth
         calls = []
-        fit = coeffs._fit
-        counting = lambda t, table: calls.append(t) or fit(t, table)
-        monkeypatch.setattr(coeffs, "_fit", counting)
+        fit_phis = orderings._fit_phis
+
+        def counting(t, table, first):
+            if first == 0:
+                calls.append(t)
+            return fit_phis(t, table, first)
+
+        monkeypatch.setattr(orderings, "_fit_phis", counting)
         return calls
 
     def test_file_created_and_reused(self, isolated_cache, fits):

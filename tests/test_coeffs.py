@@ -91,6 +91,18 @@ def test_reflected_forms_equal_direct_fits(delta, count, monkeypatch):
         assert form == fit_linear_phi(t), t
 
 
+@pytest.mark.parametrize("delta", [0, -1])
+def test_template_data_below_cogenus_one_is_empty(delta, tmp_path, monkeypatch):
+    # no template and nothing fitted, read or written, as enumerate_templates
+    # and `templates --delta 0` have it
+    monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(coeffs, "_disk_cache", True)
+    for name in ("fit_templates", "_load_templates", "_store_templates"):
+        monkeypatch.setattr(coeffs, name, None)
+    assert template_data.__wrapped__(delta) == ()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_a_series():
     assert a_series(3) == RatSeries([1, -6, 60, -748])
 
@@ -113,7 +125,7 @@ def test_integer_sums_match_fraction_oracle(tmp_path, monkeypatch):
             expected = template_sums_by_fractions(delta, template_data(delta))
             assert coeffs._template_sums(delta) == expected, (source, delta)
         # the second pass must load every cogenus, not fit it
-        monkeypatch.setattr(coeffs, "_fit_templates", None)
+        monkeypatch.setattr(coeffs, "fit_templates", None)
 
 
 @pytest.mark.parametrize("moment", ["eta0", "zeta0"])

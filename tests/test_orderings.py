@@ -13,10 +13,11 @@ from longedge.orderings import (
     BetaSeq,
     LinearForm,
     beta_from_divergence,
-    check_linear_form,
     fit_linear_phi,
+    fit_templates,
     p_beta,
     phi_beta,
+    phi_betas,
 )
 from longedge.polygon import reorderings
 from longedge.reference import TABLE1
@@ -316,13 +317,15 @@ def test_allowability_matches_walk_oracle():
 
 
 def test_phi_matches_partition_oracle():
-    # the oracle's P is gated by the graph walk, not by the library's rule
+    # the oracle's P is gated by the graph walk, not by the library's rule;
+    # the library's phi comes in one batch per graph, one value per widths
     count = lambda h, b: p_by_walk(h, b, False)
     for d in range(1, 5):
         for g in enumerate_graphs(d, d + 1):
-            for beta in oracle_widths(d, g.maxv):
-                assert phi_beta(g, beta) == phi_by_partitions(g, beta, count), (g, beta)
-                assert p_beta(g, beta) == p_by_walk(g, beta, False), (g, beta)
+            betas = oracle_widths(d, g.maxv)
+            for beta, phi in zip(betas, phi_betas(g, betas), strict=True):
+                assert phi == phi_by_partitions(g, beta, count), (g, beta)
+                assert p_beta(g, beta) == count(g, beta), (g, beta)
 
 
 def test_phi_empty_graph_is_zero():
@@ -402,24 +405,21 @@ def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
         with pytest.raises(ArithmeticError, match="disagrees"):
             fit_linear_phi(t)
     with pytest.raises(ArithmeticError, match="disagrees"):
-        coeffs._fit_templates(2)
+        fit_templates(enumerate_templates(2))
 
 
 @pytest.mark.parametrize("probe", [-2, -1])
-def test_check_linear_form_probe_check_rejects(monkeypatch, probe):
+def test_fit_templates_conjugate_probe_check_rejects(monkeypatch, probe):
     # a conjugate's reflected moments are right, and phi at one of its
-    # probes is off by 1/scale: its check must catch it, alone and in a
-    # cold build
-    forms = [
-        (conjugate(t), fit_linear_phi(t).reflected(t.length))
-        for t in enumerate_templates(3)
-    ]
+    # probes is off by 1/scale: its check must catch it, fitted alone after
+    # the template it reflects and in a cold build
     _probe_off_by_one(monkeypatch, probe, 4)
-    for c, form in forms:
+    for t in enumerate_templates(3):
         with pytest.raises(ArithmeticError, match="disagrees"):
-            check_linear_form(c, form)
+            fit_templates((t, conjugate(t)))
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
     with pytest.raises(ArithmeticError, match="disagrees"):
-        coeffs._fit_templates(3)
+        coeffs.template_data.__wrapped__(3)
 
 
 def test_linear_form_sums_match_fraction_oracle(tmp_path, monkeypatch):
@@ -443,19 +443,33 @@ def test_phi_at_the_uneven_probe_matches_bump_fit():
             assert phi_beta(t, beta) == fit_by_bumps(t).evaluate(beta), t
 
 
-def test_check_linear_form_rejects_unreversed_reflection():
+def test_fit_templates_rejects_unreversed_reflection(monkeypatch):
     # a conjugate's moments are the reflected ones; forgetting to reflect
-    # them is caught
-    lopsided = 0
-    for t in enumerate_templates(3):
-        f = fit_linear_phi(t)
-        c = conjugate(t)
-        check_linear_form(c, f.reflected(t.length))
-        if f.reflected(t.length) != f:
-            lopsided += 1
+    # them is caught on every lopsided pair, fitted alone and in a cold build
+    templates = enumerate_templates(3)
+    lopsided = {
+        t for t, f in zip(templates, fit_templates(templates))
+        if f.reflected(t.length) != f
+    }
+    assert lopsided
+    monkeypatch.setattr(LinearForm, "reflected", lambda form, ell: form)
+    for t in templates:
+        if t in lopsided:
             with pytest.raises(ArithmeticError, match="disagrees"):
-                check_linear_form(c, f)
-    assert lopsided > 0
+                fit_templates((t, conjugate(t)))
+        else:
+            fit_templates((t, conjugate(t)))
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        coeffs.template_data.__wrapped__(3)
+
+
+def test_fit_templates_returns_forms_in_input_order():
+    # over any order and mix of cogenera, each template's own fit; nothing
+    # for no template
+    assert fit_templates(()) == ()
+    templates = [t for d in (3, 1, 2) for t in reversed(enumerate_templates(d))]
+    assert fit_templates(templates) == tuple(map(fit_linear_phi, templates))
 
 
 def test_fit_linear_phi_rejects_empty():

@@ -21,6 +21,7 @@ from longedge.polygon import (
 )
 from longedge.severi import (
     METHODS,
+    _reach,
     n_bruteforce,
     n_from_q,
     q_from_n,
@@ -205,7 +206,7 @@ class TestBruteForce:
         ids=[name for name, _ in GRAPH_ORACLE_POLYGONS],
     )
     def test_matches_graph_oracle(self, p):
-        top = min(4, polygon_stats(p).min_edge + 1)
+        top = min(4, _reach(polygon_stats(p).min_edge, "bruteforce"))
         for delta in range(top + 1):
             assert n_bruteforce(p, delta) == n_by_graphs(p, delta), delta
 
@@ -219,7 +220,7 @@ class TestBruteForce:
         # from it; n_bruteforce fills its tables to its own delta only
         import longedge.severi as sv
 
-        top = min(5, polygon_stats(p).min_edge + 1)
+        top = min(5, _reach(polygon_stats(p).min_edge, "bruteforce"))
         each = [n_bruteforce(p, delta) for delta in range(top + 1)]
         passes = []
         direct = sv._direct_counts
@@ -252,8 +253,8 @@ class TestBruteForce:
                             g = t.shift(k)
                             expected = t.multiplicity * p_by_walk(g, beta, True)
                             assert w == expected, (t, beta, k)
-                            loose = p_by_walk(g, beta, False)
-                            excluded += bool(loose) and not expected
+                            # the end rule excluded a shift the walk allows
+                            excluded += not expected and bool(p_by_walk(g, beta, False))
                             single += n == ell and bool(expected)
         assert excluded > 1000 and single > 100
 
@@ -267,8 +268,9 @@ class TestBruteForce:
             raise AssertionError("the direct route reached the template route")
 
         monkeypatch.setattr(coeffs, "template_data", refuse)
-        monkeypatch.setattr(coeffs, "_fit", refuse)
-        monkeypatch.setattr(orderings, "_fit", refuse)
+        monkeypatch.setattr(coeffs, "fit_templates", refuse)
+        monkeypatch.setattr(orderings, "fit_templates", refuse)
+        monkeypatch.setattr(orderings, "_fit_phis", refuse)
         monkeypatch.setattr(orderings, "fit_linear_phi", refuse)
         monkeypatch.setattr(graphs, "enumerate_templates", refuse)
         monkeypatch.setattr(orderings, "p_counts", refuse)
