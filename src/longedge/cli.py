@@ -2,7 +2,9 @@
 
 Subcommands: template tables, universal coefficient tables, node counts for
 a polygon given as JSON, self-contained verification suites, and power
-series printing.
+series printing.  The front end only renders: each table and report is
+built in the library (coeffs.template_rows, CoeffTable, severi.report), and
+every JSON output goes through one rule that prints a Fraction as its string.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails or a
 suite runs no checks, 2 on bad input.
@@ -13,14 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .coeffs import (
-    _edge_rows,
+    TEMPLATE_COLUMNS,
+    CoeffTable,
     a_series,
     template_coefficients,
-    template_data,
+    template_rows,
     use_disk_cache,
 )
 from .graphs import check_cogenus
@@ -30,26 +34,16 @@ from .severi import METHODS, report
 from .suites import SUITES
 
 
-def _template_rows(delta: int) -> list[dict]:
-    rows = []
-    for g, form in template_data(delta):
-        rows.append(
-            {
-                "edges": _edge_rows(g),
-                "delta": g.cogenus,
-                "ell": g.length,
-                "mu": g.multiplicity,
-                "eps0": g.epsilon0,
-                "eps1": g.epsilon1,
-                "lam": [g.lambda_(j) for j in range(1, g.length + 1)],
-                "olam": [g.olambda(j) for j in range(1, g.length + 1)],
-                "zeta0": str(form.zeta0),
-                "zeta1": str(form.zeta1),
-                "zeta2": str(form.zeta2),
-                "eta0": str(form.eta0),
-            }
-        )
-    return rows
+def _exact(value: object) -> str:
+    """A Fraction prints as its string; any other value JSON cannot hold
+    is an error, as it is without this rule."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json(data: object) -> str:
+    return json.dumps(data, indent=2, default=_exact)
 
 
 def _tsv(rows: Sequence[dict], columns: Sequence[str]) -> str:
@@ -73,32 +67,17 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-TEMPLATE_COLUMNS = (
-    "delta",
-    "ell",
-    "mu",
-    "eps0",
-    "eps1",
-    "lam",
-    "olam",
-    "zeta0",
-    "zeta1",
-    "zeta2",
-    "eta0",
-)
-
-COEFF_COLUMNS = ("delta", "A", "L", "H", "D", "C", "Ctilde", "b")
+def _emit_table(
+    rows: Sequence[dict], columns: Sequence[str], args: argparse.Namespace
+) -> None:
+    text = _json(rows) if args.format == "json" else _tsv(rows, columns)
+    _emit(text, args.out)
 
 
 def cmd_templates(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
-    rows = _template_rows(args.delta)
-    if args.format == "json":
-        text = json.dumps(rows, indent=2)
-    else:
-        text = _tsv(rows, ("edges",) + TEMPLATE_COLUMNS)
-    _emit(text, args.out)
+    _emit_table(template_rows(args.delta), TEMPLATE_COLUMNS, args)
     return 0
 
 
@@ -107,11 +86,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         raise ValueError("delta must be nonnegative")
     check_cogenus(args.delta)
     rows = [template_coefficients(d).as_dict() for d in range(1, args.delta + 1)]
-    if args.format == "json":
-        text = json.dumps(rows, indent=2)
-    else:
-        text = _tsv(rows, COEFF_COLUMNS)
-    _emit(text, args.out)
+    _emit_table(rows, CoeffTable._fields, args)
     return 0
 
 
@@ -125,7 +100,7 @@ def cmd_severi(args: argparse.Namespace) -> int:
     p = polygon_from_dict(data)
     methods = METHODS if args.method == "all" else (args.method,)
     rep = report(p, args.delta, methods)
-    _emit(json.dumps(rep.to_dict(), indent=2), args.out)
+    _emit(_json(rep._asdict()), args.out)
     return 0 if rep.agree else 1
 
 

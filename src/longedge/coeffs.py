@@ -13,7 +13,8 @@ direct transfer's counts (orderings._chains).  template_data asks
 orderings.fit_templates for a cogenus's forms, the one fit step, and keeps
 them in memory and on disk, one hash-stamped JSON file per cogenus holding
 each template's edges and moments, so a process fits only what no earlier
-process has.
+process has.  template_rows is the template table built from them: what
+`longedge templates` prints and the table1 suite checks.
 """
 
 from __future__ import annotations
@@ -161,6 +162,29 @@ def template_data(delta: int) -> TemplateData:
     return data
 
 
+# the template table's columns, in the order `longedge templates` prints them
+TEMPLATE_COLUMNS = (
+    "edges", "delta", "ell", "mu", "eps0", "eps1", "lam", "olam",
+    "zeta0", "zeta1", "zeta2", "eta0",
+)
+
+
+def template_rows(delta: int) -> list[dict]:
+    """The template table of one cogenus, one row per template: its edges
+    as [lo, hi, weight] lists, its invariants, the crossing weights lam and
+    olam at gaps 1..ell, and its fitted form's moments as exact Fractions."""
+    rows = []
+    for t, (eta0, zeta0, zeta1, zeta2) in template_data(delta):
+        gaps = range(1, t.length + 1)
+        values = (
+            _edge_rows(t), t.cogenus, t.length, t.multiplicity, t.epsilon0, t.epsilon1,
+            [t.lambda_(j) for j in gaps], [t.olambda(j) for j in gaps],
+            zeta0, zeta1, zeta2, eta0,
+        )
+        rows.append(dict(zip(TEMPLATE_COLUMNS, values)))
+    return rows
+
+
 def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
     """The log-side sum: mu * phi_beta of every template at every shift the
     end rule admits.  phi is the log coefficient of the ordering generating
@@ -189,8 +213,8 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
         raise ValueError("delta must be >= 1")
     data = template_data(delta)
     den = lcm(*(m.denominator for _, form in data for m in form))
-    # a, l and l_alt are summed without their factor 1/2, applied at the end
-    a = l = h = d = c = l_alt = 0
+    # a and l are summed without their factor 1/2, applied at the end
+    a = l = h = d = c = 0
     for t, form in data:
         mu = t.multiplicity
         eta0, zeta0, zeta1, zeta2 = (
@@ -203,11 +227,12 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
         h += eta0 + spread
         d -= zeta2 + zeta1 * (1 - t.epsilon0)
         c -= eta0 * ends
-        l_alt += eta0
-    if l != l_alt:
+    # the other formula for L is half the sum of the mu * eta0 terms; that
+    # sum less 2L is exactly H, so the two formulas agree if and only if H = 0
+    if h:
         raise ArithmeticError(
-            f"the two formulas for L disagree at delta={delta}: "
-            f"{Fraction(l, 2 * den)} vs {Fraction(l_alt, 2 * den)}"
+            f"H = {Fraction(h, den)} at delta={delta}, not 0: "
+            "the two formulas for L disagree"
         )
     return (
         Fraction(a, 2 * den),
@@ -288,7 +313,7 @@ def cor(p: int, delta: int) -> Fraction:
         return Fraction(0)
     tab = template_coefficients(delta)
     b1 = tab.b[0]
-    bp = tab.b[p - 1] if p <= delta else Fraction(0)
+    bp = b_coeffs(delta, p)
     return (
         (2 - p) * tab.D
         + diffq(p, delta)

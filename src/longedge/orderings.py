@@ -55,14 +55,14 @@ from functools import lru_cache
 from math import comb, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Edge, LongEdgeGraph, conjugate
+from .graphs import Edge, LongEdgeGraph, _int, conjugate
 
 
 class BetaSeq(tuple):
     """Width sequence (beta_0, ..., beta_M) of nonnegative integers."""
 
     def __new__(cls, entries):
-        vals = tuple(operator.index(e) for e in entries)
+        vals = tuple(_int(e, "width") for e in entries)
         if not vals:
             raise ValueError("width sequence cannot be empty")
         if any(v < 0 for v in vals):

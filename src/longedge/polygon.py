@@ -10,23 +10,13 @@ numbers of the associated surface -- is derived from this data.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from fractions import Fraction
 from math import gcd, inf
 from typing import Iterator, NamedTuple, Sequence
 
+from .graphs import _int
 from .orderings import BetaSeq, beta_from_divergence
-
-
-def _int(value: object, what: str) -> int:
-    """An integer input; a bool is rejected, not read as 0 or 1."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{what} must be an integer, not {value!r}")
 
 
 def _int_seq(values: Sequence[int], what: str) -> tuple[int, ...]:

@@ -184,16 +184,6 @@ class NodeCountReport(NamedTuple):
     agree: bool
     disagreements: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "methods": list(self.methods),
-            "n": {m: [str(v) for v in vals] for m, vals in self.n.items()},
-            "q": {m: [str(v) for v in vals] for m, vals in self.q.items()},
-            "skipped": {m: dict(info) for m, info in self.skipped.items()},
-            "disagreements": [dict(d) for d in self.disagreements],
-        }
-
 
 def report(
     p: HTPolygon, delta_max: int, methods: Sequence[str] = METHODS

@@ -1,8 +1,9 @@
 """Named verification suites, shared by `longedge verify` and the tests.
 
 Each suite returns (label, ok) pairs; SUITES maps the command line's names
-to them.  The polygons, samples and random polygons that the suites and the
-tests share are defined here, once.
+to them.  table1 and coeffs check the rows the command line prints, built
+by the same calls.  The polygons, samples and random polygons that the
+suites and the tests share are defined here, once.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .coeffs import cor_doubleprime, template_coefficients, template_data
+from .coeffs import cor_doubleprime, template_coefficients, template_rows
 from .graphs import check_cogenus
 from .polygon import HTPolygon, polygon_stats, toric_invariants
 from .reference import COEFF_ROWS, TABLE1
@@ -77,36 +78,36 @@ def _depth(order: int | None) -> int:
 
 
 def table1() -> list[Check]:
-    """Templates of cogenus 1 and 2 against TABLE1, every column."""
+    """The template table `longedge templates` prints for cogenus 1 and 2
+    against TABLE1, every column."""
     checks: list[Check] = []
-    computed = {}
+    rows = {}
     for delta in (1, 2):
-        data = template_data(delta)
+        table = template_rows(delta)
         expected = sum(ref["delta"] == delta for ref in TABLE1)
-        checks.append((f"delta={delta}: {expected} templates", len(data) == expected))
-        for t, form in data:
-            computed[tuple(sorted((e.lo, e.hi, e.weight) for e in t.edges))] = (t, form)
+        checks.append((f"delta={delta}: {expected} templates", len(table) == expected))
+        for row in table:
+            rows[tuple(sorted(map(tuple, row["edges"])))] = row
     for ref in TABLE1:
         key = tuple(sorted(ref["edges"]))
-        if key not in computed:
+        row = rows.pop(key, None)
+        if row is None:
             checks.append((f"template {list(key)}: present", False))
             continue
-        t, (eta0, z0, z1, z2) = computed[key]
-        gaps = range(1, t.length + 1)
+        z0, z1, z2 = row["zeta0"], row["zeta1"], row["zeta2"]
         # eta_1..eta_ell from the moments, exact for ell <= 3, as here
-        eta = (eta0, z0 - z1 + z2, z1 - 2 * z2, z2)[: t.length + 1]
-        row = dict(
-            edges=ref["edges"], delta=t.cogenus, ell=t.length, mu=t.multiplicity,
-            eps0=t.epsilon0, eps1=t.epsilon1, lam=tuple(map(t.lambda_, gaps)),
-            olam=tuple(map(t.olambda, gaps)), eta=eta, zeta0=z0, zeta1=z1, zeta2=z2,
+        eta = (row.pop("eta0"), z0 - z1 + z2, z1 - 2 * z2, z2)[: row["ell"] + 1]
+        row.update(
+            edges=ref["edges"], lam=tuple(row["lam"]), olam=tuple(row["olam"]), eta=eta
         )
         checks.append((f"template {list(key)}", row == ref))
     return checks
 
 
 def coeffs(order: int | None = None) -> list[Check]:
-    """Coefficient tables against the frozen rows, and H = 0 at every
-    cogenus.  Building a table also checks that the two routes to L agree."""
+    """The coefficient rows `longedge coeffs` prints against the frozen
+    rows, and H = 0 at every cogenus.  Building a table raises if H is not
+    0, which is the check that the two formulas for L agree."""
     checks: list[Check] = []
     for delta in range(1, _depth(order) + 1):
         table = template_coefficients(delta).as_dict()

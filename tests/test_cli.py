@@ -115,6 +115,20 @@ class TestTemplates:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the digest of each cogenus's TSV table as printed before the table's
+    # rows moved into coeffs.template_rows
+    @pytest.mark.parametrize("delta, digest", [
+        (0, "e9491a3d957b0f87b6459f26886ba7d051ba90c22ab6043ddec007d1024c1d4d"),
+        (1, "4b3e34a32bc6e5ad73fc724a18867295cf73fc77ef109cc3635ec1266733d138"),
+        (2, "f26d455f1e8ed33a339e0b608d6c6037bed4fa2e98de5f144d31e29666a18bb0"),
+        (3, "f319fc3ec95fde190ca205032e0a4a4cc02c6bb12288a3c4ad19cfe5e883cd35"),
+        (4, "be34d29e9e340c251dc66e3bb7d246dfd6e5c57838d33531853420bb173fe14b"),
+    ])
+    def test_tsv_table_is_pinned(self, delta, digest, capsys):
+        code, out, _ = run(["templates", "--delta", str(delta), "--format", "tsv"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCoeffs:
     def test_frozen_rows(self, capsys):
@@ -128,6 +142,17 @@ class TestCoeffs:
         lines = out.strip().split("\n")
         assert lines[1] == "1\t3\t-2\t0\t0\t4\t0\t1"
         assert lines[2] == "2\t-21\t39/2\t0\t4\t-38\t-36\t-9/2,1"
+
+    # the digest of the TSV tables as printed before the CLI read the
+    # header from CoeffTable
+    @pytest.mark.parametrize("delta, digest", [
+        (0, "7ff362c810672d84a077f95e20712b72f2cb3d5b2274835fcb0f6dffbedfacad"),
+        (5, "991fb4a43236c43c2430ec53b7a8119b82682ca9e940e831d5f2581a74f86ee5"),
+    ])
+    def test_tsv_table_is_pinned(self, delta, digest, capsys):
+        code, out, _ = run(["coeffs", "--delta", str(delta), "--format", "tsv"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def longedge_process(argv, cache_dir, script=None):
@@ -403,6 +428,20 @@ class TestSeveri:
         assert rep["agree"] is True
         assert rep["n"]["closed"] == ["1", "27", "225"]
         assert rep["q"]["geometric"] == ["27", "-279/2"]
+
+    # the digest of the report as printed before it went through the CLI's
+    # one JSON rule; side 2 skips the closed and geometric counts past 2
+    @pytest.mark.parametrize("side, digest", [
+        (5, "c82ec3057331e38e79201886592bb56e0e2879450d82cd100d10df181ccbfbeb"),
+        (2, "766f5dcab2fa9139446e62423c103c860688f422edd59c03a52121114206eb21"),
+    ])
+    def test_triangle_report_is_pinned(self, side, digest, tmp_path, capsys):
+        path = self._polygon_file(
+            tmp_path, {"dt": 0, "left": [[0, side]], "right": [[1, side]]}
+        )
+        code, out, _ = run(["severi", "--polygon", path, "--delta", "4"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_vertices_input_and_single_method(self, tmp_path, capsys):
         path = self._polygon_file(

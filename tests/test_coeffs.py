@@ -131,7 +131,8 @@ def test_integer_sums_match_fraction_oracle(tmp_path, monkeypatch):
 @pytest.mark.parametrize("moment", ["eta0", "zeta0"])
 def test_integer_sums_catch_a_moment_off_by_one_over_den(monkeypatch, moment):
     # one template's eta0 or zeta0 off by the least step the sums can
-    # see, 1/den: one formula for L moves and the other does not
+    # see, 1/den: one formula for L moves and the other does not, which
+    # the library sees as H off 0
     delta = 4
     data = template_data(delta)
     den = lcm(*(m.denominator for _, form in data for m in form))
@@ -142,7 +143,7 @@ def test_integer_sums_catch_a_moment_off_by_one_over_den(monkeypatch, moment):
     off = form._replace(**{moment: getattr(form, moment) + Fraction(1, den)})
     bumped = data[:at] + ((t, off),) + data[at + 1 :]
     monkeypatch.setattr(coeffs, "template_data", lambda d: bumped)
-    with pytest.raises(ArithmeticError, match="the two formulas for L disagree"):
+    with pytest.raises(ArithmeticError, match=r"H = -?\d+(/\d+)? at delta=4, not 0"):
         coeffs._template_sums.__wrapped__(delta)
     with pytest.raises(ArithmeticError, match="the two formulas for L disagree"):
         template_sums_by_fractions(delta, bumped)
@@ -271,6 +272,8 @@ def test_q_beta_delta_reads_no_template(monkeypatch):
         ((2, 2.0, 2), 2, "integers"),
         ((), 1, "empty"),
         ((0, 1, 2), 9, "out of reach"),
+        # a bool is not read as width 1: q_beta_delta((1, 2, 3), 1) is 12
+        ((True, 2, 3), 1, "integers"),
     ],
 )
 def test_q_beta_delta_rejects_bad_input(beta, delta, match):

@@ -31,6 +31,16 @@ def test_edge_validation():
     assert Edge(0, 3, 2).span == 3
 
 
+@pytest.mark.parametrize(
+    "fields", [(0, 1.5, 2), (0, 2.0, 1), (True, 2, 1), (0, 1, 2.0), (0, 2, True)]
+)
+def test_edge_fields_must_be_integers(fields):
+    # a float or a bool would pass the range checks and build an edge with
+    # a fractional end or a weight read from a truth value
+    with pytest.raises(TypeError, match="must be an integer"):
+        Edge(*fields)
+
+
 def test_multiplicity_and_cogenus():
     assert LongEdgeGraph().multiplicity == 1
     assert LongEdgeGraph().cogenus == 0

@@ -52,6 +52,8 @@ def test_betaseq_validation():
         BetaSeq((1, -1))
     with pytest.raises(TypeError):
         BetaSeq((1.5, 2))
+    with pytest.raises(TypeError):
+        BetaSeq((True, 2))  # not read as width 1
 
 
 def test_beta_from_divergence():

@@ -400,21 +400,19 @@ class TestTransforms:
 class TestReport:
     def test_plane_quartic_all_methods(self):
         rep = report(triangle(4), 2)
-        data = rep.to_dict()
         assert rep.agree is True
         for m in METHODS:
-            assert data["n"][m] == ["1", "27", "225"]
-        assert data["q"]["closed"] == ["27", "-279/2"]
-        assert data["skipped"] == {}
-        assert data["polygon"] == {"dt": 0, "left": [[0, 4]], "right": [[1, 4]]}
+            assert rep.n[m] == [1, 27, 225]
+        assert rep.q["closed"] == [27, Fraction(-279, 2)]
+        assert rep.skipped == {}
+        assert rep.polygon == {"dt": 0, "left": [[0, 4]], "right": [[1, 4]]}
 
     def test_short_edges_skip_closed_forms_only(self):
         rep = report(rectangle(1, 3), 2)
-        data = rep.to_dict()
-        assert len(data["n"]["bruteforce"]) == 3
-        assert len(data["n"]["closed"]) == 2
-        assert "precondition unmet" in data["skipped"]["closed"]["2"]
-        assert "precondition unmet" in data["skipped"]["geometric"]["2"]
+        assert len(rep.n["bruteforce"]) == 3
+        assert len(rep.n["closed"]) == 2
+        assert "precondition unmet" in rep.skipped["closed"]["2"]
+        assert "precondition unmet" in rep.skipped["geometric"]["2"]
         assert rep.agree is True
 
     def test_method_subset_and_validation(self):
