@@ -31,7 +31,6 @@ from .graphs import check_cogenus
 from .polygon import polygon_from_dict
 from .series import b1_b2, d2g2, dg2, disc, g2, partition_series
 from .severi import METHODS, report
-from .suites import SUITES
 
 
 def _exact(value: object) -> str:
@@ -134,6 +133,11 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the suites, and the frozen tables they check, load only for verify
+    from .suites import SUITES
+
+    if args.suite not in SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {tuple(SUITES)}")
     suite = SUITES[args.suite]
     if args.order is None:
         checks = suite.run()
@@ -183,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_severi)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("suite", choices=tuple(SUITES))
+    # no argparse choices: listing them would load the suites in every process
+    v.add_argument("suite", help="the suite's name; an unknown name lists them")
     v.add_argument("--order", type=int, help="depth for suites that take one")
     v.set_defaults(func=cmd_verify)
 

@@ -3,7 +3,7 @@
 Everything in this module is an exact rational at a fixed cogenus.  The
 five linear-form coefficients A, L, H, D and C are sums over the
 templates, each reading a template's fitted form only through its four
-moments eta0, zeta0, zeta1 and zeta2; _template_sums is the one place
+moments eta0, zeta0, zeta1 and zeta2; _sum_templates is the one place
 that sums them.  The closed count is the linear form A*area + L*ll +
 H*height + D*idet + C in the width statistics (_linear_part), plus the
 end-of-range correction DiffQ at each end vertex and the b terms.  DiffQ
@@ -13,7 +13,9 @@ direct transfer's counts (orderings._chains).  template_data asks
 orderings.fit_templates for a cogenus's forms, the one fit step, and keeps
 them in memory and on disk, one hash-stamped JSON file per cogenus holding
 each template's edges and moments, so a process fits only what no earlier
-process has.  template_rows is the template table built from them: what
+process has.  _template_sums keeps its five sums the same way, in a second
+small file per cogenus, so a process that reads them builds no template.
+template_rows is the template table built from template_data: what
 `longedge templates` prints and the table1 suite checks.
 """
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .graphs import Template, check_cogenus, enumerate_templates
 from .orderings import BetaSeq, LinearForm, _chains, fit_templates
@@ -53,6 +55,7 @@ CACHE_VERSION = 3
 _disk_cache = True
 
 TemplateData = tuple[tuple[Template, LinearForm], ...]
+_T = TypeVar("_T")
 
 
 def use_disk_cache(enabled: bool) -> None:
@@ -61,12 +64,12 @@ def use_disk_cache(enabled: bool) -> None:
     _disk_cache = enabled
 
 
-def _cache_path(delta: int) -> Path:
+def _cache_path(kind: str, delta: int) -> Path:
     directory = os.environ.get("LONGEDGE_CACHE_DIR")
     if not directory:
         xdg = os.environ.get("XDG_CACHE_HOME")
         directory = (Path(xdg) if xdg else Path.home() / ".cache") / "longedge"
-    return Path(directory) / f"templates-v{CACHE_VERSION}-delta{delta}.json"
+    return Path(directory) / f"{kind}-v{CACHE_VERSION}-delta{delta}.json"
 
 
 def _canonical_json(data: object) -> str:
@@ -85,12 +88,36 @@ def _edge_rows(t: Template) -> list[list[int]]:
     return [[e.lo, e.hi, e.weight] for e in t.edges]
 
 
-def _load_templates(delta: int) -> TemplateData | None:
-    """The cached templates of one cogenus; None for a missing, stale,
-    tampered or malformed file, or one whose templates are not this
+def _rationals(values: object, n: int) -> tuple[Fraction, ...]:
+    """n rational strings; a JSON number would put a float into the sums."""
+    if not isinstance(values, list) or list(map(type, values)) != [str] * n:
+        raise ValueError(f"not {n} rational strings")
+    return tuple(map(Fraction, values))
+
+
+def _read_templates(rows: list, delta: int) -> TemplateData | None:
+    """The template file's body; None unless its templates are this
     cogenus's templates in canonical order."""
+    templates = enumerate_templates(delta)
+    if [row["edges"] for row in rows] != [_edge_rows(t) for t in templates]:
+        return None
+    return tuple(
+        (t, LinearForm(*_rationals(row["moments"], 4)))
+        for t, row in zip(templates, rows)
+    )
+
+
+def _read_sums(values: list, delta: int) -> tuple[Fraction, ...] | None:
+    """The sums file's body, (A, L, H, D, C); None unless H = 0."""
+    sums = _rationals(values, 5)
+    return sums if sums[2] == 0 else None
+
+
+def _load(kind: str, delta: int, read: Callable[[object, int], _T | None]) -> _T | None:
+    """One cogenus's cached payload of this kind, its body checked by read;
+    None for a missing, stale, tampered or malformed file."""
     try:
-        raw = json.loads(_cache_path(delta).read_text())
+        raw = json.loads(_cache_path(kind, delta).read_text())
     except (OSError, ValueError):
         return None
     if not isinstance(raw, dict):
@@ -100,31 +127,17 @@ def _load_templates(delta: int) -> TemplateData | None:
         return None
     if digest != _digest(raw):
         return None
-    templates = enumerate_templates(delta)
-    data = []
     try:
-        rows = raw["templates"]
-        if [row["edges"] for row in rows] != [_edge_rows(t) for t in templates]:
-            return None
-        for t, row in zip(templates, rows):
-            moments = row["moments"]
-            # four strings: a JSON number would put a float into the sums
-            if not isinstance(moments, list) or list(map(type, moments)) != [str] * 4:
-                return None
-            data.append((t, LinearForm(*map(Fraction, moments))))
+        return read(raw[kind], delta)
     except (KeyError, TypeError, ValueError):
         return None
-    return tuple(data)
 
 
-def _store_templates(delta: int, data: TemplateData) -> None:
-    """Write one cogenus atomically; an unusable directory skips the write."""
-    rows = [
-        {"edges": _edge_rows(t), "moments": [str(m) for m in form]}
-        for t, form in data
-    ]
-    payload = {"version": CACHE_VERSION, "delta": delta, "templates": rows}
-    path = _cache_path(delta)
+def _store(kind: str, delta: int, body: list) -> None:
+    """Write one cogenus's payload of this kind atomically; an unusable
+    directory skips the write."""
+    payload = {"version": CACHE_VERSION, "delta": delta, kind: body}
+    path = _cache_path(kind, delta)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = tempfile.NamedTemporaryFile(
@@ -137,7 +150,7 @@ def _store_templates(delta: int, data: TemplateData) -> None:
             tmp.write(_canonical_json({**payload, "hash": _digest(payload)}))
         os.replace(tmp.name, path)
         # files of other cache versions are never read again
-        for stale in path.parent.glob(f"templates-v*-delta{delta}.json"):
+        for stale in path.parent.glob(f"{kind}-v*-delta{delta}.json"):
             if stale != path:
                 stale.unlink()
     except OSError:
@@ -153,12 +166,16 @@ def template_data(delta: int) -> TemplateData:
     """
     if delta < 1:
         return ()
-    data = _load_templates(delta) if _disk_cache else None
+    data = _load("templates", delta, _read_templates) if _disk_cache else None
     if data is None:
         templates = enumerate_templates(delta)
         data = tuple(zip(templates, fit_templates(templates)))
         if _disk_cache:
-            _store_templates(delta, data)
+            rows = [
+                {"edges": _edge_rows(t), "moments": [str(m) for m in form]}
+                for t, form in data
+            ]
+            _store("templates", delta, rows)
     return data
 
 
@@ -206,12 +223,26 @@ def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:
 def _template_sums(delta: int) -> tuple[Fraction, ...]:
     """(A, L, H, D, C) for one cogenus, before the b column exists.
 
-    Summed in integers: every moment over den, the lcm of the cogenus's
-    moment denominators, with one division per sum at the end.
+    Kept in memory and on disk, five rational strings per cogenus, so a
+    process that has them builds no template; summed from template_data
+    only on a miss.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    data = template_data(delta)
+    sums = _load("sums", delta, _read_sums) if _disk_cache else None
+    if sums is None:
+        sums = _sum_templates(delta, template_data(delta))
+        if _disk_cache:
+            _store("sums", delta, [str(v) for v in sums])
+    return sums
+
+
+def _sum_templates(delta: int, data: TemplateData) -> tuple[Fraction, ...]:
+    """(A, L, H, D, C) summed over the templates of one cogenus.
+
+    Summed in integers: every moment over den, the lcm of the cogenus's
+    moment denominators, with one division per sum at the end.
+    """
     den = lcm(*(m.denominator for _, form in data for m in form))
     # a and l are summed without their factor 1/2, applied at the end
     a = l = h = d = c = 0

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import longedge
-from longedge import cli, coeffs, orderings
+from longedge import cli, coeffs, orderings, suites
 from longedge.cli import MAX_SERIES_ORDER
 from longedge.coeffs import template_data
 from longedge.graphs import MAX_COGENUS
@@ -202,9 +203,56 @@ def cache_digest(payload):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def hashed(payload):
+    """A cache file's text for this payload, its hash valid."""
+    return json.dumps({**payload, "hash": cache_digest(payload)})
+
+
 # The two templates of cogenus 1 with their fitted forms, as cached.
 WEIGHT2_ROW = {"edges": [[0, 1, 2]], "moments": ["-1", "1", "0", "0"]}
 ARC_ROW = {"edges": [[0, 2, 1]], "moments": ["0", "2", "1", "0"]}
+# (A, L, H, D, C) of cogenus 1 and 2, as cached.
+SUMS_1 = ["3", "-2", "0", "0", "4"]
+SUMS_2 = ["-21", "39/2", "0", "4", "-38"]
+SUMS_FILE_1 = {"version": 3, "delta": 1, "sums": SUMS_1}
+# sums bodies a loader must refuse: a JSON number would put an int or a
+# float into the exact sums, and H must be 0
+MALFORMED_SUMS = {
+    "four": SUMS_1[:4],
+    "six": SUMS_1 + ["0"],
+    "int": ["3", -2, "0", "0", "4"],
+    "float": ["3", "-2", "0", "0", 4.0],
+    "string": ",".join(SUMS_1),
+    "object": dict(zip("ALHDC", SUMS_1)),
+    "not-rational": ["3", "x", "0", "0", "4"],
+    "H-not-0": ["3", "-2", "1", "0", "4"],
+}
+
+# the digest of `severi --delta 4` on the triangle of each side, as printed
+# before the report went through the CLI's one JSON rule; side 2 skips the
+# closed and geometric counts past 2
+TRIANGLE_REPORT_DIGESTS = {
+    5: "c82ec3057331e38e79201886592bb56e0e2879450d82cd100d10df181ccbfbeb",
+    2: "766f5dcab2fa9139446e62423c103c860688f422edd59c03a52121114206eb21",
+}
+
+# Refuses every way to a template or a fit, then runs COUNT_FITS.
+NO_TEMPLATES = """
+from longedge import coeffs, graphs, orderings
+
+def refuse(*args):
+    raise AssertionError("a warm process built a template")
+
+for module, name in (
+    (graphs, "enumerate_templates"),
+    (coeffs, "enumerate_templates"),
+    (coeffs, "template_data"),
+    (coeffs, "fit_templates"),
+    (orderings, "fit_templates"),
+    (orderings, "fit_linear_phi"),
+):
+    setattr(module, name, refuse)
+""" + COUNT_FITS
 
 
 class TestCache:
@@ -212,8 +260,11 @@ class TestCache:
 
     @pytest.fixture(autouse=True)
     def fresh_process(self):
-        # Nothing fitted in memory and disk access on, as in a new process.
+        # Nothing fitted or summed in memory and disk access on, as in a new
+        # process.
         template_data.cache_clear()
+        coeffs._template_sums.cache_clear()
+        coeffs.template_coefficients.cache_clear()
         coeffs.use_disk_cache(True)
 
     @pytest.fixture
@@ -308,15 +359,56 @@ class TestCache:
 
     def test_other_versions_are_removed(self, isolated_cache):
         isolated_cache.mkdir(parents=True)
-        olds = [isolated_cache / f"templates-v{v}-delta1.json" for v in (1, 2)]
+        olds = [
+            isolated_cache / f"{kind}-v{v}-delta1.json"
+            for kind in ("templates", "sums")
+            for v in (1, 2)
+        ]
         for old in olds:
             old.write_text("{}")
-        other = isolated_cache / "templates-v2-delta2.json"
-        other.write_text("{}")
-        fresh = template_data(1)
+        # another cogenus's files are left alone
+        others = [isolated_cache / f"{kind}-v2-delta2.json" for kind in ("templates", "sums")]
+        for other in others:
+            other.write_text("{}")
+        sums = coeffs._template_sums(1)
         assert not any(old.exists() for old in olds)
-        assert other.exists()  # another cogenus is left alone
-        assert coeffs._load_templates(1) == fresh
+        assert all(other.exists() for other in others)
+        assert coeffs._load("templates", 1, coeffs._read_templates) == template_data(1)
+        assert coeffs._load("sums", 1, coeffs._read_sums) == sums
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a value changed under the hash of the true values
+            pytest.param(
+                json.dumps({**SUMS_FILE_1, "sums": ["3", "-3", "0", "0", "4"],
+                            "hash": cache_digest(SUMS_FILE_1)}),
+                id="tampered",
+            ),
+            # hash-valid files of another cache version or another cogenus
+            pytest.param(hashed({**SUMS_FILE_1, "version": 2, "sums": SUMS_2}), id="stale"),
+            pytest.param(hashed({**SUMS_FILE_1, "delta": 2, "sums": SUMS_2}), id="cogenus-2"),
+            pytest.param("not json", id="garbage"),
+            pytest.param(hashed({"version": 3, "delta": 1}), id="no-sums"),
+            # hash-valid bodies that are not five rational strings with H = 0
+            *[
+                pytest.param(hashed({**SUMS_FILE_1, "sums": body}), id=name)
+                for name, body in MALFORMED_SUMS.items()
+            ],
+        ],
+    )
+    def test_bad_sums_file_is_recomputed(self, isolated_cache, fits, text):
+        fresh = coeffs._template_sums(1)
+        assert fresh == tuple(map(Fraction, SUMS_1))
+        path = isolated_cache / "sums-v3-delta1.json"
+        path.write_text(text)
+        template_data.cache_clear()
+        coeffs._template_sums.cache_clear()
+        assert coeffs._template_sums(1) == fresh
+        assert len(fits) == 2  # summed from the template file, not refitted
+        # the bad file was replaced by the recomputed sums
+        assert json.loads(path.read_text())["sums"] == SUMS_1
+        assert coeffs._load("sums", 1, coeffs._read_sums) == fresh
 
     def test_garbage_file_is_ignored(self, isolated_cache, capsys):
         isolated_cache.mkdir(parents=True)
@@ -326,9 +418,11 @@ class TestCache:
         assert len(json.loads(out)) == 2
 
     def test_no_cache_flag_skips_disk(self, isolated_cache, capsys):
-        code, _, _ = run(["templates", "--delta", "1", "--no-cache"], capsys)
-        assert code == 0
-        assert not (isolated_cache / "templates-v3-delta1.json").exists()
+        # neither the template file nor the sums file is read or written
+        for command in ("templates", "coeffs"):
+            code, _, _ = run([command, "--delta", "1", "--no-cache"], capsys)
+            assert code == 0
+        assert not isolated_cache.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_unusable_directory_falls_back(self, tmp_path, monkeypatch, below):
@@ -341,6 +435,7 @@ class TestCache:
         assert proc.stdout == good.stdout
         monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(unusable))
         assert len(template_data(1)) == 2
+        assert coeffs._template_sums(1) == tuple(map(Fraction, SUMS_1))
 
     def test_warm_output_matches_cold(self, tmp_path):
         argv = ["coeffs", "--delta", "2", "--format", "json"]
@@ -351,20 +446,24 @@ class TestCache:
         assert warm.stdout == cold.stdout
 
     def test_severi_after_coeffs_fits_nothing(self, tmp_path):
+        # a warm severi reads the five sums of each cogenus: with every way
+        # to a template refused it prints the pinned report and fits nothing
         polygon = tmp_path / "triangle.json"
-        polygon.write_text(json.dumps({"dt": 0, "left": [[0, 4]], "right": [[1, 4]]}))
-        out = str(tmp_path / "out.json")
+        polygon.write_text(json.dumps({"dt": 0, "left": [[0, 5]], "right": [[1, 5]]}))
+        out = tmp_path / "out.json"
         fill = longedge_process(
-            ["coeffs", "--delta", "4", "--out", out], tmp_path, COUNT_FITS
+            ["coeffs", "--delta", "4", "--out", str(out)], tmp_path, COUNT_FITS
         )
         assert fill.stdout.split() == ["89"], fill.stderr
         severi = longedge_process(
-            ["severi", "--polygon", str(polygon), "--delta", "4", "--out", out],
+            ["severi", "--polygon", str(polygon), "--delta", "4", "--out", str(out)],
             tmp_path,
-            COUNT_FITS,
+            NO_TEMPLATES,
         )
         assert severi.stdout.split() == ["0"], severi.stderr
-        assert json.loads(Path(out).read_text())["agree"] is True
+        assert json.loads(out.read_text())["agree"] is True
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == TRIANGLE_REPORT_DIGESTS[5]
 
 
 # Runs the direct route alone and prints whether OpenSSL's hash module loaded.
@@ -412,6 +511,35 @@ def test_start_up_loads_no_dataclasses(argv, tmp_path):
     assert proc.stdout.startswith("1, -1, -5, 39") == bool(argv)
 
 
+# Runs the command line as `python -m longedge.cli` does, then prints which
+# of the verify suites and the frozen tables they check it loaded.
+SUITE_MODULES = """
+import runpy
+import sys
+try:
+    runpy.run_module("longedge.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(sorted({"longedge.suites", "longedge.reference"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["series", "b1", "--order", "3"], []),
+        (["severi", "--polygon", "{polygon}", "--delta", "2"], []),
+        (["verify", "nosuch"], ["longedge.reference", "longedge.suites"]),
+    ],
+)
+def test_only_verify_loads_the_suites(argv, loaded, tmp_path):
+    polygon = tmp_path / "triangle.json"
+    polygon.write_text(json.dumps({"dt": 0, "left": [[0, 3]], "right": [[1, 3]]}))
+    argv = [arg.format(polygon=polygon) for arg in argv]
+    proc = longedge_process(argv, tmp_path, SUITE_MODULES)
+    assert proc.stdout.splitlines()[-1] == str(loaded), proc.stderr
+
+
 class TestSeveri:
     def _polygon_file(self, tmp_path, payload):
         path = tmp_path / "p.json"
@@ -429,12 +557,7 @@ class TestSeveri:
         assert rep["n"]["closed"] == ["1", "27", "225"]
         assert rep["q"]["geometric"] == ["27", "-279/2"]
 
-    # the digest of the report as printed before it went through the CLI's
-    # one JSON rule; side 2 skips the closed and geometric counts past 2
-    @pytest.mark.parametrize("side, digest", [
-        (5, "c82ec3057331e38e79201886592bb56e0e2879450d82cd100d10df181ccbfbeb"),
-        (2, "766f5dcab2fa9139446e62423c103c860688f422edd59c03a52121114206eb21"),
-    ])
+    @pytest.mark.parametrize("side, digest", TRIANGLE_REPORT_DIGESTS.items())
     def test_triangle_report_is_pinned(self, side, digest, tmp_path, capsys):
         path = self._polygon_file(
             tmp_path, {"dt": 0, "left": [[0, side]], "right": [[1, side]]}
@@ -526,7 +649,7 @@ class TestVerify:
         assert out.endswith("coeffs: 10/10 checks passed\n")
 
     def test_empty_suite_fails(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.SUITES, "table1", Suite(lambda: [], False))
+        monkeypatch.setitem(suites.SUITES, "table1", Suite(lambda: [], False))
         code, out, _ = run(["verify", "table1"], capsys)
         assert code == 1
         assert out == "table1: 0/0 checks passed\n"
@@ -543,6 +666,13 @@ class TestVerify:
         code, _, err = run(["verify", "gyz", "--order", "0"], capsys)
         assert code == 2
         assert "at least 1" in err
+
+    def test_unknown_suite_names_every_suite(self, capsys):
+        code, out, err = run(["verify", "nosuch"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown suite 'nosuch'")
+        assert all(repr(name) in err for name in suites.SUITES)
 
 
 BROKEN_ROW_1 = {**COEFF_ROWS, 1: {**COEFF_ROWS[1], "A": "999"}}

@@ -97,7 +97,7 @@ def test_template_data_below_cogenus_one_is_empty(delta, tmp_path, monkeypatch):
     # and `templates --delta 0` have it
     monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(coeffs, "_disk_cache", True)
-    for name in ("fit_templates", "_load_templates", "_store_templates"):
+    for name in ("fit_templates", "_load", "_store"):
         monkeypatch.setattr(coeffs, name, None)
     assert template_data.__wrapped__(delta) == ()
     assert not (tmp_path / "cache").exists()
@@ -115,17 +115,26 @@ def test_h_vanishes_and_both_l_formulas_agree():
 
 def test_integer_sums_match_fraction_oracle(tmp_path, monkeypatch):
     # the integer sums against the same sums taken one Fraction at a time,
-    # over a cold build and then over the templates read back from the cache
+    # over a cold build and then over the templates read back from the
+    # cache; then the sums read back from their own files
     monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(coeffs, "_disk_cache", True)
+    expected = {}
     for source in ("cold", "loaded"):
         template_data.cache_clear()
         coeffs._template_sums.cache_clear()
+        # the loaded pass sums the loaded templates, not the stored sums
+        for path in tmp_path.glob("sums-*.json"):
+            path.unlink()
         for delta in range(1, 7):
-            expected = template_sums_by_fractions(delta, template_data(delta))
-            assert coeffs._template_sums(delta) == expected, (source, delta)
+            expected[delta] = template_sums_by_fractions(delta, template_data(delta))
+            assert coeffs._template_sums(delta) == expected[delta], (source, delta)
         # the second pass must load every cogenus, not fit it
         monkeypatch.setattr(coeffs, "fit_templates", None)
+    coeffs._template_sums.cache_clear()
+    monkeypatch.setattr(coeffs, "template_data", None)
+    for delta in range(1, 7):
+        assert coeffs._template_sums(delta) == expected[delta], ("sums file", delta)
 
 
 @pytest.mark.parametrize("moment", ["eta0", "zeta0"])
@@ -143,6 +152,8 @@ def test_integer_sums_catch_a_moment_off_by_one_over_den(monkeypatch, moment):
     off = form._replace(**{moment: getattr(form, moment) + Fraction(1, den)})
     bumped = data[:at] + ((t, off),) + data[at + 1 :]
     monkeypatch.setattr(coeffs, "template_data", lambda d: bumped)
+    # the sums are computed, not read from a file an earlier test stored
+    monkeypatch.setattr(coeffs, "_disk_cache", False)
     with pytest.raises(ArithmeticError, match=r"H = -?\d+(/\d+)? at delta=4, not 0"):
         coeffs._template_sums.__wrapped__(delta)
     with pytest.raises(ArithmeticError, match="the two formulas for L disagree"):

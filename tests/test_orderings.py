@@ -431,7 +431,9 @@ def test_linear_form_sums_match_fraction_oracle(tmp_path, monkeypatch):
     monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(coeffs, "_disk_cache", True)
     fitted = [row for d in range(1, 6) for row in coeffs.template_data.__wrapped__(d)]
-    loaded = [row for d in range(1, 6) for row in coeffs._load_templates(d)]
+    loaded = [
+        row for d in range(1, 6) for row in coeffs._load("templates", d, coeffs._read_templates)
+    ]
     assert len(fitted) == 551 and loaded == fitted
     for t, form in fitted:
         assert form == fit_by_bumps(t).moments(), t
