@@ -84,7 +84,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
     check_cogenus(args.delta)
-    rows = [template_coefficients(d).as_dict() for d in range(1, args.delta + 1)]
+    rows = [template_coefficients(d)._asdict() for d in range(1, args.delta + 1)]
     _emit_table(rows, CoeffTable._fields, args)
     return 0
 
@@ -96,6 +96,8 @@ def cmd_severi(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot read polygon file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"polygon file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("polygon file is nested too deeply to read") from None
     p = polygon_from_dict(data)
     methods = METHODS if args.method == "all" else (args.method,)
     rep = report(p, args.delta, methods)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .graphs import Template, check_cogenus, enumerate_templates
 from .orderings import BetaSeq, LinearForm, _chains, fit_templates
@@ -46,16 +46,13 @@ class CoeffTable(NamedTuple):
     Ctilde: Fraction
     b: tuple[Fraction, ...]  # b[i-1] is the weight of v'_i, 1 <= i <= delta
 
-    def as_dict(self) -> dict:
-        row = {name: str(value) for name, value in self._asdict().items()}
-        return {**row, "delta": self.delta, "b": [str(v) for v in self.b]}
-
 
 CACHE_VERSION = 3
 _disk_cache = True
 
 TemplateData = tuple[tuple[Template, LinearForm], ...]
 _T = TypeVar("_T")
+_I = TypeVar("_I")
 
 
 def use_disk_cache(enabled: bool) -> None:
@@ -76,16 +73,42 @@ def _canonical_json(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _digest(payload: dict) -> str:
+def _frame(
+    kind: str, delta: int, body: Iterable, digest: str | None = None
+) -> Iterator[str]:
+    """A cache file's canonical JSON text, one piece per body item:
+    {"delta":..,"hash":..,"<kind>":[..],"version":..}, its members in key
+    order ("sums" and "templates" both sort between "hash" and "version").
+    Without a digest it is the text that the hash is taken of."""
+    yield f'{{"delta":{delta},'
+    if digest is not None:
+        yield f'"hash":"{digest}",'
+    yield f'"{kind}":['
+    for at, item in enumerate(body):
+        yield f",{_canonical_json(item)}" if at else _canonical_json(item)
+    yield f'],"version":{CACHE_VERSION}}}'
+
+
+def _digest(pieces: Iterable[str]) -> str:
     # hashlib loads OpenSSL (about 4 MB resident): only a process that uses
     # the cache pays for it, not one that runs only the direct route.
     import hashlib
 
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def _edge_rows(t: Template) -> list[list[int]]:
     return [[e.lo, e.hi, e.weight] for e in t.edges]
+
+
+def _cache_row(entry: tuple[Template, LinearForm]) -> dict:
+    """A template file's row: the template's edges and its moments as
+    rational strings; _read_templates reads it back."""
+    t, form = entry
+    return {"edges": _edge_rows(t), "moments": [str(m) for m in form]}
 
 
 def _rationals(values: object, n: int) -> tuple[Fraction, ...]:
@@ -113,30 +136,33 @@ def _read_sums(values: list, delta: int) -> tuple[Fraction, ...] | None:
     return sums if sums[2] == 0 else None
 
 
-def _load(kind: str, delta: int, read: Callable[[object, int], _T | None]) -> _T | None:
+def _load(kind: str, delta: int, read: Callable[[list, int], _T | None]) -> _T | None:
     """One cogenus's cached payload of this kind, its body checked by read;
-    None for a missing, stale, tampered or malformed file."""
+    None for a missing, stale, tampered or malformed file, or one nested
+    too deeply to parse."""
     try:
         raw = json.loads(_cache_path(kind, delta).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(raw, dict):
-        return None
-    digest = raw.pop("hash", None)
-    if raw.get("version") != CACHE_VERSION or raw.get("delta") != delta:
-        return None
-    if digest != _digest(raw):
-        return None
-    try:
-        return read(raw[kind], delta)
-    except (KeyError, TypeError, ValueError):
+        fresh = (
+            isinstance(raw, dict)
+            and raw.keys() == {"delta", "hash", kind, "version"}
+            and raw["version"] == CACHE_VERSION
+            and raw["delta"] == delta
+            and isinstance(raw[kind], list)
+            and raw["hash"] == _digest(_frame(kind, delta, raw[kind]))
+        )
+        return read(raw[kind], delta) if fresh else None
+    except (OSError, KeyError, TypeError, ValueError, RecursionError):
         return None
 
 
-def _store(kind: str, delta: int, body: list) -> None:
-    """Write one cogenus's payload of this kind atomically; an unusable
+def _store(
+    kind: str, delta: int, items: Sequence[_I], encode: Callable[[_I], object]
+) -> None:
+    """Write one cogenus's payload of this kind atomically, its body the
+    items encoded one at a time: once to hash the body and once to write
+    it, so no more than one item's text is held at once.  An unusable
     directory skips the write."""
-    payload = {"version": CACHE_VERSION, "delta": delta, kind: body}
+    digest = _digest(_frame(kind, delta, map(encode, items)))
     path = _cache_path(kind, delta)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -147,7 +173,7 @@ def _store(kind: str, delta: int, body: list) -> None:
         return
     try:
         with tmp:
-            tmp.write(_canonical_json({**payload, "hash": _digest(payload)}))
+            tmp.writelines(_frame(kind, delta, map(encode, items), digest))
         os.replace(tmp.name, path)
         # files of other cache versions are never read again
         for stale in path.parent.glob(f"{kind}-v*-delta{delta}.json"):
@@ -171,11 +197,7 @@ def template_data(delta: int) -> TemplateData:
         templates = enumerate_templates(delta)
         data = tuple(zip(templates, fit_templates(templates)))
         if _disk_cache:
-            rows = [
-                {"edges": _edge_rows(t), "moments": [str(m) for m in form]}
-                for t, form in data
-            ]
-            _store("templates", delta, rows)
+            _store("templates", delta, data, _cache_row)
     return data
 
 
@@ -233,7 +255,7 @@ def _template_sums(delta: int) -> tuple[Fraction, ...]:
     if sums is None:
         sums = _sum_templates(delta, template_data(delta))
         if _disk_cache:
-            _store("sums", delta, [str(v) for v in sums])
+            _store("sums", delta, sums, str)
     return sums
 
 

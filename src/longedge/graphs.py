@@ -192,7 +192,7 @@ def conjugate(g: LongEdgeGraph) -> LongEdgeGraph:
 
 
 # The deepest cogenus whose template table can be built: a cold
-# `coeffs --delta 8` takes about 30 s and 149 MB on a 2-CPU box, and each
+# `coeffs --delta 8` takes about 30 s and 117 MB on a 2-CPU box, and each
 # cogenus has about 4.2 times the templates of the one before.
 MAX_COGENUS = 8
 

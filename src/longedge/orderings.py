@@ -24,7 +24,7 @@ for each sub-multiset.  The fits of one cogenus evaluate phi at six
 widths that depend on the position alone, so a _FitTable counts each
 sub-multiset's P there once for all the templates that hold it: that
 table, which lives as long as one fit_templates call, is the only place P
-is kept.
+is kept, and it owns the sub-multiset records its templates' plans share.
 phi is kept in integers, scaled by lcm(1..|S|), and the fit and its probe
 check use those integers; phi_beta, phi_betas and the fitted moments
 divide once.
@@ -178,14 +178,13 @@ def _placements(
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
-    t = _plan_sub(g.edges)
+    t = _sub(g.edges)
     return _counts(t, [_window(t, tuple(beta))])[0]
 
 
 class _Sub(NamedTuple):
     """An edge multiset T as the fit rule and p_counts read it."""
 
-    size: int
     lo: int
     hi: int
     # lambda_j(T) for j = lo+1..hi, to be met by the widths beta[lo:hi]
@@ -206,17 +205,19 @@ def _sub(edges: tuple[Edge, ...]) -> _Sub:
         for j in range(e.lo - lo, e.hi - lo):
             lams[j] += e.weight
         shape += (e.lo - lo, e.hi - lo, e.weight)
-    return _Sub(len(edges), lo, hi, tuple(lams), tuple(shape))
+    return _Sub(lo, hi, tuple(lams), tuple(shape))
 
 
 class _LogPlan(NamedTuple):
-    """The sub-multisets T of an edge multiset S as vectors of copies per
-    edge class, in itertools.product order: empty first, S last.  That order
-    is mixed radix, so T - U sits at position t - u and every U < T comes
-    before T; each split T = U + (T - U), 0 < U < T, is stored as u alone.
-    scale = lcm(1..|S|) is the common denominator."""
+    """The sub-multisets T of an edge multiset S as their sorted edge
+    tuples, in the itertools.product order of their vectors of copies per
+    edge class: empty first, S last.  That order is mixed radix, so T - U
+    sits at position t - u and every U < T comes before T; each split
+    T = U + (T - U), 0 < U < T, is stored as u alone.  scale = lcm(1..|S|)
+    is the common denominator.  The plan holds no record: its reader builds
+    the _Sub of each sub-multiset it counts, or finds it in the fit's table."""
 
-    subs: tuple[_Sub, ...]
+    subs: tuple[tuple[Edge, ...], ...]
     splits: tuple[tuple[int, ...], ...]
     scale: int
 
@@ -233,14 +234,7 @@ def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
         runs = [(e,) * c for c in range(mult + 1)]
         keys = [key + run for key in keys for run in runs]
     splits = _splits(tuple(mult for _, mult in classes))
-    return _LogPlan(tuple(map(_plan_sub, keys)), splits, lcm(*range(1, len(edges) + 1)))
-
-
-@lru_cache(maxsize=None)
-def _plan_sub(edges: tuple[Edge, ...]) -> _Sub:
-    """_sub of an edge multiset, kept: the plans of many templates hold the
-    same sub-multisets, so each record is built once for all of them."""
-    return _sub(edges)
+    return _LogPlan(tuple(keys), splits, lcm(*range(1, len(edges) + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +281,9 @@ def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction
     if g.is_empty:
         return [Fraction(0)] * len(betas)
     plan = _plan(g.edges)
-    rows = [_counts(t, [_window(t, beta) for beta in betas]) for t in plan.subs]
+    rows = [
+        _counts(t, [_window(t, beta) for beta in betas]) for t in map(_sub, plan.subs)
+    ]
     numerators = _recurrence(g, plan, betas, zip(*rows))
     return [Fraction(h, plan.scale) for h in numerators]
 
@@ -308,11 +304,11 @@ def _recurrence(
     for beta, p in zip(betas, columns):
         size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
         for at in range(1, len(p)):
-            t = plan.subs[at]
-            acc = t.size * plan.scale * p[at]
+            size = len(plan.subs[at])
+            acc = size * plan.scale * p[at]
             for u in plan.splits[at]:
                 acc -= size_h[u] * p[at - u]
-            h, r = divmod(acc, t.size)
+            h, r = divmod(acc, size)
             if r:
                 raise ArithmeticError(
                     f"phi of a sub-multiset of {g} at {beta} is not a multiple "
@@ -324,17 +320,18 @@ def _recurrence(
 
 
 class _FitTable:
-    """P of each sub-multiset record at the six widths that fits of one
-    cogenus evaluate, for as long as those fits run.
+    """The sub-multisets of one cogenus's fits, each with its record and P
+    at the six widths those fits evaluate, for as long as the fits run.
 
     The widths are the four fit points, a flat base b = cogenus + 2, b + 1,
     b + j and b + C(j, 2) in position j, then the two probes, the flat b + 3
     and b + 2 + 3j + C(j, 2), which moves along all three moments.  Each
-    is a function of the position alone, so a record's windows, and its P
-    there, are the same in every template that holds it.  A record's row
-    is counted once: its fit column (the first four values) when a fitted
+    is a function of the position alone, so a sub-multiset's windows, and
+    its P there, are the same in every template that holds it.  Its row is
+    counted once: its fit column (the first four values) when a fitted
     template first holds it, its probe column (the last two) when any
-    template does, in one _counts batch for all it lacks.
+    template does, in one _counts batch for all it lacks.  Its record is
+    built once, with the first of these, and goes with the table.
     """
 
     __slots__ = ("widths", "weights", "rows")
@@ -352,23 +349,25 @@ class _FitTable:
         ]
         # the form at each probe from its (eta0, zeta0, zeta1, zeta2)
         self.weights = ((1, b + 3, 0, 0), (1, b + 2, 3, 1))
-        # record -> P at the six widths; None where not yet counted
-        self.rows: dict[_Sub, tuple[int | None, ...]] = {}
+        # edge tuple -> its record, then P at the six widths; None where
+        # not yet counted
+        self.rows: dict[tuple[Edge, ...], tuple] = {}
 
     def columns(self, plan: _LogPlan, first: int) -> list[tuple[int, ...]]:
-        """P of each of the plan's records at widths[first:], one column
-        per width; first is 0 for a fit and 4 for a probe check."""
+        """P of each of the plan's sub-multisets at widths[first:], one
+        column per width; first is 0 for a fit and 4 for a probe check."""
         rows = []
-        for t in plan.subs:
-            row = self.rows.get(t)
-            if row is None or row[first] is None:
+        for sub in plan.subs:
+            row = self.rows.get(sub)
+            if row is None or row[1 + first] is None:
+                t = row[0] if row else _sub(sub)
                 # a row that has its probe column lacks at most its fit column
-                have = row[4:] if row else ()
+                have = row[5:] if row else ()
                 lack = self.widths[first : 6 - len(have)]
                 values = _counts(t, [_window(t, beta) for beta in lack])
-                row = self.rows[t] = (None,) * first + tuple(values) + have
+                row = self.rows[sub] = (t, *(None,) * first, *values, *have)
             rows.append(row)
-        return list(zip(*rows))[first:]
+        return list(zip(*rows))[1 + first :]
 
 
 def _fit_phis(g: LongEdgeGraph, table: _FitTable, first: int) -> tuple[int, list[int]]:

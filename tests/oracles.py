@@ -24,7 +24,7 @@ from longedge.graphs import (
 from longedge.orderings import (
     LinearForm,
     _counts,
-    _plan_sub,
+    _sub,
     _window,
     p_counts,
     phi_betas,
@@ -103,7 +103,7 @@ def block_weights(t: Template, beta: Sequence[int]) -> list[int]:
     beta = tuple(beta)
     weights = [0] * len(beta)
     shifts = t.shifts(len(beta) - 1)
-    record = _plan_sub(t.edges)
+    record = _sub(t.edges)
     found = _counts(record, [_window(record, beta[k:]) for k in shifts])
     for k, n in zip(shifts, found):
         weights[k] = t.multiplicity * n

@@ -13,7 +13,7 @@ import pytest
 import longedge
 from longedge import cli, coeffs, orderings, suites
 from longedge.cli import MAX_SERIES_ORDER
-from longedge.coeffs import template_data
+from longedge.coeffs import CoeffTable, template_data
 from longedge.graphs import MAX_COGENUS
 from longedge.reference import COEFF_ROWS
 from longedge.suites import Suite
@@ -135,7 +135,11 @@ class TestCoeffs:
     def test_frozen_rows(self, capsys):
         code, out, _ = run(["coeffs", "--delta", "3"], capsys)
         assert code == 0
-        assert json.loads(out) == [COEFF_ROWS[1], COEFF_ROWS[2], COEFF_ROWS[3]]
+        rows = json.loads(out)
+        assert rows == [COEFF_ROWS[1], COEFF_ROWS[2], COEFF_ROWS[3]]
+        # the CLI's one JSON rule prints each exact value as its string, in
+        # the table's column order
+        assert list(rows[1]) == list(CoeffTable._fields)
 
     def test_tsv(self, capsys):
         code, out, _ = run(["coeffs", "--delta", "2", "--format", "tsv"], capsys)
@@ -152,6 +156,17 @@ class TestCoeffs:
     ])
     def test_tsv_table_is_pinned(self, delta, digest, capsys):
         code, out, _ = run(["coeffs", "--delta", str(delta), "--format", "tsv"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the digest of the JSON tables as printed while each row went through
+    # a dict of strings of its own, before the CLI's one JSON rule printed it
+    @pytest.mark.parametrize("delta, digest", [
+        (0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+        (5, "143936f6bb6d9ede72563dc03de620b70c3c8d8393d2a9cf3ba96cb3c8c8a977"),
+    ])
+    def test_json_table_is_pinned(self, delta, digest, capsys):
+        code, out, _ = run(["coeffs", "--delta", str(delta), "--format", "json"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -207,6 +222,27 @@ def hashed(payload):
     """A cache file's text for this payload, its hash valid."""
     return json.dumps({**payload, "hash": cache_digest(payload)})
 
+
+# Too deep for the JSON parser: it raises RecursionError, not ValueError.
+NESTED = "[" * 200_000 + "]" * 200_000
+
+# The sha256 of each cache file a cold build of cogenus 1..6 writes, as
+# written while the whole payload was encoded at once, before the files
+# were hashed and written one row at a time.
+CACHE_FILE_DIGESTS = {
+    "templates-v3-delta1.json": "77b773b403760139fb96323b734ec7423adb29fdaec8e089e1fa593b2aca3f57",
+    "templates-v3-delta2.json": "7226a0e3576fa9a9bcc19848777485c3ad46ce817f16afc0420fa6dc725b46e8",
+    "templates-v3-delta3.json": "cf2032f141d1d7c6b9d8a234b6b2fe6a1a6b4dd74b2edc358d60809eb577248c",
+    "templates-v3-delta4.json": "64ddfdad2adf29ac29850f1573bcfc97f37c6fc31a3539ac13022e96b6a444c4",
+    "templates-v3-delta5.json": "6c69edf68a6248a43589cb3b1e81b438835fbb6d349676beb40380959b010cd2",
+    "templates-v3-delta6.json": "cd609c738fc8de26b3b14b77d73590219dbb3d6debe5e2f14fef0a21a11ea314",
+    "sums-v3-delta1.json": "969c0174431bd9bf2304850267dc5a8a8818d7c85ddb2480a90ec8ffc9229128",
+    "sums-v3-delta2.json": "03c97fab468c66cc43dd68d1f60d329d550114c12e374777c720d5d31d68bcd4",
+    "sums-v3-delta3.json": "4e68caa60a8cd6248012697a52db2a91ab7f3231c6a6170326afab619d1aed91",
+    "sums-v3-delta4.json": "54982569f44fc34adf115c1cffa924c58c596c30994d17255c9a7515b9b94bf6",
+    "sums-v3-delta5.json": "c264e2a7b97a86a3b5689487ff571c33a9b5afb75256df8bcceebdb45f3cb0d6",
+    "sums-v3-delta6.json": "562766bfd71fe0cfd9ac3c65d0be79aae39d2789d837dea6fbffc8cc39e7b1ee",
+}
 
 # The two templates of cogenus 1 with their fitted forms, as cached.
 WEIGHT2_ROW = {"edges": [[0, 1, 2]], "moments": ["-1", "1", "0", "0"]}
@@ -291,6 +327,34 @@ class TestCache:
         template_data(1)
         assert path.read_bytes() == first
         assert len(fits) == 2  # the second call read the file
+
+    def test_cold_build_writes_the_pinned_files(self, isolated_cache):
+        for delta in range(1, 7):
+            coeffs._template_sums(delta)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in isolated_cache.iterdir()
+        }
+        assert digests == CACHE_FILE_DIGESTS
+
+    def test_load_reads_what_store_writes(self, isolated_cache):
+        # each file is the canonical JSON of its payload and its hash, and
+        # reads back as what was stored, for both kinds
+        data = template_data(2)
+        sums = coeffs._template_sums(2)
+        for kind, body in (
+            ("templates", list(map(coeffs._cache_row, data))),
+            ("sums", list(map(str, sums))),
+        ):
+            payload = {"version": 3, "delta": 2, kind: body}
+            text = (isolated_cache / f"{kind}-v3-delta2.json").read_text()
+            assert text == json.dumps(
+                {**payload, "hash": cache_digest(payload)},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+        assert coeffs._load("templates", 2, coeffs._read_templates) == data
+        assert coeffs._load("sums", 2, coeffs._read_sums) == sums
 
     def test_cold_build_fits_one_template_per_conjugate_pair(self, fits):
         for delta in range(1, 6):
@@ -389,7 +453,15 @@ class TestCache:
             pytest.param(hashed({**SUMS_FILE_1, "version": 2, "sums": SUMS_2}), id="stale"),
             pytest.param(hashed({**SUMS_FILE_1, "delta": 2, "sums": SUMS_2}), id="cogenus-2"),
             pytest.param("not json", id="garbage"),
+            pytest.param(NESTED, id="nested"),
             pytest.param(hashed({"version": 3, "delta": 1}), id="no-sums"),
+            # a member the file's frame does not have, under a hash that
+            # covers it, or beside the hash of the frame alone
+            pytest.param(hashed({**SUMS_FILE_1, "extra": 1}), id="extra-member"),
+            pytest.param(
+                json.dumps({**SUMS_FILE_1, "extra": 1, "hash": cache_digest(SUMS_FILE_1)}),
+                id="extra-member-outside-hash",
+            ),
             # hash-valid bodies that are not five rational strings with H = 0
             *[
                 pytest.param(hashed({**SUMS_FILE_1, "sums": body}), id=name)
@@ -401,14 +473,23 @@ class TestCache:
         fresh = coeffs._template_sums(1)
         assert fresh == tuple(map(Fraction, SUMS_1))
         path = isolated_cache / "sums-v3-delta1.json"
+        written = path.read_bytes()
         path.write_text(text)
         template_data.cache_clear()
         coeffs._template_sums.cache_clear()
         assert coeffs._template_sums(1) == fresh
         assert len(fits) == 2  # summed from the template file, not refitted
         # the bad file was replaced by the recomputed sums
-        assert json.loads(path.read_text())["sums"] == SUMS_1
+        assert path.read_bytes() == written
         assert coeffs._load("sums", 1, coeffs._read_sums) == fresh
+
+    def test_nested_template_file_is_recomputed(self, isolated_cache, fits):
+        isolated_cache.mkdir(parents=True)
+        path = isolated_cache / "templates-v3-delta1.json"
+        path.write_text(NESTED)
+        assert len(template_data(1)) == 2
+        assert len(fits) == 2
+        assert coeffs._load("templates", 1, coeffs._read_templates) == template_data(1)
 
     def test_garbage_file_is_ignored(self, isolated_cache, capsys):
         isolated_cache.mkdir(parents=True)
@@ -739,6 +820,8 @@ EXIT_CODES = [
     (["series", "g", "--order", str(MAX_SERIES_ORDER + 1)], None, 2),
     (["series", "partition", "--order", "100000000"], None, 2),
     (["series", "partition", "--order", str(MAX_SERIES_ORDER)], None, 0),
+    # a polygon file nested too deeply for the JSON parser
+    (["severi", "--polygon", "{nested}", "--delta", "1"], None, 2),
 ]
 
 # file placeholder -> (polygon JSON written to it, text stderr must show)
@@ -771,7 +854,9 @@ def test_exit_codes(argv, patch, expected, tmp_path, monkeypatch, capsys):
         "missing": tmp_path / "missing.json",
         "nodir": tmp_path / "no" / "such",
         "dir": tmp_path,
+        "nested": tmp_path / "nested.json",
     }
+    files["nested"].write_text(NESTED)
     for name, (data, _) in MALFORMED.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))

@@ -54,14 +54,6 @@ def test_coefficient_table_delta_two():
     assert tab.b == (Fraction(-9, 2), Fraction(1))
 
 
-def test_coefficient_table_as_dict():
-    d = template_coefficients(2).as_dict()
-    assert d["A"] == "-21"
-    assert d["L"] == "39/2"
-    assert d["Ctilde"] == "-36"
-    assert d["b"] == ["-9/2", "1"]
-
-
 def test_b_column_delta_three():
     assert b_coeffs(3, 1) == Fraction(130, 3)
     assert b_coeffs(3, 2) == -12

@@ -244,13 +244,6 @@ def test_fit_counts_each_record_once_per_cogenus(monkeypatch):
     assert not [o for o in gc.get_objects() if isinstance(o, orderings._FitTable)]
 
 
-def _edges_of(t) -> Counter:
-    return Counter(
-        (t.lo + a, t.lo + b, w)
-        for a, b, w in zip(t.shape[0::3], t.shape[1::3], t.shape[2::3])
-    )
-
-
 def test_log_plan_splits_sit_at_mixed_radix_positions():
     # for each split u of T, position u holds U and position t - u holds T - U
     multisets = [t.edges for d in range(1, 5) for t in enumerate_templates(d)]
@@ -259,7 +252,7 @@ def test_log_plan_splits_sit_at_mixed_radix_positions():
     )
     for s in multisets:
         plan = orderings._plan(s)
-        subs = [_edges_of(t) for t in plan.subs]
+        subs = [Counter((e.lo, e.hi, e.weight) for e in t) for t in plan.subs]
         assert subs[0] == Counter()
         assert subs[-1] == Counter((e.lo, e.hi, e.weight) for e in s)
         assert len({frozenset(t.items()) for t in subs}) == len(subs)
@@ -364,25 +357,45 @@ def test_fit_linear_phi_shifted_graph():
     assert shifted.evaluate((9, 9, 5, 9)) == base.evaluate((5,))
 
 
-def test_log_plans_build_each_record_once(monkeypatch):
-    # over a cold delta <= 5 build, each sub-multiset's record is built once
-    # for every plan that holds it, and each split table once per vector of
-    # multiplicities; no fit or probe builds a record outside its plan
+def _count_records(monkeypatch) -> list:
+    """The edge tuple of every sub-multiset record built from now on."""
     calls = []
     sub = orderings._sub
     monkeypatch.setattr(orderings, "_sub", lambda edges: calls.append(edges) or sub(edges))
+    return calls
+
+
+def test_log_plans_build_each_record_once(monkeypatch):
+    # over a cold delta <= 5 build, each sub-multiset's record is built once
+    # within its cogenus's fit, however many of that fit's plans hold it,
+    # and each split table once per vector of multiplicities
+    calls = _count_records(monkeypatch)
     monkeypatch.setattr(coeffs, "_disk_cache", False)
-    for memo in (orderings._plan_sub, orderings._splits):
-        memo.cache_clear()
+    orderings._splits.cache_clear()
+    builds, entries = [], 0
     for delta in range(1, 6):
+        calls.clear()
         coeffs.template_data.__wrapped__(delta)
-    plans = [
-        orderings._plan(t.edges) for d in range(1, 6) for t in enumerate_templates(d)
-    ]
-    held = {(t.lo, t.shape) for plan in plans for t in plan.subs}
-    assert len(calls) == len(set(calls)) == len(held) == 1004
-    assert sum(len(plan.subs) for plan in plans) == 6083
+        plans = [orderings._plan(t.edges) for t in enumerate_templates(delta)]
+        held = {sub for plan in plans for sub in plan.subs}
+        assert len(calls) == len(set(calls)) == len(held), delta
+        builds.append(len(calls))
+        entries += sum(len(plan.subs) for plan in plans)
+    assert builds == [3, 12, 51, 224, 1004]
+    assert entries == 6083
     assert orderings._splits.cache_info().misses == 31
+
+
+def test_a_second_fit_builds_its_records_again(monkeypatch):
+    # the records belong to one fit_templates call: fitting the same
+    # cogenus again builds every one of them again, so none outlives a fit
+    calls = _count_records(monkeypatch)
+    templates = enumerate_templates(3)
+    first = fit_templates(templates)
+    assert len(calls) == 51
+    assert fit_templates(templates) == first
+    assert len(calls) == 2 * 51
+    assert sorted(calls[:51]) == sorted(calls[51:])
 
 
 def _probe_off_by_one(monkeypatch, probe, first):
