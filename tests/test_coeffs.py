@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longedge import coeffs
+from longedge import cli, coeffs
 from longedge.coeffs import (
     a_series,
     b_coeffs,
@@ -52,6 +53,17 @@ def test_coefficient_table_delta_two():
     assert tab.H == 0
     assert tab.Ctilde == -36
     assert tab.b == (Fraction(-9, 2), Fraction(1))
+
+
+def test_coefficient_table_as_dict(capsys):
+    # the cogenus-2 row as the CLI prints it: each exact value as its string
+    assert cli.main(["coeffs", "--delta", "2"]) == 0
+    d = json.loads(capsys.readouterr().out)[-1]
+    assert d["delta"] == 2
+    assert d["A"] == "-21"
+    assert d["L"] == "39/2"
+    assert d["Ctilde"] == "-36"
+    assert d["b"] == ["-9/2", "1"]
 
 
 def test_b_column_delta_three():
