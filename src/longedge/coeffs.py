@@ -69,8 +69,9 @@ def _cache_path(kind: str, delta: int) -> Path:
     return Path(directory) / f"{kind}-v{CACHE_VERSION}-delta{delta}.json"
 
 
-def _canonical_json(data: object) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+# One encoder for every cache row: json.dumps with these arguments would
+# build a new one per call, and _store encodes each row twice.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _frame(

@@ -17,17 +17,19 @@ all, and fit_linear_phi is fit_templates of one template.
 
 P is counted in batches.  p_counts(shape, windows) takes one shape, its
 edges shifted to start at vertex 0, and the widths under it at many places:
-the windows.  It lists the transfer's states and moves once for the shape
-and applies each window's own factors to them, and keeps nothing between
-calls.  Callers hand over whole batches: phi_betas every width sequence
-for each sub-multiset.  The fits of one cogenus evaluate phi at six
-widths that depend on the position alone, so a _FitTable counts each
-sub-multiset's P there once for all the templates that hold it: that
-table, which lives as long as one fit_templates call, is the only place P
-is kept, and it owns the sub-multiset records its templates' plans share.
-phi is kept in integers, scaled by lcm(1..|S|), and the fit and its probe
-check use those integers; phi_beta, phi_betas and the fitted moments
-divide once.
+the windows.  It takes the transfer's states and moves for each gap from a
+process-wide table of gap moves and applies each window's own factors to
+them, and keeps no count between calls.  Callers hand over whole batches:
+phi_betas every width sequence for each sub-multiset.  The fits of one
+cogenus evaluate phi at six widths that depend on the position alone, so a
+_FitTable keeps each sub-multiset's P and phi there once for all the
+templates that hold it: that table, which lives as long as one
+fit_templates call, is the only place P and phi are kept.  A sub-multiset
+whose edges split into parts that share no gap is read off its parts,
+with no walk.  phi is kept in integers, scaled by lcm(1..|S|) or by the
+table's one scale, and the fit and its probe check use those integers;
+phi_beta, phi_betas and the fitted moments divide once.  _recurrence is
+the one routine that computes phi, for phi_betas and the fit alike.
 
 One rule, in _window, decides whether an edge multiset fits the widths: it
 must lie in the vertex range 0..M+1, and every gap's width must cover the
@@ -55,7 +57,7 @@ from functools import lru_cache
 from math import comb, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Edge, LongEdgeGraph, _int, conjugate
+from .graphs import Edge, LongEdgeGraph, _int
 
 
 class BetaSeq(tuple):
@@ -91,9 +93,9 @@ def p_counts(shape: tuple[int, ...], windows: Sequence[tuple[int, ...]]) -> list
     each gap (the fit rule _window checks that).
 
     The distinct windows are counted together in one walk of the transfer
-    (_walk), and a call with no window walks nothing.  Nothing is kept:
+    (_walk), and a call with no window walks nothing.  No count is kept:
     a caller that asks again for the same P keeps it itself, as the fit's
-    column table does.
+    table does.
     """
     distinct = list(dict.fromkeys(windows))
     if not distinct:
@@ -109,9 +111,10 @@ def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
     takes any number of copies in each gap it straddles but its last, which
     takes the rest.  A gap with fill filler edges and c_i copies of class i
     multiplies in the ways to order them, C(fill + s, s) s! / prod c_i! with
-    s the sum of the c_i.  The states, the moves between them and each
-    move's s! / prod c_i! depend on the shape alone, so each gap's moves are
-    listed once; each window then applies only its own C(fill + s, s).
+    s the sum of the c_i.  A gap's moves, the states after it and each
+    move's s! / prod c_i! depend on the states before it alone, so every
+    walk takes them from one table (_moves); each window then applies only
+    its own C(fill + s, s).
     """
     classes = Counter(zip(shape[0::3], shape[1::3], shape[2::3]))
     crossing = [0] * len(windows[0])
@@ -121,24 +124,17 @@ def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
             crossing[j] += weight * mult
         opening[lo].append((hi, mult))
     ends: list[int] = []  # right end of each open class, in state order
-    slots = {(): 0}  # copies left per open class -> the state's slot
-    values = [[1] for _ in windows]  # ways to reach each slot, per window
+    states: tuple[tuple[int, ...], ...] = ((),)  # copies left per open class
+    values = [[1] for _ in windows]  # ways to reach each state, per window
     for j, opened in enumerate(opening):
         if opened:
             ends += [hi for hi, _ in opened]
             more = tuple(mult for _, mult in opened)
-            slots = {left + more: at for left, at in slots.items()}
+            states = tuple([left + more for left in states])
         elif not ends:
             continue  # no edge straddles this gap
         last = tuple([hi == j + 1 for hi in ends])
-        after: dict[tuple[int, ...], int] = {}
-        moves = [
-            (at, after.setdefault(rest, len(after)), s, ways)
-            for left, at in slots.items()
-            for rest, s, ways in _placements(left, last)
-        ]
-        most = max(map(sum, slots))  # the most copies one gap can take
-        slots = after
+        moves, states, most = _moves(states, last)
         ends = [hi for hi, end in zip(ends, last) if not end]
         for w, window in enumerate(windows):
             fill = window[j] - crossing[j]
@@ -146,7 +142,7 @@ def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
             for s in range(1, most + 1):
                 grow.append(grow[-1] * (fill + s) // s)
             ways = values[w]
-            now = [0] * len(after)
+            now = [0] * len(states)
             for at, to, s, n in moves:
                 now[to] += ways[at] * n * grow[s]
             values[w] = now
@@ -154,26 +150,29 @@ def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _placements(
-    left: tuple[int, ...], last: tuple[bool, ...]
-) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The ways to place copies of the open classes in one gap, given the
-    copies left per class and whether the gap is each class's last, where
-    it places all it has left: (copies left after, s, s! / prod c_i!).
-    These depend on small tuples alone, so every walk shares them."""
-    out = []
-    for placed in itertools.product(
-        *[(n,) if end else range(n + 1) for n, end in zip(left, last)]
-    ):
-        # s! / prod c_i! as the product of C(c_1 + ... + c_i, c_i)
-        s, ways = 0, 1
-        for c in placed:
-            if c:
-                s += c
-                ways *= comb(s, c)
-        rest = tuple([n - c for n, c, end in zip(left, placed, last) if not end])
-        out.append((rest, s, ways))
-    return tuple(out)
+def _moves(
+    states: tuple[tuple[int, ...], ...], last: tuple[bool, ...]
+) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], ...], int]:
+    """One gap of the transfer, given the copies left per open class in
+    each state and whether the gap is each class's last, where it places
+    all it has left: the moves (state, state after, s, s! / prod c_i!), the
+    states after, and the most copies the gap can take.  These depend on
+    small tuples alone, so every walk shares them."""
+    after: dict[tuple[int, ...], int] = {}
+    moves = []
+    for at, left in enumerate(states):
+        for placed in itertools.product(
+            *[(n,) if end else range(n + 1) for n, end in zip(left, last)]
+        ):
+            # s! / prod c_i! as the product of C(c_1 + ... + c_i, c_i)
+            s, ways = 0, 1
+            for c in placed:
+                if c:
+                    s += c
+                    ways *= comb(s, c)
+            rest = tuple([n - c for n, c, end in zip(left, placed, last) if not end])
+            moves.append((at, after.setdefault(rest, len(after)), s, ways))
+    return tuple(moves), tuple(after), max(map(sum, states))
 
 
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
@@ -213,13 +212,11 @@ class _LogPlan(NamedTuple):
     tuples, in the itertools.product order of their vectors of copies per
     edge class: empty first, S last.  That order is mixed radix, so T - U
     sits at position t - u and every U < T comes before T; each split
-    T = U + (T - U), 0 < U < T, is stored as u alone.  scale = lcm(1..|S|)
-    is the common denominator.  The plan holds no record: its reader builds
-    the _Sub of each sub-multiset it counts, or finds it in the fit's table."""
+    T = U + (T - U), 0 < U < T, is stored as u alone.  The plan holds no
+    record: its reader builds the _Sub of each sub-multiset it counts."""
 
     subs: tuple[tuple[Edge, ...], ...]
     splits: tuple[tuple[int, ...], ...]
-    scale: int
 
 
 def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
@@ -233,8 +230,7 @@ def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
     for e, mult in classes:
         runs = [(e,) * c for c in range(mult + 1)]
         keys = [key + run for key in keys for run in runs]
-    splits = _splits(tuple(mult for _, mult in classes))
-    return _LogPlan(tuple(keys), splits, lcm(*range(1, len(edges) + 1)))
+    return _LogPlan(tuple(keys), _splits(tuple(mult for _, mult in classes)))
 
 
 @lru_cache(maxsize=None)
@@ -249,6 +245,25 @@ def _splits(mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         ))))[1:-1]
         for t in itertools.product(*(range(m + 1) for m in mults))
     )
+
+
+@lru_cache(maxsize=None)
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n): phi of an n-edge multiset is a multiple of its inverse."""
+    return lcm(*range(1, n + 1))
+
+
+def _parts(edges: tuple[Edge, ...]) -> int:
+    """How many of the sorted edges make the first gap-connected part, or
+    0 if they all do.  Edges share a gap where their spans overlap, so the
+    first part is the run of edges up to the first that starts at or after
+    the reach of those before it; no later edge starts any sooner."""
+    reach = edges[0].hi
+    for at, (lo, hi, _) in enumerate(edges):
+        if lo >= reach:
+            return at
+        reach = max(reach, hi)
+    return 0
 
 
 def _window(t: _Sub, beta: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -284,59 +299,76 @@ def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction
     rows = [
         _counts(t, [_window(t, beta) for beta in betas]) for t in map(_sub, plan.subs)
     ]
-    numerators = _recurrence(g, plan, betas, zip(*rows))
-    return [Fraction(h, plan.scale) for h in numerators]
+    p = [list(column) for column in zip(*rows)]
+    h = [[0] * len(rows) for _ in betas]
+    scale = _lcm_upto(len(g))
+    _recurrence(g, plan, scale, betas, p, h, range(1, len(rows)))
+    return [Fraction(column[-1], scale) for column in h]
 
 
 def _recurrence(
     g: LongEdgeGraph,
     plan: _LogPlan,
+    scale: int,
     betas: Sequence[Sequence[int]],
-    columns: Iterable[Sequence[int]],
-) -> list[int]:
-    """scale * phi_beta(g, beta) for each beta, from P of each of the plan's
-    sub-multisets at beta: one column per beta, in plan order.
+    p: Sequence[Sequence[int]],
+    h: Sequence[list[int]],
+    todo: Iterable[int],
+) -> None:
+    """Fill in h[i][at] = scale * phi_beta(T, betas[i]) at each position
+    at in todo, in increasing order, T the plan's sub-multiset there, from
+    P of every sub-multiset at the same widths (p[i], in plan order) and h
+    at the positions before it, known or filled in first.
 
     With h[T] = scale * phi(T), the log derivative gives
     |T| h[T] = |T| scale P(T) - sum over 0 < U < T of |U| h[U] P(T - U).
+    phi(T) is a multiple of 1/lcm(1..|T|), of which scale must be a
+    multiple, and each h[T] is checked to be one.
     """
-    out = []
-    for beta, p in zip(betas, columns):
-        size_h = [0]  # |T| h[T], in plan order; the empty T has h = 0
-        for at in range(1, len(p)):
-            size = len(plan.subs[at])
-            acc = size * plan.scale * p[at]
+    sizes = list(map(len, plan.subs))
+    # |T| h[T] must be a multiple of step = |T| scale / lcm(1..|T|)
+    steps = [(at, sizes[at], sizes[at] * scale // _lcm_upto(sizes[at])) for at in todo]
+    for beta, pw, hw in zip(betas, p, h):
+        size_h = list(map(operator.mul, sizes, hw))  # |T| h[T], in plan order
+        for at, size, step in steps:
+            acc = size * scale * pw[at]
             for u in plan.splits[at]:
-                acc -= size_h[u] * p[at - u]
-            h, r = divmod(acc, size)
-            if r:
+                acc -= size_h[u] * pw[at - u]
+            if acc % step:
                 raise ArithmeticError(
-                    f"phi of a sub-multiset of {g} at {beta} is not a multiple "
-                    f"of 1/{plan.scale}"
+                    f"phi of {LongEdgeGraph(plan.subs[at])} in {g} at "
+                    f"{list(beta)} is not a multiple of 1/{_lcm_upto(size)}"
                 )
-            size_h.append(acc)
-        out.append(h)
-    return out
+            size_h[at] = acc
+            hw[at] = acc // size
+
+
+# A row of a _FitTable whose phi is 0 at all six widths, or not yet known.
+_NO_PHI = (0,) * 6
 
 
 class _FitTable:
-    """The sub-multisets of one cogenus's fits, each with its record and P
+    """The sub-multisets of one cogenus's fits, each with P and scale * phi
     at the six widths those fits evaluate, for as long as the fits run.
 
     The widths are the four fit points, a flat base b = cogenus + 2, b + 1,
     b + j and b + C(j, 2) in position j, then the two probes, the flat b + 3
     and b + 2 + 3j + C(j, 2), which moves along all three moments.  Each
-    is a function of the position alone, so a sub-multiset's windows, and
-    its P there, are the same in every template that holds it.  Its row is
-    counted once: its fit column (the first four values) when a fitted
-    template first holds it, its probe column (the last two) when any
-    template does, in one _counts batch for all it lacks.  Its record is
-    built once, with the first of these, and goes with the table.
+    is a function of the position alone, so a sub-multiset's windows, its
+    P there and so its phi are the same in every template that holds it.
+    Its row is made once, when a template first holds it: P at all six
+    widths in one _counts batch, and phi from the recurrence over the
+    template's plan, which reads every smaller sub-multiset's row.  A
+    multiset whose edges split into a first gap-connected part and a rest
+    that share no gap is counted by neither: its P is the product of the
+    parts' P, as each gap's orderings involve only the edges crossing it,
+    and so its phi, a log coefficient that mixes the parts, is 0.  One
+    scale, lcm(1..most edges), serves every row.
     """
 
-    __slots__ = ("widths", "weights", "rows")
+    __slots__ = ("widths", "weights", "scale", "rows")
 
-    def __init__(self, cogenus: int, length: int):
+    def __init__(self, cogenus: int, length: int, most: int):
         b = cogenus + 2
         js = range(length)
         self.widths = [
@@ -349,33 +381,41 @@ class _FitTable:
         ]
         # the form at each probe from its (eta0, zeta0, zeta1, zeta2)
         self.weights = ((1, b + 3, 0, 0), (1, b + 2, 3, 1))
-        # edge tuple -> its record, then P at the six widths; None where
-        # not yet counted
-        self.rows: dict[tuple[Edge, ...], tuple] = {}
-
-    def columns(self, plan: _LogPlan, first: int) -> list[tuple[int, ...]]:
-        """P of each of the plan's sub-multisets at widths[first:], one
-        column per width; first is 0 for a fit and 4 for a probe check."""
-        rows = []
-        for sub in plan.subs:
-            row = self.rows.get(sub)
-            if row is None or row[1 + first] is None:
-                t = row[0] if row else _sub(sub)
-                # a row that has its probe column lacks at most its fit column
-                have = row[5:] if row else ()
-                lack = self.widths[first : 6 - len(have)]
-                values = _counts(t, [_window(t, beta) for beta in lack])
-                row = self.rows[sub] = (t, *(None,) * first, *values, *have)
-            rows.append(row)
-        return list(zip(*rows))[1 + first :]
+        self.scale = _lcm_upto(most)
+        # edge tuple -> P at the six widths, then scale * phi there; the
+        # empty multiset's P is 1 and its phi 0
+        self.rows = {(): (1,) * 6 + _NO_PHI}
 
 
-def _fit_phis(g: LongEdgeGraph, table: _FitTable, first: int) -> tuple[int, list[int]]:
-    """(scale, [scale * phi_beta(g, beta) for beta in table.widths[first:]]),
-    with P read from the table: where fits and probe checks get phi."""
-    plan = _plan(g.edges)
-    betas = [w[: g.maxv] for w in table.widths[first:]]
-    return plan.scale, _recurrence(g, plan, betas, table.columns(plan, first))
+def _fit_phis(g: LongEdgeGraph, table: _FitTable, first: int) -> list[int]:
+    """[table.scale * phi_beta(g, beta) for beta in table.widths[first:]]:
+    where fits (first = 0) and probe checks (first = 4) get phi.  It is
+    read from g's row, made with the rows of g's sub-multisets that the
+    table lacks."""
+    rows = table.rows
+    if g.edges not in rows:
+        plan = _plan(g.edges)
+        found, todo = [], []
+        for at, sub in enumerate(plan.subs):
+            row = rows.get(sub)
+            if row is None:
+                cut = _parts(sub)
+                if cut:
+                    head, rest = rows[sub[:cut]], rows[sub[cut:]]
+                    row = (*map(operator.mul, head[:6], rest[:6]), *_NO_PHI)
+                else:
+                    t = _sub(sub)
+                    windows = [_window(t, beta) for beta in table.widths]
+                    row = (*_counts(t, windows), *_NO_PHI)
+                    todo.append(at)
+                rows[sub] = row
+            found.append(row)
+        columns = [list(column) for column in zip(*found)]
+        betas = [beta[: g.maxv] for beta in table.widths]
+        _recurrence(g, plan, table.scale, betas, columns[:6], columns[6:], todo)
+        for at in todo:
+            rows[plan.subs[at]] = tuple([column[at] for column in columns])
+    return list(rows[g.edges][6 + first :])
 
 
 class LinearForm(NamedTuple):
@@ -419,33 +459,36 @@ def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
     so with b = 2 + the largest cogenus given, phi is the form at a flat
     base b, at b+1, and at b+j and b+C(j,2) in position j = 0..ell-1; the
     last three differ from the base by zeta0, zeta1 and zeta2.  The first
-    template of each conjugate pair met is fitted there; the other takes
-    the reflected moments.  Every template is then checked at two probes
-    inside the region (see _FitTable).  All of them read P from one column
-    table, which goes when the fit returns.  The moments stay integers,
-    times their plan's scale, until the end: a template and its conjugate
-    have as many edges, so one scale.
+    template of each conjugate pair met is fitted there; the other, found
+    by its reflected edges, takes the reflected moments.  Every template is
+    then checked at two probes inside the region (see _FitTable).  All of
+    them read phi from one table, which goes when the fit returns.  The
+    moments stay integers, times the table's scale, until the end.
     """
     if not templates:
         return ()
     cogenus = max(t.cogenus for t in templates)
-    table = _FitTable(cogenus, max(t.maxv for t in templates))
-    scaled: dict[LongEdgeGraph, tuple[int, LinearForm]] = {}
+    table = _FitTable(
+        cogenus, max(t.maxv for t in templates), max(map(len, templates))
+    )
+    scaled: dict[tuple[Edge, ...], LinearForm] = {}
     for t in templates:
-        mirror = scaled.get(conjugate(t))
+        s = t.minv + t.maxv  # the conjugate's edges: vertex n goes to s - n
+        reflected = tuple(sorted((s - hi, s - lo, w) for lo, hi, w in t.edges))
+        mirror = scaled.get(reflected)
         if mirror is None:
-            scale, (f0, *values) = _fit_phis(t, table, 0)
+            f0, *values = _fit_phis(t, table, 0)
             zetas = [v - f0 for v in values[:3]]
             moments = LinearForm(f0 - (cogenus + 2) * zetas[0], *zetas)
             probes = values[3:]
         else:
-            scale, moments = mirror[0], mirror[1].reflected(t.length)
-            _, probes = _fit_phis(t, table, 4)
+            moments = mirror.reflected(t.length)
+            probes = _fit_phis(t, table, 4)
         _check_probes(t, table, probes, moments)
-        scaled[t] = scale, moments
+        scaled[t.edges] = moments
     return tuple(
-        LinearForm(*(Fraction(m, scale) for m in moments))
-        for scale, moments in map(scaled.get, templates)
+        LinearForm(*(Fraction(m, table.scale) for m in scaled[t.edges]))
+        for t in templates
     )
 
 

@@ -2,6 +2,7 @@ import gc
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -218,7 +219,7 @@ def test_transfer_walk_counts(monkeypatch):
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     coeffs.template_data.__wrapped__(5)  # a cold template_data(5)
     assert len(windows) == sum(calls)
-    assert (len(windows), sum(windows)) == (1011, 4361)
+    assert (len(windows), sum(windows)) == (734, 4230)
     # the direct count is one transfer over the widths, and walks none
     windows.clear()
     for delta in range(6):
@@ -227,21 +228,92 @@ def test_transfer_walk_counts(monkeypatch):
 
 
 def test_fit_counts_each_record_once_per_cogenus(monkeypatch):
-    # work counts, never wall time: over a cold delta <= 5 build, a record
-    # is counted in one _counts batch per cogenus, or in two when a
-    # conjugate's probe check meets it before a fit does; no batch is made
-    # per plan entry, and no table outlives its cogenus's fit
-    batches = []
-    counts = orderings._counts
+    # work counts, never wall time: over a cold delta <= 5 build, each
+    # gap-connected sub-multiset is counted in one _counts batch per
+    # cogenus, at all six widths, and its phi computed once there; a
+    # multiset whose parts share no gap is neither, no batch is made per
+    # plan entry, and no table outlives its cogenus's fit
+    batches, phis = [], []
+    counts, recurrence = orderings._counts, orderings._recurrence
     monkeypatch.setattr(
         orderings, "_counts", lambda t, ws: batches.append(len(ws)) or counts(t, ws)
     )
+
+    def count_phis(g, plan, scale, betas, p, h, todo):
+        todo = list(todo)
+        phis.append(len(todo) * len(p))
+        return recurrence(g, plan, scale, betas, p, h, todo)
+
+    monkeypatch.setattr(orderings, "_recurrence", count_phis)
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     for delta in range(1, 6):
         coeffs.template_data.__wrapped__(delta)
-    assert (len(batches), sum(batches)) == (1303, 5888)
+    assert (len(batches), sum(batches)) == (976, 5856)
+    # one recurrence per template, and six phi values per batch
+    assert (len(phis), sum(phis)) == (551, 5856)
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, orderings._FitTable)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    first=st.lists(_edges, min_size=1, max_size=3),
+    rest=st.lists(_edges, min_size=1, max_size=2),
+    gap=st.integers(0, 2),
+    extra=st.lists(st.integers(0, 2), min_size=12, max_size=12),
+)
+def test_parts_that_share_no_gap_multiply_p_and_have_phi_zero(first, rest, gap, extra):
+    # the two facts a fit's table reads a disconnected multiset by: its P
+    # is the product of its parts' and its phi is 0, both against oracles
+    # that know nothing of parts
+    a, b = LongEdgeGraph(first), LongEdgeGraph(rest)
+    a = a.shift(-a.minv)
+    g = LongEdgeGraph(a.edges + b.shift(a.maxv + gap - b.minv).edges)
+    cut = orderings._parts(g.edges)
+    head, tail = LongEdgeGraph(g.edges[:cut]), LongEdgeGraph(g.edges[cut:])
+    assert cut and head.is_shifted_template() and head.maxv <= tail.minv
+    beta = tuple(g.lambda_(j) + x for j, x in enumerate(extra[: g.maxv], 1))
+
+    def oracle(h):
+        lo = h.minv
+        shape = tuple(x for e in h.edges for x in (e.lo - lo, e.hi - lo, e.weight))
+        return p_by_compositions(shape, beta[lo : h.maxv])
+
+    assert p_beta(g, beta) == oracle(g) == oracle(head) * oracle(tail)
+    count = lambda h, widths: p_by_walk(h, widths, False)
+    assert phi_beta(g, beta) == 0 == phi_by_partitions(g, beta, count)
+    # and the fit's table reads them so: it builds a record, to walk, for
+    # no multiset whose parts share no gap, g included
+    table = orderings._FitTable(g.cogenus, g.maxv, len(g))
+    with mock.patch.object(orderings, "_sub", wraps=orderings._sub) as sub:
+        assert orderings._fit_phis(g, table, 0) == [0] * 6
+    assert not [c for c in sub.call_args_list if orderings._parts(c.args[0])]
+    assert table.rows[g.edges][:6] == tuple(p_beta(g, w) for w in table.widths)
+
+
+def test_fit_does_not_depend_on_what_filled_its_table():
+    # a template's form is the same whichever templates filled the table
+    # before it: in order, reversed, or alone
+    for d in range(1, 5):
+        templates = enumerate_templates(d)
+        alone = tuple(map(fit_linear_phi, templates))
+        assert fit_templates(templates) == alone
+        assert fit_templates(templates[::-1]) == alone[::-1]
+
+
+def test_recurrence_checks_each_phi_against_its_own_size():
+    # in a table whose scale is lcm(1..4) = 12, phi of a two-edge multiset
+    # must be a multiple of 1/2, not just of 1/12: a known phi of 14/12 at
+    # its one-edge part gives it 5/12, and that is refused
+    g = LongEdgeGraph([(0, 2, 1)] * 2)
+    plan = orderings._plan(g.edges)
+    p = [[1, 1, 1]]
+    h = [[0, 12, 0]]  # phi = 1 at the one-edge part, as it should be
+    orderings._recurrence(g, plan, 12, [(3, 3)], p, h, [2])
+    assert h == [[0, 12, 6]]  # phi = P(2 edges) - P(1 edge)^2 / 2 = 1/2
+    h = [[0, 14, 0]]
+    with pytest.raises(ArithmeticError, match=r"not a multiple of 1/2"):
+        orderings._recurrence(g, plan, 12, [(3, 3)], p, h, [2])
 
 
 def test_log_plan_splits_sit_at_mixed_radix_positions():
@@ -366,9 +438,10 @@ def _count_records(monkeypatch) -> list:
 
 
 def test_log_plans_build_each_record_once(monkeypatch):
-    # over a cold delta <= 5 build, each sub-multiset's record is built once
-    # within its cogenus's fit, however many of that fit's plans hold it,
-    # and each split table once per vector of multiplicities
+    # over a cold delta <= 5 build, each gap-connected sub-multiset's record
+    # is built once within its cogenus's fit, however many of that fit's
+    # plans hold it, and no other record is built; each split table is
+    # built once per vector of multiplicities
     calls = _count_records(monkeypatch)
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     orderings._splits.cache_clear()
@@ -378,10 +451,11 @@ def test_log_plans_build_each_record_once(monkeypatch):
         coeffs.template_data.__wrapped__(delta)
         plans = [orderings._plan(t.edges) for t in enumerate_templates(delta)]
         held = {sub for plan in plans for sub in plan.subs}
-        assert len(calls) == len(set(calls)) == len(held), delta
+        connected = {sub for sub in held if sub and not orderings._parts(sub)}
+        assert set(calls) == connected and len(calls) == len(connected), delta
         builds.append(len(calls))
         entries += sum(len(plan.subs) for plan in plans)
-    assert builds == [3, 12, 51, 224, 1004]
+    assert builds == [2, 11, 46, 183, 734]
     assert entries == 6083
     assert orderings._splits.cache_info().misses == 31
 
@@ -392,10 +466,10 @@ def test_a_second_fit_builds_its_records_again(monkeypatch):
     calls = _count_records(monkeypatch)
     templates = enumerate_templates(3)
     first = fit_templates(templates)
-    assert len(calls) == 51
+    assert len(calls) == 46
     assert fit_templates(templates) == first
-    assert len(calls) == 2 * 51
-    assert sorted(calls[:51]) == sorted(calls[51:])
+    assert len(calls) == 2 * 46
+    assert sorted(calls[:46]) == sorted(calls[46:])
 
 
 def _probe_off_by_one(monkeypatch, probe, first):
@@ -404,10 +478,10 @@ def _probe_off_by_one(monkeypatch, probe, first):
     fit_phis = orderings._fit_phis
 
     def off_by_one(g, table, at):
-        scale, values = fit_phis(g, table, at)
+        values = fit_phis(g, table, at)
         if at == first:
             values[probe] += 1
-        return scale, values
+        return values
 
     monkeypatch.setattr(orderings, "_fit_phis", off_by_one)
 
