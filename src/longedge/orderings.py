@@ -15,29 +15,32 @@ whatever the template's length.  It is the one way into the fit: it pairs
 conjugates, reflects one's moments for the other and probe-checks them
 all, and fit_linear_phi is fit_templates of one template.
 
-P is counted in batches.  p_counts(shape, windows) takes one shape, its
-edges shifted to start at vertex 0, and the widths under it at many places:
-the windows.  It takes the transfer's states and moves for each gap from a
-process-wide table of gap moves and applies each window's own factors to
-them, and keeps no count between calls.  Callers hand over whole batches:
-phi_betas every width sequence for each sub-multiset.  The fits of one
-cogenus evaluate phi at six widths that depend on the position alone, so a
-_FitTable keeps each sub-multiset's P and phi there once for all the
-templates that hold it: that table, which lives as long as one
-fit_templates call, is the only place P and phi are kept.  A sub-multiset
-whose edges split into parts that share no gap is read off its parts,
-with no walk.  phi is kept in integers, scaled by lcm(1..|S|) or by the
-table's one scale, and the fit and its probe check use those integers;
-phi_beta, phi_betas and the fitted moments divide once.  _recurrence is
-the one routine that computes phi, for phi_betas and the fit alike.
+Every P goes through p_counts(shape, windows): one shape, its edges
+shifted to start at vertex 0, and the widths from that vertex on at many
+places, the windows.  It holds the one rule for whether an edge multiset
+fits the widths: P is 0 at a window shorter than the shape's span or
+short of the weight crossing some gap.  It builds the shape's classes and
+crossing weights once and walks the transfer once for the distinct
+windows that fit, taking each gap's states and moves from a process-wide
+table of gap moves, and keeps no count between calls.  _counts shifts an
+edge multiset and each width sequence to the multiset's lowest vertex for
+it; p_beta is _counts at one width sequence.
 
-One rule, in _window, decides whether an edge multiset fits the widths: it
-must lie in the vertex range 0..M+1, and every gap's width must cover the
-weight crossing it.  It reads a _Sub, the record of the multiset's span,
-crossing weights and shape; p_beta and every term of phi reach P
-through it.  Only non-strict P is counted here.  The strict count of a
-shifted template, where no weight >= 2 edge may end at 0 or M+1, is P at
-the shifts that the end rule Template.shifts admits and 0 at the others.
+P and phi are kept in a _Table, one row per sub-multiset: P at each of
+the table's width sequences, then phi there, scaled by the table's one
+scale, lcm(1..most edges), to an integer.  Only _phis makes rows: a
+gap-connected sub-multiset the table lacks gets P in one _counts
+batch and phi from _recurrence, and one whose edges split into parts that
+share no gap is read off its parts, with no walk.  phi_betas is a table
+over its widths.  fit_templates is a table over the six widths of one
+cogenus's fits and probes, which depend on the position alone, so a
+sub-multiset's row serves every template that holds it.  A table lives as
+long as the call that made it.  phi_beta, phi_betas and the fitted
+moments divide by the scale once.
+
+Only non-strict P is counted here.  The strict count of a shifted
+template, where no weight >= 2 edge may end at 0 or M+1, is P at the
+shifts that the end rule Template.shifts admits and 0 at the others.
 
 _chains counts the other way round, with no template: the strict sum
 mu * P^strict over every graph of each cogenus on a width sequence, in one
@@ -86,26 +89,46 @@ def beta_from_divergence(d: Sequence[int]) -> BetaSeq:
     return BetaSeq(out)
 
 
-def p_counts(shape: tuple[int, ...], windows: Sequence[tuple[int, ...]]) -> list[int]:
+def p_counts(shape: tuple[int, ...], windows: Sequence[Sequence[int]]) -> list[int]:
     """P of a graph whose lowest vertex is 0, at each window: the graph is
     given as its edges' (lo, hi, weight) run together, and gap j holds
-    window[j-1] edges in all, so each window must cover the weight crossing
-    each gap (the fit rule _window checks that).
+    window[j-1] edges in all.  This is the fit rule: P is 0 at a window
+    shorter than the graph's span or short of the weight crossing some
+    gap.  A window's entries past the span are not read.
 
-    The distinct windows are counted together in one walk of the transfer
-    (_walk), and a call with no window walks nothing.  No count is kept:
-    a caller that asks again for the same P keeps it itself, as the fit's
-    table does.
+    The distinct windows that fit are counted together in one walk of the
+    transfer (_walk), and a call where none fits walks nothing.  No count
+    is kept: a caller that asks again for the same P keeps it itself, as
+    a _Table does.
     """
-    distinct = list(dict.fromkeys(windows))
+    classes = Counter(zip(shape[0::3], shape[1::3], shape[2::3]))
+    crossing = [0] * max(shape[1::3], default=0)  # weight crossing each gap
+    opening: list[list[tuple[int, int]]] = [[] for _ in crossing]
+    for (lo, hi, weight), mult in classes.items():
+        for j in range(lo, hi):
+            crossing[j] += weight * mult
+        opening[lo].append((hi, mult))
+    span = len(crossing)
+    fits = [
+        tuple(w[:span]) if len(w) >= span and all(map(operator.ge, w, crossing))
+        else None
+        for w in windows
+    ]
+    distinct = list(dict.fromkeys(w for w in fits if w is not None))
     if not distinct:
-        return []
-    found = dict(zip(distinct, _walk(shape, distinct)))
-    return [found[w] for w in windows]
+        return [0] * len(fits)
+    found = dict(zip(distinct, _walk(opening, crossing, distinct)))
+    return [0 if w is None else found[w] for w in fits]
 
 
-def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
-    """p_counts' transfer over the gaps, left to right, for many windows.
+def _walk(
+    opening: list[list[tuple[int, int]]],
+    crossing: list[int],
+    windows: list[tuple[int, ...]],
+) -> list[int]:
+    """p_counts' transfer over the gaps, left to right, for many windows
+    that fit: opening[j] holds the (right end, copies) of each edge class
+    that starts at vertex j, and crossing[j] the weight crossing gap j+1.
 
     The state is the copies of each open edge class still to place: a class
     takes any number of copies in each gap it straddles but its last, which
@@ -116,13 +139,6 @@ def _walk(shape: tuple[int, ...], windows: list[tuple[int, ...]]) -> list[int]:
     walk takes them from one table (_moves); each window then applies only
     its own C(fill + s, s).
     """
-    classes = Counter(zip(shape[0::3], shape[1::3], shape[2::3]))
-    crossing = [0] * len(windows[0])
-    opening: list[list[tuple[int, int]]] = [[] for _ in crossing]
-    for (lo, hi, weight), mult in classes.items():
-        for j in range(lo, hi):
-            crossing[j] += weight * mult
-        opening[lo].append((hi, mult))
     ends: list[int] = []  # right end of each open class, in state order
     states: tuple[tuple[int, ...], ...] = ((),)  # copies left per open class
     values = [[1] for _ in windows]  # ways to reach each state, per window
@@ -175,36 +191,18 @@ def _moves(
     return tuple(moves), tuple(after), max(map(sum, states))
 
 
+def _counts(edges: tuple[Edge, ...], betas: Sequence[Sequence[int]]) -> list[int]:
+    """P of an edge multiset, its edges sorted, at each width sequence, in
+    one p_counts batch: the edges and each beta shifted to the multiset's
+    lowest vertex."""
+    lo = edges[0].lo if edges else 0
+    shape = tuple([x for e in edges for x in (e.lo - lo, e.hi - lo, e.weight)])
+    return p_counts(shape, [beta[lo:] for beta in betas])
+
+
 def p_beta(g: LongEdgeGraph, beta: Sequence[int]) -> int:
     """Number of distinct extended orderings of g against the widths beta."""
-    t = _sub(g.edges)
-    return _counts(t, [_window(t, tuple(beta))])[0]
-
-
-class _Sub(NamedTuple):
-    """An edge multiset T as the fit rule and p_counts read it."""
-
-    lo: int
-    hi: int
-    # lambda_j(T) for j = lo+1..hi, to be met by the widths beta[lo:hi]
-    lams: tuple[int, ...]
-    # p_counts' shape: the edges' (lo, hi, weight) shifted to start at 0
-    shape: tuple[int, ...]
-
-
-def _sub(edges: tuple[Edge, ...]) -> _Sub:
-    """One pass over sorted edges; the empty multiset sits at lo = hi = 0."""
-    lo = hi = edges[0].lo if edges else 0
-    lams: list[int] = []
-    shape: list[int] = []
-    for e in edges:
-        if e.hi > hi:
-            lams += [0] * (e.hi - hi)
-            hi = e.hi
-        for j in range(e.lo - lo, e.hi - lo):
-            lams[j] += e.weight
-        shape += (e.lo - lo, e.hi - lo, e.weight)
-    return _Sub(lo, hi, tuple(lams), tuple(shape))
+    return _counts(g.edges, [BetaSeq(beta)])[0]
 
 
 class _LogPlan(NamedTuple):
@@ -212,17 +210,15 @@ class _LogPlan(NamedTuple):
     tuples, in the itertools.product order of their vectors of copies per
     edge class: empty first, S last.  That order is mixed radix, so T - U
     sits at position t - u and every U < T comes before T; each split
-    T = U + (T - U), 0 < U < T, is stored as u alone.  The plan holds no
-    record: its reader builds the _Sub of each sub-multiset it counts."""
+    T = U + (T - U), 0 < U < T, is stored as u alone."""
 
     subs: tuple[tuple[Edge, ...], ...]
     splits: tuple[tuple[int, ...], ...]
 
 
 def _plan(edges: tuple[Edge, ...]) -> _LogPlan:
-    """The log plan of an edge multiset, built afresh: a fit reads each
-    template's plan once, and phi_betas reads one plan for all its widths,
-    so none is kept."""
+    """The log plan of an edge multiset, built afresh: _phis reads it once
+    per table, so none is kept."""
     classes = sorted(Counter(edges).items())
     # each sub-multiset's edge tuple, grown one class at a time by that
     # class's runs of 0..mult copies: itertools.product order
@@ -266,23 +262,6 @@ def _parts(edges: tuple[Edge, ...]) -> int:
     return 0
 
 
-def _window(t: _Sub, beta: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The widths under T, or None unless T fits there: it lies in the
-    vertex range 0..M+1 and every gap's width covers the weight crossing
-    it."""
-    if t.hi > len(beta):
-        return None
-    window = beta[t.lo : t.hi]
-    return None if any(map(operator.lt, window, t.lams)) else window
-
-
-def _counts(t: _Sub, windows: list[tuple[int, ...] | None]) -> list[int]:
-    """P of T at each window from _window, 0 where T does not fit, all in
-    one p_counts batch."""
-    found = iter(p_counts(t.shape, [w for w in windows if w is not None]))
-    return [0 if w is None else next(found) for w in windows]
-
-
 def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
     """Log coefficient of p_beta at g's edge multiset; the log-side weight of g:
     [x^S] log(sum over sub-multisets T of S of p_beta(T) x^T), S = g.edges."""
@@ -290,20 +269,61 @@ def phi_beta(g: LongEdgeGraph, beta: Sequence[int]) -> Fraction:
 
 
 def phi_betas(g: LongEdgeGraph, betas: Sequence[Sequence[int]]) -> list[Fraction]:
-    """phi_beta(g, beta) for each beta, with one p_counts batch per
-    sub-multiset for all of them."""
-    betas = [tuple(beta) for beta in betas]
-    if g.is_empty:
-        return [Fraction(0)] * len(betas)
-    plan = _plan(g.edges)
-    rows = [
-        _counts(t, [_window(t, beta) for beta in betas]) for t in map(_sub, plan.subs)
-    ]
-    p = [list(column) for column in zip(*rows)]
-    h = [[0] * len(rows) for _ in betas]
-    scale = _lcm_upto(len(g))
-    _recurrence(g, plan, scale, betas, p, h, range(1, len(rows)))
-    return [Fraction(column[-1], scale) for column in h]
+    """phi_beta(g, beta) for each beta, from one table over all of them."""
+    table = _Table([BetaSeq(beta) for beta in betas], len(g))
+    return [Fraction(h, table.scale) for h in _phis(g, table)]
+
+
+class _Table:
+    """Sub-multisets with P and scale * phi at a list of width sequences,
+    for as long as the call that made the table runs: rows keyed by edge
+    tuple, P at each width sequence and then scale * phi there.  One scale,
+    lcm(1..most edges), serves every row; the empty multiset's P is 1 and
+    its phi 0."""
+
+    __slots__ = ("widths", "scale", "rows")
+
+    def __init__(self, widths: list[tuple[int, ...]], most: int):
+        self.widths = widths
+        self.scale = _lcm_upto(most)
+        self.rows = {(): (1,) * len(widths) + (0,) * len(widths)}
+
+
+def _phis(g: LongEdgeGraph, table: _Table) -> list[int]:
+    """[table.scale * phi_beta(g, beta) for beta in table.widths], read
+    from g's row, made with the rows of g's sub-multisets that the table
+    lacks, in plan order.
+
+    A gap-connected sub-multiset gets P at every width sequence in one
+    _counts batch, and phi from the recurrence over g's plan, which reads
+    every smaller sub-multiset's row.  One whose edges split into a first
+    gap-connected part and a rest that share no gap is counted by neither:
+    its P is the product of the parts' P, as each gap's orderings involve
+    only the edges crossing it, and so its phi, a log coefficient that
+    mixes the parts, is 0.  Both hold at any widths.
+    """
+    rows, n = table.rows, len(table.widths)
+    if g.edges not in rows:
+        plan = _plan(g.edges)
+        no_phi = (0,) * n  # a row's phi, until the recurrence fills it in
+        found, todo = [], []
+        for at, sub in enumerate(plan.subs):
+            row = rows.get(sub)
+            if row is None:
+                cut = _parts(sub)
+                if cut:
+                    head, rest = rows[sub[:cut]], rows[sub[cut:]]
+                    row = (*map(operator.mul, head[:n], rest[:n]), *no_phi)
+                else:
+                    row = (*_counts(sub, table.widths), *no_phi)
+                    todo.append(at)
+                rows[sub] = row
+            found.append(row)
+        columns = [list(column) for column in zip(*found)]
+        _recurrence(g, plan, table.scale, table.widths, columns[:n], columns[n:], todo)
+        for at in todo:
+            rows[plan.subs[at]] = tuple([column[at] for column in columns])
+    return list(rows[g.edges][n:])
 
 
 def _recurrence(
@@ -337,85 +357,10 @@ def _recurrence(
             if acc % step:
                 raise ArithmeticError(
                     f"phi of {LongEdgeGraph(plan.subs[at])} in {g} at "
-                    f"{list(beta)} is not a multiple of 1/{_lcm_upto(size)}"
+                    f"{list(beta[: g.maxv])} is not a multiple of 1/{_lcm_upto(size)}"
                 )
             size_h[at] = acc
             hw[at] = acc // size
-
-
-# A row of a _FitTable whose phi is 0 at all six widths, or not yet known.
-_NO_PHI = (0,) * 6
-
-
-class _FitTable:
-    """The sub-multisets of one cogenus's fits, each with P and scale * phi
-    at the six widths those fits evaluate, for as long as the fits run.
-
-    The widths are the four fit points, a flat base b = cogenus + 2, b + 1,
-    b + j and b + C(j, 2) in position j, then the two probes, the flat b + 3
-    and b + 2 + 3j + C(j, 2), which moves along all three moments.  Each
-    is a function of the position alone, so a sub-multiset's windows, its
-    P there and so its phi are the same in every template that holds it.
-    Its row is made once, when a template first holds it: P at all six
-    widths in one _counts batch, and phi from the recurrence over the
-    template's plan, which reads every smaller sub-multiset's row.  A
-    multiset whose edges split into a first gap-connected part and a rest
-    that share no gap is counted by neither: its P is the product of the
-    parts' P, as each gap's orderings involve only the edges crossing it,
-    and so its phi, a log coefficient that mixes the parts, is 0.  One
-    scale, lcm(1..most edges), serves every row.
-    """
-
-    __slots__ = ("widths", "weights", "scale", "rows")
-
-    def __init__(self, cogenus: int, length: int, most: int):
-        b = cogenus + 2
-        js = range(length)
-        self.widths = [
-            (b,) * length,
-            (b + 1,) * length,
-            tuple(b + j for j in js),
-            tuple(b + comb(j, 2) for j in js),
-            (b + 3,) * length,
-            tuple(b + 2 + 3 * j + comb(j, 2) for j in js),
-        ]
-        # the form at each probe from its (eta0, zeta0, zeta1, zeta2)
-        self.weights = ((1, b + 3, 0, 0), (1, b + 2, 3, 1))
-        self.scale = _lcm_upto(most)
-        # edge tuple -> P at the six widths, then scale * phi there; the
-        # empty multiset's P is 1 and its phi 0
-        self.rows = {(): (1,) * 6 + _NO_PHI}
-
-
-def _fit_phis(g: LongEdgeGraph, table: _FitTable, first: int) -> list[int]:
-    """[table.scale * phi_beta(g, beta) for beta in table.widths[first:]]:
-    where fits (first = 0) and probe checks (first = 4) get phi.  It is
-    read from g's row, made with the rows of g's sub-multisets that the
-    table lacks."""
-    rows = table.rows
-    if g.edges not in rows:
-        plan = _plan(g.edges)
-        found, todo = [], []
-        for at, sub in enumerate(plan.subs):
-            row = rows.get(sub)
-            if row is None:
-                cut = _parts(sub)
-                if cut:
-                    head, rest = rows[sub[:cut]], rows[sub[cut:]]
-                    row = (*map(operator.mul, head[:6], rest[:6]), *_NO_PHI)
-                else:
-                    t = _sub(sub)
-                    windows = [_window(t, beta) for beta in table.widths]
-                    row = (*_counts(t, windows), *_NO_PHI)
-                    todo.append(at)
-                rows[sub] = row
-            found.append(row)
-        columns = [list(column) for column in zip(*found)]
-        betas = [beta[: g.maxv] for beta in table.widths]
-        _recurrence(g, plan, table.scale, betas, columns[:6], columns[6:], todo)
-        for at in todo:
-            rows[plan.subs[at]] = tuple([column[at] for column in columns])
-    return list(rows[g.edges][6 + first :])
 
 
 class LinearForm(NamedTuple):
@@ -451,59 +396,62 @@ def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
     return fit_templates((g,))[0]
 
 
+# The widths a fit evaluates phi at, b + c + dj * j + dc * C(j, 2) in
+# position j for each (c, dj, dc): four fit points, a flat base b, b + 1,
+# b + j and b + C(j, 2), which differ from the base by zeta0, zeta1 and
+# zeta2; then two probes, the flat b + 3 and one that moves along all
+# three moments.  The form there is eta0 + (b + c) zeta0 + dj zeta1 +
+# dc zeta2.
+_FIT_WIDTHS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (2, 3, 1))
+
+
 def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
     """The moments of the linear form that phi_beta takes on each template's
     semiallowable region, in input order: the fit of a cogenus.
 
     Widths >= cogenus+2 are semiallowable, and the region is closed upwards,
-    so with b = 2 + the largest cogenus given, phi is the form at a flat
-    base b, at b+1, and at b+j and b+C(j,2) in position j = 0..ell-1; the
-    last three differ from the base by zeta0, zeta1 and zeta2.  The first
-    template of each conjugate pair met is fitted there; the other, found
-    by its reflected edges, takes the reflected moments.  Every template is
-    then checked at two probes inside the region (see _FitTable).  All of
-    them read phi from one table, which goes when the fit returns.  The
-    moments stay integers, times the table's scale, until the end.
+    so with b = 2 + the largest cogenus given, phi is read at the four fit
+    points and two probes of _FIT_WIDTHS, which depend on the position
+    alone, from one table.  The first template of each conjugate pair met
+    is fitted at the fit points; the other, found by its reflected edges,
+    takes the reflected moments.  Every template's form is then checked
+    against phi at all six widths.  The table goes when the fit returns,
+    and the moments stay integers, times its scale, until the end.
     """
     if not templates:
         return ()
-    cogenus = max(t.cogenus for t in templates)
-    table = _FitTable(
-        cogenus, max(t.maxv for t in templates), max(map(len, templates))
+    b = max(t.cogenus for t in templates) + 2
+    js = range(max(t.maxv for t in templates))
+    table = _Table(
+        [
+            tuple(b + c + dj * j + dc * comb(j, 2) for j in js)
+            for c, dj, dc in _FIT_WIDTHS
+        ],
+        max(map(len, templates)),
     )
     scaled: dict[tuple[Edge, ...], LinearForm] = {}
     for t in templates:
+        phis = _phis(t, table)
         s = t.minv + t.maxv  # the conjugate's edges: vertex n goes to s - n
-        reflected = tuple(sorted((s - hi, s - lo, w) for lo, hi, w in t.edges))
-        mirror = scaled.get(reflected)
+        mirror = scaled.get(tuple(sorted((s - hi, s - lo, w) for lo, hi, w in t.edges)))
         if mirror is None:
-            f0, *values = _fit_phis(t, table, 0)
-            zetas = [v - f0 for v in values[:3]]
-            moments = LinearForm(f0 - (cogenus + 2) * zetas[0], *zetas)
-            probes = values[3:]
+            zetas = [v - phis[0] for v in phis[1:4]]
+            moments = LinearForm(phis[0] - b * zetas[0], *zetas)
         else:
             moments = mirror.reflected(t.length)
-            probes = _fit_phis(t, table, 4)
-        _check_probes(t, table, probes, moments)
+        eta0, zeta0, zeta1, zeta2 = moments
+        for (c, dj, dc), beta, value in zip(_FIT_WIDTHS, table.widths, phis):
+            if value != eta0 + (b + c) * zeta0 + dj * zeta1 + dc * zeta2:
+                raise ArithmeticError(
+                    f"linear form disagrees with direct evaluation of {t} at "
+                    f"{list(beta[: t.maxv])}; linearity is guaranteed there, "
+                    "so this is a bug"
+                )
         scaled[t.edges] = moments
     return tuple(
         LinearForm(*(Fraction(m, table.scale) for m in scaled[t.edges]))
         for t in templates
     )
-
-
-def _check_probes(
-    g: LongEdgeGraph, table: _FitTable, values: list[int], moments: Sequence[int]
-) -> None:
-    """Raise ArithmeticError unless scale * phi_beta(g, .) at the probes
-    equals the form there, from its moments times the same scale."""
-    for probe, weights, value in zip(table.widths[4:], table.weights, values):
-        if value != sum(map(operator.mul, weights, moments)):
-            raise ArithmeticError(
-                f"linear form disagrees with direct evaluation of {g} at "
-                f"{list(probe[: g.maxv])}; linearity is guaranteed there, so "
-                "this is a bug"
-            )
 
 
 # A state of _chains packs each gap into two fields of _FIELD bits, the

@@ -21,14 +21,7 @@ from longedge.graphs import (
     _edge_pool,
     enumerate_templates,
 )
-from longedge.orderings import (
-    LinearForm,
-    _counts,
-    _sub,
-    _window,
-    p_counts,
-    phi_betas,
-)
+from longedge.orderings import LinearForm, _counts, p_counts, phi_betas
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -98,13 +91,11 @@ def n_by_graphs(p: HTPolygon, delta: int) -> int:
 def block_weights(t: Template, beta: Sequence[int]) -> list[int]:
     """The weight of t shifted by k, for k = 0..len(beta) - 1: mu * P_beta
     where the end rule t.shifts admits k, and 0 elsewhere.  P comes from
-    one p_counts batch over the admitted shifts: t's record moves, and the
-    widths stay whole."""
-    beta = tuple(beta)
+    one p_counts batch over the admitted shifts: t stays at vertex 0, and
+    the widths from k on are its widths at shift k."""
     weights = [0] * len(beta)
     shifts = t.shifts(len(beta) - 1)
-    record = _sub(t.edges)
-    found = _counts(record, [_window(record, beta[k:]) for k in shifts])
+    found = _counts(t.edges, [beta[k:] for k in shifts])
     for k, n in zip(shifts, found):
         weights[k] = t.multiplicity * n
     return weights

@@ -194,20 +194,25 @@ def longedge_process(argv, cache_dir, script=None):
     )
 
 
-# Runs the command line and prints how many templates it fitted: phi read
-# at the fit widths, from the table's first width on, once per fit.
+# Runs the command line and prints how many templates it fitted: the fit
+# reads each template's phi once, and a template whose moments it reflects
+# from its conjugate's is read but not fitted.
 COUNT_FITS = """
 import sys
 from longedge import cli, orderings
 fits = []
-fit_phis = orderings._fit_phis
+phis, reflected = orderings._phis, orderings.LinearForm.reflected
 
-def counting(t, table, first):
-    if first == 0:
-        fits.append(t)
-    return fit_phis(t, table, first)
+def counting(t, table):
+    fits.append(t)
+    return phis(t, table)
 
-orderings._fit_phis = counting
+def reflecting(form, ell):
+    fits.pop()
+    return reflected(form, ell)
+
+orderings._phis = counting
+orderings.LinearForm.reflected = reflecting
 assert cli.main(sys.argv[1:]) == 0
 print(len(fits))
 """
@@ -305,17 +310,21 @@ class TestCache:
 
     @pytest.fixture
     def fits(self, monkeypatch):
-        # a template is fitted where phi is read at the fit widths, from the
-        # table's first width on; a probe check reads from the fifth
+        # the fit reads each template's phi once, and a template whose
+        # moments it reflects from its conjugate's is read but not fitted
         calls = []
-        fit_phis = orderings._fit_phis
+        phis, reflected = orderings._phis, orderings.LinearForm.reflected
 
-        def counting(t, table, first):
-            if first == 0:
-                calls.append(t)
-            return fit_phis(t, table, first)
+        def counting(t, table):
+            calls.append(t)
+            return phis(t, table)
 
-        monkeypatch.setattr(orderings, "_fit_phis", counting)
+        def reflecting(form, ell):
+            calls.pop()
+            return reflected(form, ell)
+
+        monkeypatch.setattr(orderings, "_phis", counting)
+        monkeypatch.setattr(orderings.LinearForm, "reflected", reflecting)
         return calls
 
     def test_file_created_and_reused(self, isolated_cache, fits):

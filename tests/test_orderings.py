@@ -57,6 +57,17 @@ def test_betaseq_validation():
         BetaSeq((True, 2))  # not read as width 1
 
 
+@pytest.mark.parametrize(
+    "beta, error",
+    [((1.5, 2.0), TypeError), ((True, 2), TypeError), ((2, -1), ValueError), ((), ValueError)],
+)
+def test_counts_read_their_widths_as_a_betaseq(beta, error):
+    # no float P, no float inside Fraction, no bool read as width 1
+    for count in (p_beta, phi_beta, lambda g, b: phi_betas(g, [(3, 3), b])):
+        with pytest.raises(error):
+            count(ARC, beta)
+
+
 def test_beta_from_divergence():
     assert beta_from_divergence((2, 0, 0)) == (2, 2, 2)
     assert beta_from_divergence((0, 1, 1, -1, -1)) == (0, 1, 2, 1, 0)
@@ -151,15 +162,29 @@ def test_p_beta_reads_only_spanned_positions(edges, beta, noise):
     assert p_beta(g, tweaked) == base
 
 
+def _fitting(shape, window):
+    """The window up to the shape's span, or None where P is 0 by the fit
+    rule: the window is shorter than the span, or short of the weight
+    crossing some gap, summed here edge by edge."""
+    edges = [shape[i : i + 3] for i in range(0, len(shape), 3)]
+    span = max((hi for _, hi, _ in edges), default=0)
+    if len(window) < span or any(
+        window[j] < sum(w for lo, hi, w in edges if lo <= j < hi) for j in range(span)
+    ):
+        return None
+    return tuple(window[:span])
+
+
 def test_p_count_matches_composition_walk(monkeypatch):
     # every (shape, window) that fitting each template of cogenus <= 4 and
     # the template chain of a direct count at cogenus 5 hand to p_counts,
-    # in their batches
+    # in their batches: 0 where the window does not fit, and the
+    # composition walk's value where it does
     keys = set()
     count = orderings.p_counts
 
     def record(shape, windows):
-        keys.update((shape, w) for w in windows)
+        keys.update((shape, tuple(w)) for w in windows)
         return count(shape, windows)
 
     monkeypatch.setattr(orderings, "p_counts", record)
@@ -169,16 +194,53 @@ def test_p_count_matches_composition_walk(monkeypatch):
     for ro in reorderings(triangle(7), 5):
         chains_by_templates(ro.beta, 5 - ro.cogenus)
     monkeypatch.undo()
+    walked = {}
+    for shape, window in keys:
+        fit = _fitting(shape, window)
+        if fit is None:
+            assert count(shape, [window]) == [0], (shape, window)
+        else:
+            walked.setdefault((shape, fit), []).append(window)
     # and classes of three or four copies that straddle three or four gaps
-    keys |= {
+    for shape, window in [
         ((0, 3, 1) * 3, (3, 4, 5)),
         ((0, 3, 1) * 3 + (1, 4, 1) * 2 + (2, 3, 2), (4, 6, 8, 3)),
         ((0, 4, 1) * 4 + (1, 2, 3), (5, 9, 4, 6)),
         ((0, 1, 2) + (0, 3, 1) * 3 + (2, 5, 1) * 3, (6, 4, 7, 4, 4)),
-    }
-    assert len(keys) > 1000
-    for shape, widths in keys:
-        assert count(shape, [widths]) == [p_by_compositions(shape, widths)], (shape, widths)
+    ]:
+        walked.setdefault((shape, window), []).append(window)
+    assert len(walked) > 1000
+    for (shape, fit), windows in walked.items():
+        expected = p_by_compositions(shape, fit)
+        assert count(shape, windows) == [expected] * len(windows), (shape, fit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=st.lists(_edges, min_size=1, max_size=4),
+    extras=st.lists(
+        st.lists(st.integers(-2, 3), max_size=7), min_size=1, max_size=5
+    ),
+)
+def test_p_counts_is_zero_where_the_window_does_not_fit(edges, extras):
+    # windows around the crossing weights, shorter and longer than the
+    # span and below the weight at some gaps: P is 0 at a window shorter
+    # than the span or below some gap's crossing weight, and the
+    # composition walk's value at every other, one window at a time and
+    # in one batch
+    g = LongEdgeGraph(edges)
+    g = g.shift(-g.minv)
+    shape = tuple(x for e in g.edges for x in (e.lo, e.hi, e.weight))
+    windows = [
+        tuple(max(0, g.lambda_(j) + x) for j, x in enumerate(extra, 1))
+        for extra in extras
+    ]
+    expected = [
+        0 if _fitting(shape, w) is None else p_by_compositions(shape, w) for w in windows
+    ]
+    for w, p in zip(windows, expected):
+        assert orderings.p_counts(shape, [w]) == [p], w
+    assert orderings.p_counts(shape, windows) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -206,19 +268,23 @@ def test_p_counts_batches_match_composition_walk(edges, extras, data):
 
 
 def test_transfer_walk_counts(monkeypatch):
-    # work counts, never wall time: each p_counts call that has a window
-    # walks the transfer once, for its distinct windows, and keeps nothing
+    # work counts, never wall time: each p_counts call with a window that
+    # fits walks the transfer once, for its distinct windows that fit, and
+    # keeps nothing
     calls, windows = [], []
     count, walk = orderings.p_counts, orderings._walk
     monkeypatch.setattr(
-        orderings, "p_counts", lambda shape, ws: calls.append(bool(ws)) or count(shape, ws)
+        orderings, "p_counts", lambda shape, ws: calls.append(shape) or count(shape, ws)
     )
     monkeypatch.setattr(
-        orderings, "_walk", lambda shape, ws: windows.append(len(ws)) or walk(shape, ws)
+        orderings,
+        "_walk",
+        lambda opening, crossing, ws: windows.append(len(ws)) or walk(opening, crossing, ws),
     )
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     coeffs.template_data.__wrapped__(5)  # a cold template_data(5)
-    assert len(windows) == sum(calls)
+    # each sub-multiset fits at one fit width or more: one walk a call
+    assert len(windows) == len(calls)
     assert (len(windows), sum(windows)) == (734, 4230)
     # the direct count is one transfer over the widths, and walks none
     windows.clear()
@@ -236,7 +302,7 @@ def test_fit_counts_each_record_once_per_cogenus(monkeypatch):
     batches, phis = [], []
     counts, recurrence = orderings._counts, orderings._recurrence
     monkeypatch.setattr(
-        orderings, "_counts", lambda t, ws: batches.append(len(ws)) or counts(t, ws)
+        orderings, "_counts", lambda edges, ws: batches.append(len(ws)) or counts(edges, ws)
     )
 
     def count_phis(g, plan, scale, betas, p, h, todo):
@@ -252,7 +318,7 @@ def test_fit_counts_each_record_once_per_cogenus(monkeypatch):
     # one recurrence per template, and six phi values per batch
     assert (len(phis), sum(phis)) == (551, 5856)
     gc.collect()
-    assert not [o for o in gc.get_objects() if isinstance(o, orderings._FitTable)]
+    assert not [o for o in gc.get_objects() if isinstance(o, orderings._Table)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -260,21 +326,24 @@ def test_fit_counts_each_record_once_per_cogenus(monkeypatch):
     first=st.lists(_edges, min_size=1, max_size=3),
     rest=st.lists(_edges, min_size=1, max_size=2),
     gap=st.integers(0, 2),
-    extra=st.lists(st.integers(0, 2), min_size=12, max_size=12),
+    extra=st.lists(st.integers(-1, 2), min_size=12, max_size=12),
 )
 def test_parts_that_share_no_gap_multiply_p_and_have_phi_zero(first, rest, gap, extra):
-    # the two facts a fit's table reads a disconnected multiset by: its P
-    # is the product of its parts' and its phi is 0, both against oracles
-    # that know nothing of parts
+    # the two facts a table reads a disconnected multiset by: its P is the
+    # product of its parts' and its phi is 0, both against oracles that
+    # know nothing of parts, at widths that may be below the weight
+    # crossing a gap, so that a part may not fit
     a, b = LongEdgeGraph(first), LongEdgeGraph(rest)
     a = a.shift(-a.minv)
     g = LongEdgeGraph(a.edges + b.shift(a.maxv + gap - b.minv).edges)
     cut = orderings._parts(g.edges)
     head, tail = LongEdgeGraph(g.edges[:cut]), LongEdgeGraph(g.edges[cut:])
     assert cut and head.is_shifted_template() and head.maxv <= tail.minv
-    beta = tuple(g.lambda_(j) + x for j, x in enumerate(extra[: g.maxv], 1))
+    beta = tuple(max(0, g.lambda_(j) + x) for j, x in enumerate(extra[: g.maxv], 1))
 
     def oracle(h):
+        if allowability_by_walk(h, beta) is Allowability.NOT_ALLOWABLE:
+            return 0
         lo = h.minv
         shape = tuple(x for e in h.edges for x in (e.lo - lo, e.hi - lo, e.weight))
         return p_by_compositions(shape, beta[lo : h.maxv])
@@ -282,13 +351,13 @@ def test_parts_that_share_no_gap_multiply_p_and_have_phi_zero(first, rest, gap, 
     assert p_beta(g, beta) == oracle(g) == oracle(head) * oracle(tail)
     count = lambda h, widths: p_by_walk(h, widths, False)
     assert phi_beta(g, beta) == 0 == phi_by_partitions(g, beta, count)
-    # and the fit's table reads them so: it builds a record, to walk, for
-    # no multiset whose parts share no gap, g included
-    table = orderings._FitTable(g.cogenus, g.maxv, len(g))
-    with mock.patch.object(orderings, "_sub", wraps=orderings._sub) as sub:
-        assert orderings._fit_phis(g, table, 0) == [0] * 6
-    assert not [c for c in sub.call_args_list if orderings._parts(c.args[0])]
-    assert table.rows[g.edges][:6] == tuple(p_beta(g, w) for w in table.widths)
+    # and a table reads them so: it counts no multiset whose parts share
+    # no gap, g included, and its row holds the P that p_beta counts
+    table = orderings._Table([beta, (g.cogenus + 2,) * g.maxv], len(g))
+    with mock.patch.object(orderings, "_counts", wraps=orderings._counts) as counts:
+        assert orderings._phis(g, table) == [0, 0]
+    assert not [c for c in counts.call_args_list if orderings._parts(c.args[0])]
+    assert table.rows[g.edges][:2] == tuple(p_beta(g, w) for w in table.widths)
 
 
 def test_fit_does_not_depend_on_what_filled_its_table():
@@ -430,10 +499,12 @@ def test_fit_linear_phi_shifted_graph():
 
 
 def _count_records(monkeypatch) -> list:
-    """The edge tuple of every sub-multiset record built from now on."""
+    """The edge tuple of every sub-multiset counted from now on."""
     calls = []
-    sub = orderings._sub
-    monkeypatch.setattr(orderings, "_sub", lambda edges: calls.append(edges) or sub(edges))
+    counts = orderings._counts
+    monkeypatch.setattr(
+        orderings, "_counts", lambda edges, ws: calls.append(edges) or counts(edges, ws)
+    )
     return calls
 
 
@@ -472,24 +543,27 @@ def test_a_second_fit_builds_its_records_again(monkeypatch):
     assert sorted(calls[:46]) == sorted(calls[46:])
 
 
-def _probe_off_by_one(monkeypatch, probe, first):
+def _probe_off_by_one(monkeypatch, probe, conjugates):
     # phi at one probe off by 1/scale wherever the fit reads phi from its
-    # table from the given first width on: 0 for fits, 4 for probe checks
-    fit_phis = orderings._fit_phis
+    # table: for every template, or only for one whose conjugate the fit
+    # read before it, so that its moments are reflected ones (the table
+    # holds a row of the fit's cogenus only for a template it has read)
+    phis = orderings._phis
 
-    def off_by_one(g, table, at):
-        values = fit_phis(g, table, at)
-        if at == first:
+    def off_by_one(g, table):
+        reflected = conjugate(g).edges in table.rows
+        values = phis(g, table)
+        if reflected or not conjugates:
             values[probe] += 1
         return values
 
-    monkeypatch.setattr(orderings, "_fit_phis", off_by_one)
+    monkeypatch.setattr(orderings, "_phis", off_by_one)
 
 
 @pytest.mark.parametrize("probe", [-2, -1])
 def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
     # the fit's own check must catch it, alone and in a cold build
-    _probe_off_by_one(monkeypatch, probe, 0)
+    _probe_off_by_one(monkeypatch, probe, False)
     for t in enumerate_templates(2):
         with pytest.raises(ArithmeticError, match="disagrees"):
             fit_linear_phi(t)
@@ -502,7 +576,7 @@ def test_fit_templates_conjugate_probe_check_rejects(monkeypatch, probe):
     # a conjugate's reflected moments are right, and phi at one of its
     # probes is off by 1/scale: its check must catch it, fitted alone after
     # the template it reflects and in a cold build
-    _probe_off_by_one(monkeypatch, probe, 4)
+    _probe_off_by_one(monkeypatch, probe, True)
     for t in enumerate_templates(3):
         with pytest.raises(ArithmeticError, match="disagrees"):
             fit_templates((t, conjugate(t)))

@@ -270,7 +270,7 @@ class TestBruteForce:
         monkeypatch.setattr(coeffs, "template_data", refuse)
         monkeypatch.setattr(coeffs, "fit_templates", refuse)
         monkeypatch.setattr(orderings, "fit_templates", refuse)
-        monkeypatch.setattr(orderings, "_fit_phis", refuse)
+        monkeypatch.setattr(orderings, "_phis", refuse)
         monkeypatch.setattr(orderings, "fit_linear_phi", refuse)
         monkeypatch.setattr(graphs, "enumerate_templates", refuse)
         monkeypatch.setattr(orderings, "p_counts", refuse)
