@@ -11,9 +11,9 @@ over the sub-multisets in mixed-radix order.  On the semiallowable region
 phi_beta is linear in beta, and fit_templates recovers that linear form
 exactly for every template of a cogenus, as the four moments (eta0, zeta0,
 zeta1, zeta2) of a LinearForm: all that the coefficient sums read of it,
-whatever the template's length.  It is the one way into the fit: it pairs
-conjugates, reflects one's moments for the other and probe-checks them
-all, and fit_linear_phi is fit_templates of one template.
+whatever the template's length.  It is the one way into the fit: it fits
+each template from its own row and checks the form against phi at every
+width it read, and fit_linear_phi is fit_templates of one template.
 
 Every P goes through p_counts(shape, windows): one shape, its edges
 shifted to start at vertex 0, and the widths from that vertex on at many
@@ -377,18 +377,11 @@ class LinearForm(NamedTuple):
     zeta1: Fraction
     zeta2: Fraction
 
-    def reflected(self, ell: int) -> LinearForm:
-        """The moments of the conjugate template's form, whose eta_1..eta_ell
-        are this form's reversed: C(ell-1-x, i) expanded in C(x, 0..2)."""
-        eta0, z0, z1, z2 = self
-        return LinearForm(
-            eta0, z0, (ell - 1) * z0 - z1, comb(ell - 1, 2) * z0 - (ell - 2) * z1 + z2
-        )
-
 
 def fit_linear_phi(g: LongEdgeGraph) -> LinearForm:
     """Recover the moments of the linear form that phi_beta takes on a
-    template's semiallowable region: fit_templates of g alone."""
+    template's semiallowable region, fitted from g's own row and checked
+    at the probes: fit_templates of g alone."""
     if g.is_empty:
         raise ValueError("fit_linear_phi is undefined on the empty graph")
     if g.minv != 0:
@@ -412,11 +405,10 @@ def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
     Widths >= cogenus+2 are semiallowable, and the region is closed upwards,
     so with b = 2 + the largest cogenus given, phi is read at the four fit
     points and two probes of _FIT_WIDTHS, which depend on the position
-    alone, from one table.  The first template of each conjugate pair met
-    is fitted at the fit points; the other, found by its reflected edges,
-    takes the reflected moments.  Every template's form is then checked
-    against phi at all six widths.  The table goes when the fit returns,
-    and the moments stay integers, times its scale, until the end.
+    alone, from one table.  Each template is fitted at the fit points from
+    its own row, and its form is checked against phi at all six widths.
+    The table goes when the fit returns, and the moments stay integers,
+    times its scale, until the end.
     """
     if not templates:
         return ()
@@ -429,17 +421,11 @@ def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
         ],
         max(map(len, templates)),
     )
-    scaled: dict[tuple[Edge, ...], LinearForm] = {}
+    scaled = []
     for t in templates:
         phis = _phis(t, table)
-        s = t.minv + t.maxv  # the conjugate's edges: vertex n goes to s - n
-        mirror = scaled.get(tuple(sorted((s - hi, s - lo, w) for lo, hi, w in t.edges)))
-        if mirror is None:
-            zetas = [v - phis[0] for v in phis[1:4]]
-            moments = LinearForm(phis[0] - b * zetas[0], *zetas)
-        else:
-            moments = mirror.reflected(t.length)
-        eta0, zeta0, zeta1, zeta2 = moments
+        zeta0, zeta1, zeta2 = [v - phis[0] for v in phis[1:4]]
+        eta0 = phis[0] - b * zeta0
         for (c, dj, dc), beta, value in zip(_FIT_WIDTHS, table.widths, phis):
             if value != eta0 + (b + c) * zeta0 + dj * zeta1 + dc * zeta2:
                 raise ArithmeticError(
@@ -447,10 +433,9 @@ def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
                     f"{list(beta[: t.maxv])}; linearity is guaranteed there, "
                     "so this is a bug"
                 )
-        scaled[t.edges] = moments
+        scaled.append((eta0, zeta0, zeta1, zeta2))
     return tuple(
-        LinearForm(*(Fraction(m, table.scale) for m in scaled[t.edges]))
-        for t in templates
+        LinearForm(*(Fraction(m, table.scale) for m in moments)) for moments in scaled
     )
 
 

@@ -11,9 +11,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .graphs import check_cogenus
+from .graphs import _int, check_cogenus
 
 Rational = Union[int, Fraction]
+
+
+def _rational(value: object, what: str) -> Fraction:
+    """An exact rational input: a Fraction as it is, anything else an
+    integer (graphs._int), so a float, a string or a bool raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(_int(value, f"{what}, if not a Fraction,"))
 
 
 def sigma(n: int) -> int:
@@ -34,7 +42,7 @@ class RatSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational]):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple([_rational(c, "series coefficient") for c in coeffs])
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
@@ -106,7 +114,7 @@ class RatSeries:
         return RatSeries(out)
 
     def scale(self, factor: Rational) -> "RatSeries":
-        f = Fraction(factor)
+        f = _rational(factor, "scale factor")
         return RatSeries([f * c for c in self.coeffs])
 
     def shift(self, n: int) -> "RatSeries":
@@ -143,7 +151,8 @@ class RatSeries:
     def pow(self, exponent: Rational) -> "RatSeries":
         if self.coeffs[0] != 1:
             raise ValueError("pow needs constant term 1")
-        return RatSeries(_power(self.coeffs, Fraction(exponent), self.order))
+        exponent = _rational(exponent, "exponent")
+        return RatSeries(_power(self.coeffs, exponent, self.order))
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
         if inner.coeffs[0] != 0:
@@ -264,8 +273,8 @@ def gyz_sides(
     """
     from .severi import that_delta  # deferred: severi imports series
 
-    x, y, z, w, s = map(Fraction, (x, y, z, w, s))
-    s_all = [s, *map(Fraction, s_higher)]
+    x, y, z, w, *s_all = [_rational(v, "sample") for v in (x, y, z, w, s, *s_higher)]
+    s = s_all[0]
 
     that_vals = []
     for d in range(1, order + 1):

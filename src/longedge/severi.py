@@ -26,7 +26,7 @@ from .polygon import (
     reorderings,
     toric_invariants,
 )
-from .series import RatSeries, log_exp_coeffs
+from .series import RatSeries, _rational, log_exp_coeffs
 
 
 class UniversalPolynomial(NamedTuple):
@@ -42,7 +42,10 @@ class UniversalPolynomial(NamedTuple):
         extra ones are ignored."""
         values = (x, y, z, w, *s_all)
         return sum(
-            (c * Fraction(v) for (_, c), v in zip(self.linear, values)),
+            (
+                c * _rational(v, "intersection number")
+                for (_, c), v in zip(self.linear, values)
+            ),
             Fraction(0),
         )
 
@@ -155,12 +158,12 @@ def q_geometric(p: HTPolygon, delta: int) -> Fraction:
 
 def n_from_q(q_values: Sequence[Rational]) -> list[Fraction]:
     """Plain counts from logarithmic ones; input and output start at delta=1."""
-    return log_exp_coeffs([Fraction(v) for v in q_values])
+    return log_exp_coeffs(q_values)
 
 
 def q_from_n(n_values: Sequence[Rational]) -> list[Fraction]:
     """Logarithmic counts from plain ones; input and output start at delta=1."""
-    series = RatSeries([Fraction(1), *map(Fraction, n_values)])
+    series = RatSeries([1, *n_values])
     return list(series.log().coeffs[1:])
 
 

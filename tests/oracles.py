@@ -1,7 +1,8 @@
 """Reference implementations that only the test suite calls: brute-force
 counts, rules read off the graph walk, the direct count as a chain of
-templates, the linear form fitted one coefficient per width position, and
-the v-local split of reorderings."""
+templates, the linear form fitted one coefficient per width position and
+its reflection for the conjugate template, and the v-local split of
+reorderings."""
 
 from __future__ import annotations
 
@@ -14,11 +15,13 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
+from longedge.coeffs import template_data
 from longedge.graphs import (
     Edge,
     LongEdgeGraph,
     Template,
     _edge_pool,
+    conjugate,
     enumerate_templates,
 )
 from longedge.orderings import LinearForm, _counts, p_counts, phi_betas
@@ -337,6 +340,29 @@ class EtaForm(NamedTuple):
             for i in range(3)
         )
         return LinearForm(self.eta[0], *zetas)
+
+
+def reflected(form: LinearForm, ell: int) -> LinearForm:
+    """The moments of the conjugate template's form, for a template of
+    length ell: its eta_1..eta_ell are form's reversed, so C(ell-1-x, i)
+    is expanded in C(x, 0..2)."""
+    eta0, z0, z1, z2 = form
+    return LinearForm(
+        eta0, z0, (ell - 1) * z0 - z1, comb(ell - 1, 2) * z0 - (ell - 2) * z1 + z2
+    )
+
+
+def conjugate_mismatches(delta: int) -> list[Template]:
+    """The templates of one cogenus whose form, as template_data has it
+    (read from the cache or fitted), is not the reflection of their
+    conjugate's: none, as phi of the mirror image is phi at the mirrored
+    widths."""
+    forms = dict(template_data(delta))
+    return [
+        t
+        for t, form in forms.items()
+        if form != reflected(forms[conjugate(t)], t.length)
+    ]
 
 
 @lru_cache(maxsize=None)

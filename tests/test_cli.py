@@ -195,24 +195,18 @@ def longedge_process(argv, cache_dir, script=None):
 
 
 # Runs the command line and prints how many templates it fitted: the fit
-# reads each template's phi once, and a template whose moments it reflects
-# from its conjugate's is read but not fitted.
+# reads each template's phi once.
 COUNT_FITS = """
 import sys
 from longedge import cli, orderings
 fits = []
-phis, reflected = orderings._phis, orderings.LinearForm.reflected
+phis = orderings._phis
 
 def counting(t, table):
     fits.append(t)
     return phis(t, table)
 
-def reflecting(form, ell):
-    fits.pop()
-    return reflected(form, ell)
-
 orderings._phis = counting
-orderings.LinearForm.reflected = reflecting
 assert cli.main(sys.argv[1:]) == 0
 print(len(fits))
 """
@@ -310,21 +304,15 @@ class TestCache:
 
     @pytest.fixture
     def fits(self, monkeypatch):
-        # the fit reads each template's phi once, and a template whose
-        # moments it reflects from its conjugate's is read but not fitted
+        # the fit reads each template's phi once
         calls = []
-        phis, reflected = orderings._phis, orderings.LinearForm.reflected
+        phis = orderings._phis
 
         def counting(t, table):
             calls.append(t)
             return phis(t, table)
 
-        def reflecting(form, ell):
-            calls.pop()
-            return reflected(form, ell)
-
         monkeypatch.setattr(orderings, "_phis", counting)
-        monkeypatch.setattr(orderings.LinearForm, "reflected", reflecting)
         return calls
 
     def test_file_created_and_reused(self, isolated_cache, fits):
@@ -365,11 +353,11 @@ class TestCache:
         assert coeffs._load("templates", 2, coeffs._read_templates) == data
         assert coeffs._load("sums", 2, coeffs._read_sums) == sums
 
-    def test_cold_build_fits_one_template_per_conjugate_pair(self, fits):
+    def test_cold_build_fits_each_template_once(self, fits):
         for delta in range(1, 6):
             template_data(delta)
-        # 551 templates, 85 of them self-conjugate: (551 + 85) / 2 fits
-        assert len(fits) == 318
+        # 2 + 7 + 26 + 102 + 414 templates, each fitted from its own row
+        assert len(fits) == 551
 
     def test_rebuild_is_deterministic(self, isolated_cache):
         template_data(2)
@@ -544,7 +532,8 @@ class TestCache:
         fill = longedge_process(
             ["coeffs", "--delta", "4", "--out", str(out)], tmp_path, COUNT_FITS
         )
-        assert fill.stdout.split() == ["89"], fill.stderr
+        # one fit per template of cogenus 1..4: 2 + 7 + 26 + 102
+        assert fill.stdout.split() == ["137"], fill.stderr
         severi = longedge_process(
             ["severi", "--polygon", str(polygon), "--delta", "4", "--out", str(out)],
             tmp_path,

@@ -87,7 +87,7 @@ def test_b_diagonal_is_one():
 
 @pytest.mark.parametrize("delta, count", [(1, 2), (2, 7), (3, 26), (4, 102)])
 def test_reflected_forms_equal_direct_fits(delta, count, monkeypatch):
-    # a cold build fits one template per conjugate pair and reflects the other
+    # a cold build of a whole cogenus fits each template as it fits it alone
     monkeypatch.setattr(coeffs, "_disk_cache", False)
     data = template_data.__wrapped__(delta)
     assert len(data) == count

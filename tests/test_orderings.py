@@ -31,12 +31,14 @@ from oracles import (
     allowability_by_walk,
     brute_force_orderings,
     chains_by_templates,
+    conjugate_mismatches,
     enumerate_graphs,
     fit_by_bumps,
     is_semiallowable,
     p_by_compositions,
     p_by_walk,
     phi_by_partitions,
+    reflected,
 )
 
 EMPTY = LongEdgeGraph()
@@ -546,14 +548,14 @@ def test_a_second_fit_builds_its_records_again(monkeypatch):
 def _probe_off_by_one(monkeypatch, probe, conjugates):
     # phi at one probe off by 1/scale wherever the fit reads phi from its
     # table: for every template, or only for one whose conjugate the fit
-    # read before it, so that its moments are reflected ones (the table
-    # holds a row of the fit's cogenus only for a template it has read)
+    # read before it (the table holds a row of the fit's cogenus only for
+    # a template it has read)
     phis = orderings._phis
 
     def off_by_one(g, table):
-        reflected = conjugate(g).edges in table.rows
+        after_conjugate = conjugate(g).edges in table.rows
         values = phis(g, table)
-        if reflected or not conjugates:
+        if after_conjugate or not conjugates:
             values[probe] += 1
         return values
 
@@ -573,9 +575,9 @@ def test_fit_linear_phi_probe_check_rejects(monkeypatch, probe):
 
 @pytest.mark.parametrize("probe", [-2, -1])
 def test_fit_templates_conjugate_probe_check_rejects(monkeypatch, probe):
-    # a conjugate's reflected moments are right, and phi at one of its
-    # probes is off by 1/scale: its check must catch it, fitted alone after
-    # the template it reflects and in a cold build
+    # a template fitted after its conjugate, whose row the table already
+    # holds, has phi at one of its probes off by 1/scale: its own check
+    # must catch it, fitted alone after its conjugate and in a cold build
     _probe_off_by_one(monkeypatch, probe, True)
     for t in enumerate_templates(3):
         with pytest.raises(ArithmeticError, match="disagrees"):
@@ -586,9 +588,10 @@ def test_fit_templates_conjugate_probe_check_rejects(monkeypatch, probe):
 
 
 def test_linear_form_sums_match_fraction_oracle(tmp_path, monkeypatch):
-    # the four-point moments of a cold build, reflected conjugates included,
-    # and the same moments read back from the cache, against the moments of
-    # the bump fit summed one Fraction at a time, on every template
+    # the four-point moments of a cold build, each template fitted from its
+    # own row, and the same moments read back from the cache, against the
+    # moments of the bump fit summed one Fraction at a time, on every
+    # template
     monkeypatch.setenv("LONGEDGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(coeffs, "_disk_cache", True)
     fitted = [row for d in range(1, 6) for row in coeffs.template_data.__wrapped__(d)]
@@ -606,27 +609,6 @@ def test_phi_at_the_uneven_probe_matches_bump_fit():
         for t in enumerate_templates(d):
             beta = tuple(d + 2 + i % 3 for i in range(t.length))
             assert phi_beta(t, beta) == fit_by_bumps(t).evaluate(beta), t
-
-
-def test_fit_templates_rejects_unreversed_reflection(monkeypatch):
-    # a conjugate's moments are the reflected ones; forgetting to reflect
-    # them is caught on every lopsided pair, fitted alone and in a cold build
-    templates = enumerate_templates(3)
-    lopsided = {
-        t for t, f in zip(templates, fit_templates(templates))
-        if f.reflected(t.length) != f
-    }
-    assert lopsided
-    monkeypatch.setattr(LinearForm, "reflected", lambda form, ell: form)
-    for t in templates:
-        if t in lopsided:
-            with pytest.raises(ArithmeticError, match="disagrees"):
-                fit_templates((t, conjugate(t)))
-        else:
-            fit_templates((t, conjugate(t)))
-    monkeypatch.setattr(coeffs, "_disk_cache", False)
-    with pytest.raises(ArithmeticError, match="disagrees"):
-        coeffs.template_data.__wrapped__(3)
 
 
 def test_fit_templates_returns_forms_in_input_order():
@@ -669,6 +651,13 @@ def test_conjugate_identities():
             assert fc.eta0 == f.eta0
             assert fc.zeta0 == f.zeta0
             assert f.zeta1 + fc.zeta1 == (ell - 1) * f.zeta0
-            assert fc == f.reflected(ell)
+            assert fc == reflected(f, ell)
             e, ec = fit_by_bumps(t).eta, fit_by_bumps(conjugate(t)).eta
             assert ec == (e[0], *reversed(e[1:]))
+
+
+@pytest.mark.parametrize("delta", range(1, 7))
+def test_cached_forms_of_conjugates_are_reflections(delta):
+    # every template's form, as template_data has it, is the reflection of
+    # its conjugate's: the fit no longer reads one off the other
+    assert conjugate_mismatches(delta) == []

@@ -11,12 +11,14 @@ from longedge.series import (
     dg2,
     disc,
     g2,
+    gyz_sides,
     log_exp_coeffs,
     partition_counts,
     partition_series,
     partition_series_in_power,
     sigma,
 )
+from longedge.severi import n_from_q, q_from_n, that_delta
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=6
@@ -47,6 +49,31 @@ def test_constructors_and_basics():
         RatSeries([])
     assert s.truncate(1) == series_from([1, 2])
     assert s.truncate(5) is s
+
+
+# Inputs the series layer must refuse: a Fraction passes as it is and an
+# integer as an integer, and anything else, a float, a string or a bool
+# read as 0 or 1, raises TypeError rather than turning into a Fraction.
+INEXACT = {
+    "coefficient-float": lambda: RatSeries([0.5]),
+    "coefficient-string": lambda: RatSeries([1, "1/3"]),
+    "coefficient-bool": lambda: RatSeries([True]),
+    "scale-float": lambda: RatSeries.one(2).scale(0.5),
+    "pow-float": lambda: RatSeries.one(2).pow(0.5),
+    "pow-string": lambda: RatSeries.one(2).pow("1/2"),
+    "n_from_q-float": lambda: n_from_q([0.1]),
+    "q_from_n-bool": lambda: q_from_n([True, 2]),
+    "evaluate-float": lambda: that_delta(1).evaluate(0.5, 0, 0, 0),
+    "evaluate-s-string": lambda: that_delta(2).evaluate(0, 0, 0, 0, ["1/2"]),
+    "gyz-float": lambda: gyz_sides(1, 0.5, 0, 0, 0),
+    "gyz-s-higher-float": lambda: gyz_sides(2, 0, 0, 0, 0, 0, (0.25,)),
+}
+
+
+@pytest.mark.parametrize("call", INEXACT.values(), ids=INEXACT)
+def test_series_layer_refuses_inexact_inputs(call):
+    with pytest.raises(TypeError, match="if not a Fraction, must be an integer"):
+        call()
 
 
 def test_arithmetic_truncates_to_shorter():

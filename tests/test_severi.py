@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longedge import severi
 from longedge.coeffs import (
     b_coeffs,
     cor,
@@ -325,6 +326,25 @@ class TestClosedForms:
             q_geometric(rectangle(1, 3), 2)
         with pytest.raises(ValueError):
             q_polygon(triangle(3), 0)
+
+    def test_edge_rule_is_needed_one_node_past_reach(self, monkeypatch):
+        # the side-2 triangle's shortest edge is 2, so the closed and
+        # geometric forms reach delta = 2 and the direct count delta = 3.
+        # Past their reach both forms give N^3 = -32, a count that cannot
+        # be, where the direct count gives 0: relaxing the edge rule by one
+        # for every polygon would be wrong
+        p = triangle(2)
+        assert polygon_stats(p).min_edge == 2
+        assert _reach(2, "closed") == _reach(2, "geometric") == 2
+        direct = [n_bruteforce(p, d) for d in range(4)]
+        assert direct == [1, 3, 0, 0]
+        monkeypatch.setattr(
+            severi, "_require_edges", lambda p, method, delta: polygon_stats(p)
+        )
+        q = [3, Fraction(-9, 2), -23]
+        assert [q_polygon(p, d) for d in (1, 2, 3)] == q
+        assert [q_geometric(p, d) for d in (1, 2, 3)] == q
+        assert n_from_q(q) == [3, 0, -32] != direct[1:]
 
 
 class TestMethodAgreement:
