@@ -5,19 +5,22 @@ a polygon given as JSON, self-contained verification suites, and power
 series printing.  The front end only renders: each table and report is
 built in the library (coeffs.template_rows, CoeffTable, severi.report), and
 every JSON output goes through one rule that prints a Fraction as its string.
+The template table is printed one row at a time, as its rows are built.
 
-Exit codes: 0 on success, 1 when a verification or cross-check fails or a
-suite runs no checks, 2 on bad input.
+Exit codes: 0 on success, 1 when a verification or cross-check fails, a
+suite runs no checks or the reader closes stdout before the output ends
+(`longedge templates --delta 7 | head -1`), 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coeffs import (
     TEMPLATE_COLUMNS,
@@ -41,41 +44,62 @@ def _exact(value: object) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json(data: object) -> str:
-    return json.dumps(data, indent=2, default=_exact)
+# One encoder for every JSON output: json.dumps with these arguments would
+# build a new one per call, and `templates` encodes each row on its own.
+_json = json.JSONEncoder(indent=2, default=_exact).encode
 
 
-def _tsv(rows: Sequence[dict], columns: Sequence[str]) -> str:
+def _json_list(rows: Iterable[dict]) -> Iterator[str]:
+    """_json of the list of rows, one piece per row: each row's own _json
+    text indented one level inside the list's brackets.  A JSON string
+    holds no raw newline, so each newline in that text starts a line."""
+    at = -1
+    for at, row in enumerate(rows):
+        yield ("[\n  " if at == 0 else ",\n  ") + _json(row).replace("\n", "\n  ")
+    yield "[]" if at < 0 else "\n]"
+
+
+def _tsv(rows: Iterable[dict], columns: Sequence[str]) -> Iterator[str]:
+    """The header line, then one line per row, each line but the first
+    starting with its newline."""
+
     def cell(value: object) -> str:
         if isinstance(value, (list, tuple)):
             return ",".join(str(v) for v in value)
         return str(value)
 
-    lines = ["\t".join(columns)]
-    lines.extend("\t".join(cell(row[c]) for c in columns) for row in rows)
-    return "\n".join(lines)
+    yield "\t".join(columns)
+    for row in rows:
+        yield "\n" + "\t".join(cell(row[c]) for c in columns)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        print(text)
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces, then a newline, to the file out or to stdout, one
+    piece at a time."""
+    if not out:
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(out, "w") as f:
+            f.writelines(pieces)
+            f.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit_table(
-    rows: Sequence[dict], columns: Sequence[str], args: argparse.Namespace
+    rows: Iterable[dict], columns: Sequence[str], args: argparse.Namespace
 ) -> None:
-    text = _json(rows) if args.format == "json" else _tsv(rows, columns)
-    _emit(text, args.out)
+    pieces = _json_list(rows) if args.format == "json" else _tsv(rows, columns)
+    _emit(pieces, args.out)
 
 
 def cmd_templates(args: argparse.Namespace) -> int:
     if args.delta < 0:
         raise ValueError("delta must be nonnegative")
+    # the table is fitted or loaded here, before --out is opened; its rows
+    # are built as they print
     _emit_table(template_rows(args.delta), TEMPLATE_COLUMNS, args)
     return 0
 
@@ -101,7 +125,7 @@ def cmd_severi(args: argparse.Namespace) -> int:
     p = polygon_from_dict(data)
     methods = METHODS if args.method == "all" else (args.method,)
     rep = report(p, args.delta, methods)
-    _emit(_json(rep._asdict()), args.out)
+    _emit((_json(rep._asdict()),), args.out)
     return 0 if rep.agree else 1
 
 
@@ -130,7 +154,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             f"order {args.order} is too deep: at most {MAX_SERIES_ORDER} is supported"
         )
     series = SERIES_BUILDERS[args.name](args.order)
-    _emit(", ".join(str(c) for c in series.coeffs), args.out)
+    _emit((", ".join(str(c) for c in series.coeffs),), args.out)
     return 0
 
 
@@ -207,10 +231,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     use_disk_cache(not getattr(args, "no_cache", False))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early shows here, not at shutdown
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # as the signal module's documentation does for `| head`: what is
+        # left to write, and the flush at exit, go to devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

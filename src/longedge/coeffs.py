@@ -15,8 +15,8 @@ them in memory and on disk, one hash-stamped JSON file per cogenus holding
 each template's edges and moments, so a process fits only what no earlier
 process has.  _template_sums keeps its five sums the same way, in a second
 small file per cogenus, so a process that reads them builds no template.
-template_rows is the template table built from template_data: what
-`longedge templates` prints and the table1 suite checks.
+template_rows is the template table built from template_data, one row at a
+time: what `longedge templates` prints and the table1 suite checks.
 """
 
 from __future__ import annotations
@@ -91,11 +91,19 @@ def _frame(
 
 
 def _digest(pieces: Iterable[str]) -> str:
-    # hashlib loads OpenSSL (about 4 MB resident): only a process that uses
-    # the cache pays for it, not one that runs only the direct route.
-    import hashlib
+    # SHA-256 from CPython's own module, as random.py takes SHA-512: hashlib
+    # maps OpenSSL's libcrypto, about 3.5 MB resident, to hash a few kB.
+    # hashlib is the fallback for an interpreter built without that module.
+    # Imported here, so a process that never touches the cache loads neither.
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for piece in pieces:
         digest.update(piece.encode())
     return digest.hexdigest()
@@ -209,20 +217,25 @@ TEMPLATE_COLUMNS = (
 )
 
 
-def template_rows(delta: int) -> list[dict]:
+def template_rows(delta: int) -> Iterator[dict]:
     """The template table of one cogenus, one row per template: its edges
     as [lo, hi, weight] lists, its invariants, the crossing weights lam and
-    olam at gaps 1..ell, and its fitted form's moments as exact Fractions."""
-    rows = []
-    for t, (eta0, zeta0, zeta1, zeta2) in template_data(delta):
-        gaps = range(1, t.length + 1)
-        values = (
-            _edge_rows(t), t.cogenus, t.length, t.multiplicity, t.epsilon0, t.epsilon1,
-            [t.lambda_(j) for j in gaps], [t.olambda(j) for j in gaps],
-            zeta0, zeta1, zeta2, eta0,
-        )
-        rows.append(dict(zip(TEMPLATE_COLUMNS, values)))
-    return rows
+    olam at gaps 1..ell, and its fitted form's moments as exact Fractions.
+
+    The templates are fitted or loaded at the call; each row is built when
+    it is read, so a caller that prints the rows holds one at a time."""
+    return map(_template_row, template_data(delta))
+
+
+def _template_row(entry: tuple[Template, LinearForm]) -> dict:
+    t, (eta0, zeta0, zeta1, zeta2) = entry
+    gaps = range(1, t.length + 1)
+    values = (
+        _edge_rows(t), t.cogenus, t.length, t.multiplicity, t.epsilon0, t.epsilon1,
+        [t.lambda_(j) for j in gaps], [t.olambda(j) for j in gaps],
+        zeta0, zeta1, zeta2, eta0,
+    )
+    return dict(zip(TEMPLATE_COLUMNS, values))
 
 
 def q_beta_delta(beta: Sequence[int], delta: int) -> Fraction:

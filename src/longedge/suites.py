@@ -83,7 +83,7 @@ def table1() -> list[Check]:
     checks: list[Check] = []
     rows = {}
     for delta in (1, 2):
-        table = template_rows(delta)
+        table = list(template_rows(delta))
         expected = sum(ref["delta"] == delta for ref in TABLE1)
         checks.append((f"delta={delta}: {expected} templates", len(table) == expected))
         for row in table:

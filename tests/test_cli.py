@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface and the template cache."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -130,6 +131,43 @@ class TestTemplates:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("delta", range(6))
+    def test_streamed_table_is_the_whole_table(self, delta, tmp_path, capsys):
+        # printed one row at a time, each table is the text its whole list
+        # of rows renders to, on stdout and in an --out file alike
+        rows = list(coeffs.template_rows(delta))
+        whole = {
+            "json": cli._json(rows),
+            "tsv": "".join(cli._tsv(rows, coeffs.TEMPLATE_COLUMNS)),
+        }
+        for fmt, text in whole.items():
+            argv = ["templates", "--delta", str(delta), "--format", fmt]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert out == text + "\n"
+            target = tmp_path / f"t.{fmt}"
+            code, out, _ = run([*argv, "--out", str(target)], capsys)
+            assert (code, out) == (0, "")
+            assert target.read_text() == text + "\n"
+        if delta == 0:
+            assert whole["json"] == "[]"
+
+    def test_closed_pipe_exits_1_without_a_traceback(self, tmp_path):
+        # the reader takes a few bytes and closes the pipe, as `| head -c 100`
+        # does; the table, about 190 kB, does not fit in the pipe's 64 kB buffer
+        with subprocess.Popen(
+            [sys.executable, "-m", "longedge.cli", "templates", "--delta", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(tmp_path),
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert len(head) == 100, err
+        assert (code, err) == (1, "")
+
 
 class TestCoeffs:
     def test_frozen_rows(self, capsys):
@@ -171,25 +209,28 @@ class TestCoeffs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def longedge_process(argv, cache_dir, script=None):
-    """Run the command line in a fresh interpreter with its own cache.
-
-    The child imports the same longedge as this session, whether that is a
-    source checkout on PYTHONPATH or an installed copy.
-    """
+def child_env(cache_dir):
+    """The environment of a child process with its own cache that imports
+    the same longedge as this session, whether that is a source checkout on
+    PYTHONPATH or an installed copy."""
     package_root = str(Path(longedge.__file__).resolve().parents[1])
     pythonpath = os.environ.get("PYTHONPATH")
-    env = {
+    return {
         **os.environ,
         "LONGEDGE_CACHE_DIR": str(cache_dir),
         "PYTHONPATH": os.pathsep.join(filter(None, [package_root, pythonpath])),
     }
+
+
+def longedge_process(argv, cache_dir, script=None):
+    """Run the command line, or a script, in a fresh interpreter with its
+    own cache (see child_env)."""
     entry = ["-c", script] if script else ["-m", "longedge.cli"]
     return subprocess.run(
         [sys.executable, *entry, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(cache_dir),
         timeout=60,
     )
 
@@ -333,6 +374,20 @@ class TestCache:
             for path in isolated_cache.iterdir()
         }
         assert digests == CACHE_FILE_DIGESTS
+
+    @pytest.mark.parametrize("kind", ["templates", "sums"])
+    def test_digest_is_the_sha256_of_the_frame(self, kind):
+        # _digest takes the interpreter's own SHA-256 where it has one:
+        # checked against hashlib's over real payloads of both kinds
+        delta = 4
+        if kind == "templates":
+            body = list(map(coeffs._cache_row, template_data(delta)))
+        else:
+            body = list(map(str, coeffs._template_sums(delta)))
+        text = "".join(coeffs._frame(kind, delta, body))
+        assert coeffs._digest(coeffs._frame(kind, delta, body)) == (
+            hashlib.sha256(text.encode()).hexdigest()
+        )
 
     def test_load_reads_what_store_writes(self, isolated_cache):
         # each file is the canonical JSON of its payload and its hash, and
@@ -561,6 +616,30 @@ def test_direct_route_does_not_load_hashlib(tmp_path):
     # that never touches the template cache does not pay for OpenSSL
     proc = longedge_process([], tmp_path, DIRECT_ONLY)
     assert proc.stdout.split() == ["False"], proc.stderr
+
+
+# Runs the command line, then prints whether OpenSSL's hash module loaded.
+CLI_THEN_HASHLIB = """
+import sys
+from longedge import cli
+assert cli.main(sys.argv[1:]) == 0
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256; the cache uses hashlib",
+)
+def test_cache_does_not_load_hashlib(tmp_path):
+    # the cache files are hashed with the interpreter's own SHA-256, so a
+    # process that writes them and one that reads them both skip OpenSSL
+    argv = ["coeffs", "--delta", "2"]
+    cold = longedge_process(argv, tmp_path, CLI_THEN_HASHLIB)
+    assert (tmp_path / "sums-v3-delta2.json").exists()
+    warm = longedge_process(argv, tmp_path, CLI_THEN_HASHLIB)
+    assert cold.stdout.endswith("\nFalse\n"), cold.stderr
+    assert warm.stdout == cold.stdout, warm.stderr
 
 
 # Runs the command line as `python -m longedge.cli` does, or with no
@@ -799,6 +878,8 @@ EXIT_CODES = [
     (["series", "nosuch", "--order", "2"], None, 2),
     # an unwritable --out
     (["coeffs", "--delta", "1", "--out", "{nodir}/x.json"], None, 2),
+    (["templates", "--delta", "1", "--out", "{nodir}/t.json"], None, 2),
+    (["templates", "--delta", "0", "--format", "tsv", "--out", "{dir}"], None, 2),
     (["severi", "--polygon", "{polygon}", "--delta", "1", "--out", "{nodir}/o.json"],
      None, 2),
     (["series", "a", "--order", "2", "--out", "{dir}"], None, 2),
