@@ -878,8 +878,6 @@ EXIT_CODES = [
     (["series", "nosuch", "--order", "2"], None, 2),
     # an unwritable --out
     (["coeffs", "--delta", "1", "--out", "{nodir}/x.json"], None, 2),
-    (["templates", "--delta", "1", "--out", "{nodir}/t.json"], None, 2),
-    (["templates", "--delta", "0", "--format", "tsv", "--out", "{dir}"], None, 2),
     (["severi", "--polygon", "{polygon}", "--delta", "1", "--out", "{nodir}/o.json"],
      None, 2),
     (["series", "a", "--order", "2", "--out", "{dir}"], None, 2),
@@ -901,6 +899,9 @@ EXIT_CODES = [
     (["series", "partition", "--order", str(MAX_SERIES_ORDER)], None, 0),
     # a polygon file nested too deeply for the JSON parser
     (["severi", "--polygon", "{nested}", "--delta", "1"], None, 2),
+    # an unwritable --out for the streamed template table
+    (["templates", "--delta", "1", "--out", "{nodir}/t.json"], None, 2),
+    (["templates", "--delta", "0", "--format", "tsv", "--out", "{dir}"], None, 2),
 ]
 
 # file placeholder -> (polygon JSON written to it, text stderr must show)
