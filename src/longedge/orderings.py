@@ -45,9 +45,12 @@ shifts that the end rule Template.shifts admits and 0 at the others.
 _chains counts the other way round, with no template: the strict sum
 mu * P^strict over every graph of each cogenus on a width sequence, in one
 integer transfer over the vertices.  It opens the edges at a vertex one
-class and one gap at a time and keeps nothing between calls.  The direct
-route reads those counts, and so does coeffs.q_beta_delta through their
-log.
+class at a time and picks no gap for them then: each edge waits, unplaced,
+until a closing gap takes it, at the latest its last.  The ways a gap may
+take waiting edges depend on how many wait on each gap ahead, so they come
+from a process-wide table (_placements), and no count is kept between
+calls.  The direct route reads those counts, and so does
+coeffs.q_beta_delta through their log.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Edge, LongEdgeGraph, _int
@@ -439,9 +442,11 @@ def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
     )
 
 
-# A state of _chains packs each gap into two fields of _FIELD bits, the
-# crossing weight and then the edges ordered there, the gap nearest first.
-# A field holds up to 31, at least the 2 * MAX_COGENUS either value reaches.
+# A state of _chains packs each gap ahead into two fields of _FIELD bits,
+# the weight crossing it and then the labelled edges whose last gap it is
+# that wait to be placed, the gap nearest first.  A field holds up to 31:
+# the crossing reaches 2 * rest and the waiting count rest, so _chains
+# takes rest <= 15.
 _FIELD = 5
 _MASK = (1 << _FIELD) - 1
 _GAP = 2 * _FIELD
@@ -451,64 +456,114 @@ def _chains(beta: Sequence[int], rest: int) -> list[int]:
     """Weighted counts mu * P_beta^strict of the graphs of cogenus 0..rest
     on the vertices 0..len(beta), in one transfer over the vertices.
 
-    At vertex v the long edges (v, v + span, w) open one class and one gap
-    at a time: for each class of cost span * w - 1 <= rest, with weight 1
-    where the edge starts at the first vertex or ends at the last (the end
-    rule), and each gap g < span it straddles, every state takes m = 0, 1,
-    ... copies ordered in gap g.  A copy adds its weight to the crossing of
-    each gap under it and one edge to gap g, and multiplies the value by
-    w^2 (s + m) / m, s the edges gap g held before: over the classes a gap
-    takes, that is (s + M)! / (s! prod m!).  Every copy crosses gap v, so
-    a state stops taking copies once gap v's crossing passes beta[v].
-    Then gap v closes: its fill = beta[v] minus the weight crossing it
-    must be >= 0, and its s edges interleave with the fill filler edges,
-    C(fill + s, s) ways.  Gap by gap this gives P's
-    (fill + s)! / (fill! prod c!).
+    An edge's gap is not picked when it opens: it waits, unplaced, until a
+    gap takes it, at the latest its last.  The waiting copies of a class
+    are told apart, so every value is kept times rest!, which each class's
+    1/m! divides, and divided by it once at the end.
 
-    A state is one int: the crossing weight and the edges ordered in each
+    At vertex v the long edges (v, v + span, w) open one class at a time:
+    for each class of cost span * w - 1 <= rest, with weight 1 where the
+    edge starts at the first vertex or ends at the last (the end rule),
+    every state takes m = 0, 1, ... copies.  A copy adds its weight to the
+    crossing of each gap under it and one waiting edge to its last gap,
+    and multiplies the value by w^2 / m.  Every copy crosses gap v, so a
+    state stops taking copies once gap v's crossing passes beta[v].
+
+    Then gap v closes: its fill = beta[v] minus the weight crossing it
+    must be >= 0.  The edges whose last gap is v are placed there, and
+    any j_k of the u_k edges waiting on each later gap k may be, in C(u_k,
+    j_k) ways (_placements).  The s edges placed, all told apart,
+    interleave with the fill filler edges in (fill + 1) ... (fill + s)
+    ways, built once for each fill that occurs.  Over the labellings, gap
+    by gap, this gives P's (fill + s)! / (fill! prod c!).
+
+    A state is one int: the crossing weight and the waiting edges of each
     gap from v's on, _FIELD bits each, interleaved (the low field is gap
     v's crossing weight).  Every long edge has cost >= 1 and weight <=
-    cost + 1, so a gap is crossed by weight <= 2 * rest and holds <= rest
-    edges; 2 * rest, at most 16 at graphs.MAX_COGENUS, must fit a field,
-    so adding never carries.  A copy is one addition and closing gap v
-    shifts the state right by two fields.  States are kept apart by the
-    cogenus used, and each step walks those layers downwards, so no state
-    it makes takes copies again in the same step.
+    cost + 1, so a gap is crossed by weight <= 2 * rest and waits on <=
+    rest edges; 2 * rest must fit a field, so that adding never carries,
+    and a larger rest is refused.  A copy is one addition, and closing gap
+    v takes the placed edges' fields away and shifts the state right by
+    two fields.  States are kept apart by the cogenus used, and each class
+    walks those layers downwards, so no state it makes takes copies of it
+    again.
     """
+    if not 0 <= 2 * rest <= _MASK:
+        raise ValueError(
+            f"the transfer's fields hold cogenus 0..{_MASK // 2}, got {rest}"
+        )
     top = len(beta)
+    classes = [  # (span, weight, cost, w^2, the state's change per copy)
+        (span, weight, span * weight - 1, weight * weight,
+         weight * sum(1 << _GAP * gap for gap in range(span))
+         + (1 << _GAP * (span - 1) + _FIELD))
+        for span in range(1, min(top, rest + 1) + 1)
+        for weight in range(1, (rest + 1) // span + 1)
+        if span * weight > 1
+    ]
+    # the waiting fields of gaps v..v+rest, the last an edge can reach
+    waiting = sum(_MASK << _GAP * gap + _FIELD for gap in range(rest + 1))
+    scale = factorial(rest)
+    risings: dict[int, list[int]] = {}  # fill -> (fill + 1) ... (fill + s)
     layers = [{} for _ in range(rest + 1)]  # by cogenus used: state -> weight
-    layers[0][0] = 1
+    layers[0][0] = scale
     for v, width in enumerate(beta):
-        for span in range(1, min(top - v, rest + 1) + 1):
-            for weight in range(1, (rest + 1) // span + 1):
-                if span * weight == 1 or weight > 1 and (v == 0 or span == top - v):
-                    continue
-                cost = span * weight - 1
-                square = weight * weight
-                crossing = weight * sum(1 << _GAP * gap for gap in range(span))
-                for gap in range(span):
-                    shift = _GAP * gap + _FIELD
-                    step = crossing + (1 << shift)
-                    for used in range(rest - cost, -1, -1):
-                        outs = layers[used + cost :: cost]
-                        for state, value in layers[used].items():
-                            m = 0
-                            for out in outs:
-                                state += step
-                                if state & _MASK > width:
-                                    break
-                                m += 1
-                                value = value * square * (state >> shift & _MASK) // m
-                                out[state] = out.get(state, 0) + value
+        ahead = top - v
+        for span, weight, cost, square, step in classes:
+            if span > ahead or weight > 1 and (v == 0 or span == ahead):
+                continue
+            for used in range(rest - cost, -1, -1):
+                outs = layers[used + cost :: cost]
+                for state, value in layers[used].items():
+                    m = 0
+                    for out in outs:
+                        state += step
+                        if state & _MASK > width:
+                            break
+                        m += 1
+                        value = value * square // m
+                        out[state] = out.get(state, 0) + value
         for used, states in enumerate(layers):
             closed = layers[used] = {}
             for state, value in states.items():
                 fill = width - (state & _MASK)
                 if fill < 0:
                     continue
-                s = state >> _FIELD & _MASK
-                if s:
-                    value *= comb(fill + s, s)
-                state >>= _GAP  # gap v closes
-                closed[state] = closed.get(state, 0) + value
-    return [sum(states.values()) for states in layers]
+                rising = risings.get(fill)
+                if rising is None:
+                    rising = risings[fill] = [1]
+                    for s in range(1, rest + 1):
+                        rising.append(rising[-1] * (fill + s))
+                for placed, s, ways in _placements(state & waiting):
+                    after = (state - placed) >> _GAP  # gap v closes
+                    closed[after] = closed.get(after, 0) + value * ways * rising[s]
+    counts = []
+    for states in layers:
+        count, left = divmod(sum(states.values()), scale)
+        if left:
+            raise ArithmeticError(
+                f"the transfer at {list(beta)} is not a multiple of {rest}!; "
+                "it counts labelled edges, so this is a bug"
+            )
+        counts.append(count)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _placements(waiting: int) -> tuple[tuple[int, int, int], ...]:
+    """The ways a closing gap v may take waiting edges, given the waiting
+    fields of a state: all u_v of its own and any j_k of the u_k of each
+    later gap k.  Each is (the fields it takes, packed as in the state, s,
+    prod C(u_k, j_k)).  They depend on the waiting counts alone, so every
+    transfer shares one table."""
+    moves = [(0, waiting >> _FIELD & _MASK, 1)]
+    shift = _GAP + _FIELD
+    while waiting >> shift:
+        u = waiting >> shift & _MASK
+        moves = [
+            (placed + (j << shift), s + j, ways * comb(u, j))
+            for placed, s, ways in moves
+            for j in range(u + 1)
+        ]
+        shift += _GAP
+    return tuple(moves)

@@ -1,6 +1,7 @@
 """Reference implementations that only the test suite calls: brute-force
 counts, rules read off the graph walk, the direct count as a chain of
-templates, the linear form fitted one coefficient per width position and
+templates and as a transfer that places each edge when it opens, the
+linear form fitted one coefficient per width position and
 its reflection for the conjugate template, and the v-local split of
 reorderings."""
 
@@ -131,6 +132,83 @@ def chains_by_templates(beta: Sequence[int], rest: int) -> list[int]:
                 for r in range(c, rest + 1):
                     row[r] += w * after[r - c]
     return f[0]
+
+
+# A state of chains_placed_at_opening packs each gap into two fields of
+# _FIELD bits, the crossing weight and then the edges ordered there, the
+# gap nearest first.
+_FIELD = 5
+_MASK = (1 << _FIELD) - 1
+_GAP = 2 * _FIELD
+
+
+def chains_placed_at_opening(beta: Sequence[int], rest: int) -> list[int]:
+    """Weighted counts mu * P_beta^strict of the graphs of cogenus 0..rest
+    on the vertices 0..len(beta), in one transfer over the vertices that
+    picks each edge's gap when the edge opens: the direct transfer as it
+    was before its edges waited, unplaced, for a gap to take them.
+
+    At vertex v the long edges (v, v + span, w) open one class and one gap
+    at a time: for each class of cost span * w - 1 <= rest, with weight 1
+    where the edge starts at the first vertex or ends at the last (the end
+    rule), and each gap g < span it straddles, every state takes m = 0, 1,
+    ... copies ordered in gap g.  A copy adds its weight to the crossing of
+    each gap under it and one edge to gap g, and multiplies the value by
+    w^2 (s + m) / m, s the edges gap g held before: over the classes a gap
+    takes, that is (s + M)! / (s! prod m!).  Every copy crosses gap v, so
+    a state stops taking copies once gap v's crossing passes beta[v].
+    Then gap v closes: its fill = beta[v] minus the weight crossing it
+    must be >= 0, and its s edges interleave with the fill filler edges,
+    C(fill + s, s) ways.  Gap by gap this gives P's
+    (fill + s)! / (fill! prod c!).
+
+    A state is one int: the crossing weight and the edges ordered in each
+    gap from v's on, _FIELD bits each, interleaved (the low field is gap
+    v's crossing weight).  Every long edge has cost >= 1 and weight <=
+    cost + 1, so a gap is crossed by weight <= 2 * rest and holds <= rest
+    edges; 2 * rest, at most 16 at graphs.MAX_COGENUS, must fit a field,
+    so adding never carries.  A copy is one addition and closing gap v
+    shifts the state right by two fields.  States are kept apart by the
+    cogenus used, and each step walks those layers downwards, so no state
+    it makes takes copies again in the same step.
+    """
+    top = len(beta)
+    layers = [{} for _ in range(rest + 1)]  # by cogenus used: state -> weight
+    layers[0][0] = 1
+    for v, width in enumerate(beta):
+        for span in range(1, min(top - v, rest + 1) + 1):
+            for weight in range(1, (rest + 1) // span + 1):
+                if span * weight == 1 or weight > 1 and (v == 0 or span == top - v):
+                    continue
+                cost = span * weight - 1
+                square = weight * weight
+                crossing = weight * sum(1 << _GAP * gap for gap in range(span))
+                for gap in range(span):
+                    shift = _GAP * gap + _FIELD
+                    step = crossing + (1 << shift)
+                    for used in range(rest - cost, -1, -1):
+                        outs = layers[used + cost :: cost]
+                        for state, value in layers[used].items():
+                            m = 0
+                            for out in outs:
+                                state += step
+                                if state & _MASK > width:
+                                    break
+                                m += 1
+                                value = value * square * (state >> shift & _MASK) // m
+                                out[state] = out.get(state, 0) + value
+        for used, states in enumerate(layers):
+            closed = layers[used] = {}
+            for state, value in states.items():
+                fill = width - (state & _MASK)
+                if fill < 0:
+                    continue
+                s = state >> _FIELD & _MASK
+                if s:
+                    value *= comb(fill + s, s)
+                state >>= _GAP  # gap v closes
+                closed[state] = closed.get(state, 0) + value
+    return [sum(states.values()) for states in layers]
 
 
 class Allowability(enum.Enum):

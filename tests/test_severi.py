@@ -43,6 +43,7 @@ from longedge.suites import (
 from oracles import (
     block_weights,
     chains_by_templates,
+    chains_placed_at_opening,
     n_by_graphs,
     p_by_walk,
     q_delta_linearized,
@@ -171,11 +172,63 @@ class TestBruteForce:
         assert _chains((9,) * 10, 8)[-1] == 9130318771729521
         assert _chains(tuple(range(0, 25, 3)), 8)[-1] == 42411421293118500
 
+    def test_pinned_triangle_thirteen(self):
+        # N^{13,12}, the plane curves of degree 13 with 12 nodes: the value
+        # of a Caporaso-Harris recursion, which reads no floor diagram, and
+        # of the transfer that placed each edge when it opened
+        from longedge.orderings import _chains
+
+        assert _chains(tuple(range(14)), 12)[12] == 10065752539264069119357
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.lists(st.integers(0, 20), min_size=1, max_size=10),
+        rest=st.integers(0, 8),
+    )
+    def test_transfer_matches_place_at_opening_oracle(self, beta, rest):
+        # the waiting edges give the counts of the transfer that picked each
+        # edge's gap when it opened, past the cogenus the templates reach
+        from longedge.orderings import _chains
+
+        assert _chains(tuple(beta), rest) == chains_placed_at_opening(beta, rest)
+
+    @pytest.mark.parametrize("rest", [0, 1, 2])
+    @pytest.mark.parametrize("beta", [
+        tuple(range(400)),
+        tuple(range(200)) + tuple(range(200, 0, -1)),
+        tuple(3 + j % 4 for j in range(400)),
+    ], ids=["triangle", "two-sided", "zigzag"])
+    def test_tall_transfer_matches_place_at_opening_oracle(self, beta, rest):
+        # many vertices, few edges at each: where the transfer's work per
+        # vertex, not per state, shows
+        from longedge.orderings import _chains
+
+        assert _chains(beta, rest) == chains_placed_at_opening(beta, rest)
+
+    @pytest.mark.parametrize("rest", [-1, 16, 40])
+    def test_transfer_refuses_rest_its_fields_cannot_hold(self, rest):
+        # a field holds 2 * rest <= 31; a larger rest would carry from one
+        # field into the next and count wrongly without a word
+        from longedge.orderings import _chains
+
+        with pytest.raises(ValueError, match="cogenus 0..15"):
+            _chains((3,) * 4, rest)
+
+    def test_transfer_takes_the_deepest_rest_its_fields_hold(self):
+        # fifteen edges (1, 2, 2) cross the middle gap with weight 30, one
+        # below a field's bound, and every value is scaled by 15!
+        from longedge.orderings import _chains
+
+        assert _chains((0,), 15) == [1] + [0] * 15
+        beta = (1, 30, 1)
+        assert _chains(beta, 15) == chains_placed_at_opening(beta, 15)
+
     def test_packed_fields_hold_the_deepest_cogenus(self):
-        # a gap is crossed by weight <= 2 * rest and holds <= rest edges, and
-        # one field of a packed state must hold both at every allowed
-        # cogenus: every multiset of long-edge classes (span, weight) of
-        # total cost span * weight - 1 <= budget could cross one gap
+        # a gap is crossed by weight <= 2 * rest and waits on <= rest edges,
+        # at most those that cross it, and one field of a packed state must
+        # hold both at every allowed cogenus: every multiset of long-edge
+        # classes (span, weight) of total cost span * weight - 1 <= budget
+        # could cross one gap
         import longedge.orderings as orderings
 
         assert 2 * MAX_COGENUS <= orderings._MASK
