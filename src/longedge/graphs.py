@@ -192,9 +192,9 @@ def conjugate(g: LongEdgeGraph) -> LongEdgeGraph:
 
 
 # The deepest cogenus whose template table can be built: a cold
-# `coeffs --delta 8` takes about 9.5 s and peaks at 105 MB on a 2-CPU box
-# (Python 3.11), and each cogenus has about 4.2 times the templates of the
-# one before.
+# `coeffs --delta 8` takes about 11.3 s (median of 10 runs, 10.3-15.3 s)
+# and peaks at 99 MB on a shared 2-CPU box (Python 3.11), and each cogenus
+# has about 4.2 times the templates of the one before.
 MAX_COGENUS = 8
 
 

@@ -15,16 +15,29 @@ whatever the template's length.  It is the one way into the fit: it fits
 each template from its own row and checks the form against phi at every
 width it read, and fit_linear_phi is fit_templates of one template.
 
-Every P goes through p_counts(shape, windows): one shape, its edges
-shifted to start at vertex 0, and the widths from that vertex on at many
-places, the windows.  It holds the one rule for whether an edge multiset
-fits the widths: P is 0 at a window shorter than the shape's span or
-short of the weight crossing some gap.  It builds the shape's classes and
-crossing weights once and walks the transfer once for the distinct
-windows that fit, taking each gap's states and moves from a process-wide
-table of gap moves, and keeps no count between calls.  _counts shifts an
-edge multiset and each width sequence to the multiset's lowest vertex for
-it; p_beta is _counts at one width sequence.
+P is counted by a transfer that places edges in gaps one gap at a time,
+left to right, in the same way for one graph (_walk) and for every graph
+at once (_chains).  An edge's gap is not picked when it opens: it waits,
+unplaced, until a closing gap takes it, at the latest its last.  The
+copies of a class are told apart, so a count is kept times prod m! over
+its classes and divided by it once at the end.  A closing gap with fill
+filler edges takes every edge whose last gap it is and any j_k of the u_k
+edges waiting on each later gap k, in C(u_k, j_k) ways, and the s edges it
+takes, all told apart, interleave with the fillers in (fill + 1) ...
+(fill + s) ways (_rising).  Over the labellings, gap by gap, this gives
+P's (fill + s)! / (fill! prod c!).  A state packs the waiting edges of
+each gap ahead into one field, so the ways a gap may take them depend on
+the state alone and come from one process-wide table (_placements).
+
+Every P of a graph goes through p_counts(shape, windows): one shape, its
+edges shifted to start at vertex 0, and the widths from that vertex on at
+many places, the windows.  It holds the one rule for whether an edge
+multiset fits the widths: P is 0 at a window shorter than the shape's
+span or short of the weight crossing some gap.  It builds the shape's
+classes and crossing weights once and walks the transfer once for the
+distinct windows that fit, and keeps no count between calls.  _counts
+shifts an edge multiset and each width sequence to the multiset's lowest
+vertex for it; p_beta is _counts at one width sequence.
 
 P and phi are kept in a _Table, one row per sub-multiset: P at each of
 the table's width sequences, then phi there, scaled by the table's one
@@ -45,11 +58,8 @@ shifts that the end rule Template.shifts admits and 0 at the others.
 _chains counts the other way round, with no template: the strict sum
 mu * P^strict over every graph of each cogenus on a width sequence, in one
 integer transfer over the vertices.  It opens the edges at a vertex one
-class at a time and picks no gap for them then: each edge waits, unplaced,
-until a closing gap takes it, at the latest its last.  The ways a gap may
-take waiting edges depend on how many wait on each gap ahead, so they come
-from a process-wide table (_placements), and no count is kept between
-calls.  The direct route reads those counts, and so does
+class at a time and keeps, beside each gap's waiting edges, the weight
+crossing it.  The direct route reads those counts, and so does
 coeffs.q_beta_delta through their log.
 """
 
@@ -92,6 +102,18 @@ def beta_from_divergence(d: Sequence[int]) -> BetaSeq:
     return BetaSeq(out)
 
 
+# A state of a transfer packs each gap ahead into two fields of _FIELD
+# bits, the weight crossing it and then the labelled edges whose last gap
+# it is that wait to be placed, the gap nearest first.  A field holds up to
+# 31.  _walk leaves the crossing fields 0, as p_counts knows each gap's
+# crossing, so p_counts takes at most 31 copies with one last gap; in
+# _chains the crossing reaches 2 * rest and the waiting count rest, so
+# _chains takes rest <= 15.
+_FIELD = 5
+_MASK = (1 << _FIELD) - 1
+_GAP = 2 * _FIELD
+
+
 def p_counts(shape: tuple[int, ...], windows: Sequence[Sequence[int]]) -> list[int]:
     """P of a graph whose lowest vertex is 0, at each window: the graph is
     given as its edges' (lo, hi, weight) run together, and gap j holds
@@ -102,8 +124,14 @@ def p_counts(shape: tuple[int, ...], windows: Sequence[Sequence[int]]) -> list[i
     The distinct windows that fit are counted together in one walk of the
     transfer (_walk), and a call where none fits walks nothing.  No count
     is kept: a caller that asks again for the same P keeps it itself, as
-    a _Table does.
+    a _Table does.  A graph with more than _MASK edges ending at one vertex
+    overflows a field of the walk's state and is refused.
     """
+    most = max(Counter(shape[1::3]).values(), default=0)
+    if most > _MASK:
+        raise ValueError(
+            f"the walk's fields hold {_MASK} edges with one last gap, got {most}"
+        )
     classes = Counter(zip(shape[0::3], shape[1::3], shape[2::3]))
     crossing = [0] * max(shape[1::3], default=0)  # weight crossing each gap
     opening: list[list[tuple[int, int]]] = [[] for _ in crossing]
@@ -133,65 +161,69 @@ def _walk(
     that fit: opening[j] holds the (right end, copies) of each edge class
     that starts at vertex j, and crossing[j] the weight crossing gap j+1.
 
-    The state is the copies of each open edge class still to place: a class
-    takes any number of copies in each gap it straddles but its last, which
-    takes the rest.  A gap with fill filler edges and c_i copies of class i
-    multiplies in the ways to order them, C(fill + s, s) s! / prod c_i! with
-    s the sum of the c_i.  A gap's moves, the states after it and each
-    move's s! / prod c_i! depend on the states before it alone, so every
-    walk takes them from one table (_moves); each window then applies only
-    its own C(fill + s, s).
+    It is _chains' transfer for one graph.  The state is the waiting
+    fields of the gaps ahead, packed as in _chains, with its crossing
+    fields 0.  At vertex j each class opening there adds its m copies to
+    its last gap's waiting field and its m! to the factor divided out at
+    the end.  Gap j takes its moves from _placements, which depend on the
+    state alone, so they and the states after it serve every window; each
+    window then multiplies in its own rising products, with fill =
+    window[j] - crossing[j].
     """
-    ends: list[int] = []  # right end of each open class, in state order
-    states: tuple[tuple[int, ...], ...] = ((),)  # copies left per open class
+    states = [0]
     values = [[1] for _ in windows]  # ways to reach each state, per window
+    labels = 1  # prod m!: the copies of a class are told apart
     for j, opened in enumerate(opening):
-        if opened:
-            ends += [hi for hi, _ in opened]
-            more = tuple(mult for _, mult in opened)
-            states = tuple([left + more for left in states])
-        elif not ends:
-            continue  # no edge straddles this gap
-        last = tuple([hi == j + 1 for hi in ends])
-        moves, states, most = _moves(states, last)
-        ends = [hi for hi, end in zip(ends, last) if not end]
+        step = 0  # the waiting edges that open at vertex j
+        for hi, mult in opened:
+            step += mult << _GAP * (hi - 1 - j) + _FIELD
+            labels *= factorial(mult)
+        after: dict[int, int] = {}
+        moves = []
+        for at, state in enumerate(states):
+            state += step
+            for placed, s, ways in _placements(state):
+                to = after.setdefault((state - placed) >> _GAP, len(after))
+                moves.append((at, to, s, ways))
+        states = list(after)
+        most = max(s for _, _, s, _ in moves)
         for w, window in enumerate(windows):
-            fill = window[j] - crossing[j]
-            grow = [1]  # C(fill + s, s) for s = 0..most
-            for s in range(1, most + 1):
-                grow.append(grow[-1] * (fill + s) // s)
-            ways = values[w]
+            rising = _rising(window[j] - crossing[j], most)
+            reached = values[w]
             now = [0] * len(states)
             for at, to, s, n in moves:
-                now[to] += ways[at] * n * grow[s]
+                now[to] += reached[at] * n * rising[s]
             values[w] = now
-    return [ways[0] for ways in values]
+    return [reached[0] // labels for reached in values]
+
+
+def _rising(fill: int, most: int) -> list[int]:
+    """(fill + 1) ... (fill + s) for s = 0..most: the ways s placed edges,
+    all told apart, interleave with fill filler edges."""
+    rising = [1]
+    for s in range(1, most + 1):
+        rising.append(rising[-1] * (fill + s))
+    return rising
 
 
 @lru_cache(maxsize=None)
-def _moves(
-    states: tuple[tuple[int, ...], ...], last: tuple[bool, ...]
-) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], ...], int]:
-    """One gap of the transfer, given the copies left per open class in
-    each state and whether the gap is each class's last, where it places
-    all it has left: the moves (state, state after, s, s! / prod c_i!), the
-    states after, and the most copies the gap can take.  These depend on
-    small tuples alone, so every walk shares them."""
-    after: dict[tuple[int, ...], int] = {}
-    moves = []
-    for at, left in enumerate(states):
-        for placed in itertools.product(
-            *[(n,) if end else range(n + 1) for n, end in zip(left, last)]
-        ):
-            # s! / prod c_i! as the product of C(c_1 + ... + c_i, c_i)
-            s, ways = 0, 1
-            for c in placed:
-                if c:
-                    s += c
-                    ways *= comb(s, c)
-            rest = tuple([n - c for n, c, end in zip(left, placed, last) if not end])
-            moves.append((at, after.setdefault(rest, len(after)), s, ways))
-    return tuple(moves), tuple(after), max(map(sum, states))
+def _placements(waiting: int) -> tuple[tuple[int, int, int], ...]:
+    """The ways a closing gap v may take waiting edges, given the waiting
+    fields of a state: all u_v of its own and any j_k of the u_k of each
+    later gap k.  Each is (the fields it takes, packed as in the state, s,
+    prod C(u_k, j_k)).  They depend on the waiting counts alone, so _walk
+    and _chains share one table."""
+    moves = [(0, waiting >> _FIELD & _MASK, 1)]
+    shift = _GAP + _FIELD
+    while waiting >> shift:
+        u = waiting >> shift & _MASK
+        moves = [
+            (placed + (j << shift), s + j, ways * comb(u, j))
+            for placed, s, ways in moves
+            for j in range(u + 1)
+        ]
+        shift += _GAP
+    return tuple(moves)
 
 
 def _counts(edges: tuple[Edge, ...], betas: Sequence[Sequence[int]]) -> list[int]:
@@ -442,24 +474,14 @@ def fit_templates(templates: Sequence[LongEdgeGraph]) -> tuple[LinearForm, ...]:
     )
 
 
-# A state of _chains packs each gap ahead into two fields of _FIELD bits,
-# the weight crossing it and then the labelled edges whose last gap it is
-# that wait to be placed, the gap nearest first.  A field holds up to 31:
-# the crossing reaches 2 * rest and the waiting count rest, so _chains
-# takes rest <= 15.
-_FIELD = 5
-_MASK = (1 << _FIELD) - 1
-_GAP = 2 * _FIELD
-
-
 def _chains(beta: Sequence[int], rest: int) -> list[int]:
     """Weighted counts mu * P_beta^strict of the graphs of cogenus 0..rest
     on the vertices 0..len(beta), in one transfer over the vertices.
 
-    An edge's gap is not picked when it opens: it waits, unplaced, until a
-    gap takes it, at the latest its last.  The waiting copies of a class
-    are told apart, so every value is kept times rest!, which each class's
-    1/m! divides, and divided by it once at the end.
+    Edges are placed as the module describes, each waiting, unplaced,
+    until a gap takes it.  The waiting copies of a class are told apart,
+    so every value is kept times rest!, which each class's 1/m! divides,
+    and divided by it once at the end.
 
     At vertex v the long edges (v, v + span, w) open one class at a time:
     for each class of cost span * w - 1 <= rest, with weight 1 where the
@@ -470,12 +492,9 @@ def _chains(beta: Sequence[int], rest: int) -> list[int]:
     state stops taking copies once gap v's crossing passes beta[v].
 
     Then gap v closes: its fill = beta[v] minus the weight crossing it
-    must be >= 0.  The edges whose last gap is v are placed there, and
-    any j_k of the u_k edges waiting on each later gap k may be, in C(u_k,
-    j_k) ways (_placements).  The s edges placed, all told apart,
-    interleave with the fill filler edges in (fill + 1) ... (fill + s)
-    ways, built once for each fill that occurs.  Over the labellings, gap
-    by gap, this gives P's (fill + s)! / (fill! prod c!).
+    must be >= 0.  It takes waiting edges in the ways _placements lists,
+    each times the rising product of its s edges, built once for each fill
+    that occurs.
 
     A state is one int: the crossing weight and the waiting edges of each
     gap from v's on, _FIELD bits each, interleaved (the low field is gap
@@ -531,9 +550,7 @@ def _chains(beta: Sequence[int], rest: int) -> list[int]:
                     continue
                 rising = risings.get(fill)
                 if rising is None:
-                    rising = risings[fill] = [1]
-                    for s in range(1, rest + 1):
-                        rising.append(rising[-1] * (fill + s))
+                    rising = risings[fill] = _rising(fill, rest)
                 for placed, s, ways in _placements(state & waiting):
                     after = (state - placed) >> _GAP  # gap v closes
                     closed[after] = closed.get(after, 0) + value * ways * rising[s]
@@ -547,23 +564,3 @@ def _chains(beta: Sequence[int], rest: int) -> list[int]:
             )
         counts.append(count)
     return counts
-
-
-@lru_cache(maxsize=None)
-def _placements(waiting: int) -> tuple[tuple[int, int, int], ...]:
-    """The ways a closing gap v may take waiting edges, given the waiting
-    fields of a state: all u_v of its own and any j_k of the u_k of each
-    later gap k.  Each is (the fields it takes, packed as in the state, s,
-    prod C(u_k, j_k)).  They depend on the waiting counts alone, so every
-    transfer shares one table."""
-    moves = [(0, waiting >> _FIELD & _MASK, 1)]
-    shift = _GAP + _FIELD
-    while waiting >> shift:
-        u = waiting >> shift & _MASK
-        moves = [
-            (placed + (j << shift), s + j, ways * comb(u, j))
-            for placed, s, ways in moves
-            for j in range(u + 1)
-        ]
-        shift += _GAP
-    return tuple(moves)

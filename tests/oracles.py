@@ -1,7 +1,8 @@
 """Reference implementations that only the test suite calls: brute-force
-counts, rules read off the graph walk, the direct count as a chain of
-templates and as a transfer that places each edge when it opens, the
-linear form fitted one coefficient per width position and
+counts, rules read off the graph walk, P by spreading each edge class over
+its gaps and a replay of a cold fit's P against it, the direct count as a
+chain of templates and as a transfer that places each edge when it opens,
+the linear form fitted one coefficient per width position and
 its reflection for the conjugate template, and the v-local split of
 reorderings."""
 
@@ -15,7 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
+from unittest import mock
 
+from longedge import orderings
 from longedge.coeffs import template_data
 from longedge.graphs import (
     Edge,
@@ -25,7 +28,7 @@ from longedge.graphs import (
     conjugate,
     enumerate_templates,
 )
-from longedge.orderings import LinearForm, _counts, p_counts, phi_betas
+from longedge.orderings import LinearForm, _counts, fit_templates, p_counts, phi_betas
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
@@ -310,6 +313,47 @@ def p_by_compositions(shape: tuple[int, ...], widths: tuple[int, ...]) -> int:
                 term //= factorial(c)
         total += term
     return total
+
+
+def fitting_window(shape: tuple[int, ...], window) -> tuple[int, ...] | None:
+    """The window up to the shape's span, or None where P is 0 by the fit
+    rule: the window is shorter than the span, or short of the weight
+    crossing some gap, summed here edge by edge."""
+    edges = [shape[i : i + 3] for i in range(0, len(shape), 3)]
+    span = max((hi for _, hi, _ in edges), default=0)
+    if len(window) < span or any(
+        window[j] < sum(w for lo, hi, w in edges if lo <= j < hi) for j in range(span)
+    ):
+        return None
+    return tuple(window[:span])
+
+
+def fit_count_mismatches(delta: int) -> tuple[int, int, list[tuple]]:
+    """Every P that a cold fit of each cogenus 1..delta asks p_counts for,
+    as the fit got it, against p_by_compositions, or 0 where the window
+    does not fit: the number of p_counts calls and of values checked, and
+    each (shape, window, P found, P expected) that differs.  The fit is
+    fit_templates of the cogenus's templates, as template_data runs it on
+    a miss, so no P is read from a cache."""
+    calls = []
+    count = orderings.p_counts
+
+    def record(shape, windows):
+        found = count(shape, windows)
+        calls.append((shape, windows, found))
+        return found
+
+    with mock.patch.object(orderings, "p_counts", record):
+        for d in range(1, delta + 1):
+            fit_templates(enumerate_templates(d))
+    bad = []
+    for shape, windows, found in calls:
+        for window, p in zip(windows, found):
+            fit = fitting_window(shape, window)
+            expected = 0 if fit is None else p_by_compositions(shape, fit)
+            if p != expected:
+                bad.append((shape, window, p, expected))
+    return len(calls), sum(len(windows) for _, windows, _ in calls), bad
 
 
 def brute_force_orderings(g: LongEdgeGraph, beta) -> int:

@@ -1,7 +1,7 @@
 import gc
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from unittest import mock
 
 import pytest
@@ -34,6 +34,8 @@ from oracles import (
     conjugate_mismatches,
     enumerate_graphs,
     fit_by_bumps,
+    fit_count_mismatches,
+    fitting_window,
     is_semiallowable,
     p_by_compositions,
     p_by_walk,
@@ -164,24 +166,13 @@ def test_p_beta_reads_only_spanned_positions(edges, beta, noise):
     assert p_beta(g, tweaked) == base
 
 
-def _fitting(shape, window):
-    """The window up to the shape's span, or None where P is 0 by the fit
-    rule: the window is shorter than the span, or short of the weight
-    crossing some gap, summed here edge by edge."""
-    edges = [shape[i : i + 3] for i in range(0, len(shape), 3)]
-    span = max((hi for _, hi, _ in edges), default=0)
-    if len(window) < span or any(
-        window[j] < sum(w for lo, hi, w in edges if lo <= j < hi) for j in range(span)
-    ):
-        return None
-    return tuple(window[:span])
-
-
 def test_p_count_matches_composition_walk(monkeypatch):
-    # every (shape, window) that fitting each template of cogenus <= 4 and
-    # the template chain of a direct count at cogenus 5 hand to p_counts,
-    # in their batches: 0 where the window does not fit, and the
-    # composition walk's value where it does
+    # every P that a cold fit of each cogenus <= 5 asks p_counts for, as
+    # the fit got it, against the composition walk (CI replays cogenus <= 7)
+    assert fit_count_mismatches(5) == (976, 5856, [])
+    # every (shape, window) that the template chain of a direct count at
+    # cogenus 5 hands to p_counts, in its batches: 0 where the window does
+    # not fit, and the composition walk's value where it does
     keys = set()
     count = orderings.p_counts
 
@@ -190,15 +181,12 @@ def test_p_count_matches_composition_walk(monkeypatch):
         return count(shape, windows)
 
     monkeypatch.setattr(orderings, "p_counts", record)
-    for d in range(1, 5):
-        for t in enumerate_templates(d):
-            fit_linear_phi(t)
     for ro in reorderings(triangle(7), 5):
         chains_by_templates(ro.beta, 5 - ro.cogenus)
     monkeypatch.undo()
     walked = {}
     for shape, window in keys:
-        fit = _fitting(shape, window)
+        fit = fitting_window(shape, window)
         if fit is None:
             assert count(shape, [window]) == [0], (shape, window)
         else:
@@ -238,16 +226,32 @@ def test_p_counts_is_zero_where_the_window_does_not_fit(edges, extras):
         for extra in extras
     ]
     expected = [
-        0 if _fitting(shape, w) is None else p_by_compositions(shape, w) for w in windows
+        0 if fitting_window(shape, w) is None else p_by_compositions(shape, w)
+        for w in windows
     ]
     for w, p in zip(windows, expected):
         assert orderings.p_counts(shape, [w]) == [p], w
     assert orderings.p_counts(shape, windows) == expected
 
 
+# two or three edge classes of one or two copies that end at one vertex but
+# differ in span or weight: the walk's state keeps only how many edges wait
+# on each gap, so their copies share one field
+_sharing_a_last_gap = st.integers(2, 4).flatmap(
+    lambda hi: st.lists(
+        st.tuples(st.integers(1, hi), st.integers(1, 2), st.integers(1, 2)).filter(
+            lambda c: c[:2] != (1, 1)
+        ),
+        min_size=2,
+        max_size=3,
+        unique_by=lambda c: c[:2],
+    ).map(lambda cs: [(hi - span, hi, w) for span, w, m in cs for _ in range(m)])
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    edges=st.lists(_edges, min_size=1, max_size=4),
+    edges=st.one_of(st.lists(_edges, min_size=1, max_size=4), _sharing_a_last_gap),
     extras=st.lists(
         st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=4
     ),
@@ -255,7 +259,8 @@ def test_p_counts_is_zero_where_the_window_does_not_fit(edges, extras):
 )
 def test_p_counts_batches_match_composition_walk(edges, extras, data):
     # a batch with a duplicate window and the window that just fits, then a
-    # single window from each end of it, each against the composition walk
+    # single window from each end of it, each against the composition walk,
+    # on any few edges and on classes that share a last gap
     g = LongEdgeGraph(edges)
     g = g.shift(-g.minv)
     shape = tuple(x for e in g.edges for x in (e.lo, e.hi, e.weight))
@@ -267,6 +272,21 @@ def test_p_counts_batches_match_composition_walk(edges, extras, data):
     assert orderings.p_counts(shape, batch[:1]) == expected[:1]
     assert orderings.p_counts(shape, batch[-1:]) == expected[-1:]
     assert orderings.p_counts(shape, []) == []
+
+
+def test_walk_fields_hold_31_edges_with_one_last_gap():
+    # a waiting field of the walk's state holds _MASK = 31 edges: 31 copies
+    # of (0, 2, 1) are counted, c of them in gap 1 and the rest in gap 2,
+    # and 32 are refused
+    assert orderings._MASK == 31
+    shape, window = (0, 2, 1) * 31, (34, 35, 0)
+    expected = sum(comb(3 + c, c) * comb(35 - c, 31 - c) for c in range(32))
+    assert p_by_compositions(shape, window[:2]) == expected
+    assert orderings.p_counts(shape, [window]) == [expected]
+    with pytest.raises(ValueError, match="fields hold 31"):
+        orderings.p_counts(shape + (0, 2, 1), [window])
+    with pytest.raises(ValueError, match="fields hold 31"):
+        p_beta(LongEdgeGraph([(0, 2, 1)] * 32), window)
 
 
 def test_transfer_walk_counts(monkeypatch):
