@@ -3,9 +3,13 @@
 A polygon is stored as its top width together with the per-height left and
 right boundary directions, read top to bottom.  The right directions are
 nonincreasing and the left ones nondecreasing; that is the default ordering,
-and convexity of the polygon is equivalent to it.  Everything else -- width
-sequences, vertex determinants, boundary reorderings and the intersection
-numbers of the associated surface -- is derived from this data.
+and convexity of the polygon is equivalent to it.  The width sequence and
+the boundary reorderings are derived from this data.  Every other invariant
+comes from one list of boundary edges: the rays of the surface's fan, each
+with its edge's lattice length.  The corners are the running sums of the
+edges, and a corner's determinant, the determinant of its two rays, is the
+index of the surface's cyclic quotient singularity there.  The vertex
+statistics, the edge lengths and K^2 of the surface are read from that list.
 """
 
 from __future__ import annotations
@@ -96,38 +100,19 @@ class HTPolygon(_HTPolygonFields):
 
     @property
     def db(self) -> int:
-        return self.dt + sum(r - l for l, r in zip(self.left, self.right))
+        return self.beta()[-1]
 
     def beta(self) -> BetaSeq:
-        divergence = (self.dt,) + tuple(
-            r - l for l, r in zip(self.left, self.right)
-        )
-        return beta_from_divergence(divergence)
+        return _widths(self.dt, self.left, self.right)
 
     def vertices(self) -> tuple[tuple[int, int], ...]:
         """Corner lattice points, counterclockwise from the top left."""
-        m = self.height
-        xl = [0]
-        xr = [self.dt]
-        for l, r in zip(self.left, self.right):
-            xl.append(xl[-1] + l)
-            xr.append(xr[-1] + r)
-        corners: list[tuple[int, int]] = []
-        # down the left chain, then across the bottom, then up the right chain
-        for i in range(m + 1):
-            y = m - i
-            if 0 < i < m and self.left[i - 1] == self.left[i]:
-                continue
-            corners.append((xl[i], y))
-        if self.db > 0:
-            corners.append((xr[m], 0))
-        for i in range(m, -1, -1):
-            y = m - i
-            if 0 < i < m and self.right[i - 1] == self.right[i]:
-                continue
-            if (xr[i], y) != corners[-1] and (xr[i], y) != corners[0]:
-                corners.append((xr[i], y))
-        return tuple(corners)
+        return tuple(point for point, _, _ in _corners(_boundary(self), self.height))
+
+
+def _widths(dt: int, left: Sequence[int], right: Sequence[int]) -> BetaSeq:
+    """The widths from the top down: dt, then each row's r - l added on."""
+    return beta_from_divergence((dt, *(r - l for l, r in zip(left, right))))
 
 
 def from_directions(
@@ -255,25 +240,55 @@ def _runs(values: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _side_windows(values: Sequence[int], side: str):
-    """Per-internal-vertex (vertex, adjacent value pair) for one chain."""
-    runs = _runs(values)
-    out = []
-    level = 0
-    for (a, la), (b, _) in zip(runs, runs[1:]):
-        level += la
-        det = b - a if side == "left" else a - b
-        out.append((InternalVertex(side, level, det), (a, b)))
-    return out
+def _boundary(p: HTPolygon) -> list[tuple[tuple[int, int], int, str]]:
+    """The boundary's edges as (primitive outward normal, lattice length,
+    chain), counterclockwise from the top-left corner: down the left chain,
+    across the bottom, up the right chain and back along the top.  The
+    normals are the rays of the toric surface's fan."""
+    edges = [((-1, -a), length, "left") for a, length in _runs(p.left)]
+    db = p.db
+    if db > 0:
+        edges.append(((0, -1), db, "bottom"))
+    edges += [((1, b), length, "right") for b, length in reversed(_runs(p.right))]
+    if p.dt > 0:
+        edges.append(((0, 1), p.dt, "top"))
+    return edges
+
+
+def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _corners(edges: list, height: int) -> list[tuple[tuple[int, int], int, str | None]]:
+    """(point, determinant, chain) of each corner of a _boundary list.
+
+    Corner k joins edges k - 1 and k.  Its point is the top-left corner
+    (0, height) plus the vectors of the edges before it, each vector the
+    normal turned a quarter turn times the length.  Its determinant
+    det(n_{k-1}, n_k) is the index of the surface's cyclic quotient
+    singularity there.  chain names the one chain both edges lie on at an
+    internal vertex, and is None at every other corner.
+    """
+    x, y = 0, height
+    corners = []
+    pairs = zip(edges[-1:] + edges, edges)  # (edge k - 1, edge k)
+    for (before, _, chain_before), (normal, length, chain) in pairs:
+        internal = chain if chain == chain_before else None
+        corners.append(((x, y), _det(before, normal), internal))
+        x, y = x - normal[1] * length, y + normal[0] * length
+    return corners
 
 
 def internal_vertices(p: HTPolygon) -> tuple[InternalVertex, ...]:
     """Direction-change vertices on both chains, top to bottom per side."""
-    return tuple(
-        v
-        for side, values in (("left", p.left), ("right", p.right))
-        for v, _ in _side_windows(values, side)
+    m = p.height
+    found = (
+        InternalVertex(chain, m - y, det)
+        for (_, y), det, chain in _corners(_boundary(p), m)
+        if chain
     )
+    # the boundary goes up the right chain; sorting lists each side top down
+    return tuple(sorted(found))
 
 
 class PolygonStats(NamedTuple):
@@ -310,45 +325,33 @@ def beta_stats(beta: Sequence[int]) -> BetaStats:
 
 
 def polygon_stats(p: HTPolygon) -> PolygonStats:
-    area, ll, height, _ = beta_stats(p.beta())  # idet comes from the vertices
-
-    internal = internal_vertices(p)
-    tdet = (p.right[0] - p.left[0]) if p.dt == 0 else 0
-    bdet = (p.left[-1] - p.right[-1]) if p.db == 0 else 0
-    corner_dets = []
-    for end_det, width in ((tdet, p.dt), (bdet, p.db)):
-        if width > 0:
-            corner_dets.extend((1, 1))
-        else:
-            corner_dets.append(end_det)
-
-    vprime = Counter(v.det for v in internal)
-    v_all = vprime + Counter(corner_dets)
-
-    edges = []  # (lattice length, touches: number of internal endpoints)
-    if p.dt > 0:
-        edges.append((p.dt, 0))
-    if p.db > 0:
-        edges.append((p.db, 0))
-    for values in (p.left, p.right):
-        runs = _runs(values)
-        k = len(runs)
-        for j, (_, length) in enumerate(runs):
-            touches = (j > 0) + (j < k - 1)
-            edges.append((length, touches))
-
+    beta = p.beta()
+    area, ll, height, _ = beta_stats(beta)  # idet comes from the vertices
+    edges = _boundary(p)
+    corners = _corners(edges, height)
+    dets = [det for _, det, _ in corners]
+    internal = [det for _, det, chain in corners if chain]
+    # a top vertex is corner 0; a bottom one follows the last left edge
+    bottom = sum(chain == "left" for _, _, chain in edges)
+    n = len(edges)
+    # edge k runs from corner k to corner k + 1
+    touching = [
+        length
+        for k, (_, length, _) in enumerate(edges)
+        if corners[k][2] or corners[(k + 1) % n][2]
+    ]
     return PolygonStats(
         area=area,
         ll=ll,
         height=height,
-        idet=sum(v.det for v in internal),
-        det=sum(v_all.elements()),
-        tdet=tdet,
-        bdet=bdet,
-        v=dict(sorted(v_all.items())),
-        vprime=dict(sorted(vprime.items())),
-        min_edge=min(length for length, _ in edges),
-        ell=min((length for length, t in edges if t > 0), default=inf),
+        idet=sum(internal),
+        det=sum(dets),
+        tdet=dets[0] if p.dt == 0 else 0,
+        bdet=dets[bottom] if beta[-1] == 0 else 0,
+        v=dict(sorted(Counter(dets).items())),
+        vprime=dict(sorted(Counter(internal).items())),
+        min_edge=min(length for _, length, _ in edges),
+        ell=min(touching, default=inf),
     )
 
 
@@ -363,34 +366,21 @@ class ToricInvariants(NamedTuple):
     gorenstein: bool
 
 
-def _normal_rays(p: HTPolygon) -> list[tuple[int, int]]:
-    """Primitive outward edge normals in counterclockwise order."""
-    rays = [(-1, -value) for value, _ in _runs(p.left)]
-    if p.db > 0:
-        rays.append((0, -1))
-    rays.extend((1, value) for value, _ in reversed(_runs(p.right)))
-    if p.dt > 0:
-        rays.append((0, 1))
-    return rays
-
-
 def toric_invariants(p: HTPolygon) -> ToricInvariants:
     stats = polygon_stats(p)
-    rays = _normal_rays(p)
+    edges = _boundary(p)
+    rays = [normal for normal, _, _ in edges]
+    dets = [det for _, det, _ in _corners(edges, p.height)]
     n = len(rays)
 
-    def det2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
+    # ray k lies between corners k and k + 1
     ksq = Fraction(0)
-    for i in range(n):
-        d_before = det2(rays[i - 1], rays[i])
-        d_after = det2(rays[i], rays[(i + 1) % n])
-        d_skip = det2(rays[i - 1], rays[(i + 1) % n])
+    for k in range(n):
+        after = (k + 1) % n
         ksq += (
-            Fraction(1, d_before)
-            + Fraction(1, d_after)
-            - Fraction(d_skip, d_before * d_after)
+            Fraction(1, dets[k])
+            + Fraction(1, dets[after])
+            - Fraction(_det(rays[k - 1], rays[after]), dets[k] * dets[after])
         )
 
     s_i = {d - 1: count for d, count in stats.v.items() if d > 1}
@@ -462,11 +452,8 @@ def reorderings(p: HTPolygon, delta: int) -> Iterator[Reordering]:
             cost = cost_l + cost_r
             if cost > delta:
                 continue
-            divergence = (p.dt,) + tuple(
-                r - l for l, r in zip(left, right)
-            )
             try:
-                beta = beta_from_divergence(divergence)
+                beta = _widths(p.dt, left, right)
             except ValueError:
                 continue
             yield Reordering(left, right, cost, beta)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 from .coeffs import cor_doubleprime, template_coefficients, template_rows
 from .graphs import check_cogenus
-from .polygon import HTPolygon, polygon_stats, toric_invariants
+from .polygon import HTPolygon, from_vertices, polygon_stats, toric_invariants
 from .reference import COEFF_ROWS, TABLE1
 from .series import gyz_check
 from .severi import METHODS, _reach, n_bruteforce, report
@@ -164,7 +164,9 @@ def oracle() -> list[Check]:
 
 
 def toric() -> list[Check]:
-    """Vertex-determinant and Euler-number identities on 50 random polygons."""
+    """Vertex-determinant and Euler-number identities on 50 random polygons,
+    and each polygon rebuilt from its corners by from_vertices, which reads
+    the corners apart from the boundary that the determinants come from."""
     rng = random.Random(20260814)
     checks: list[Check] = []
     for index in range(50):
@@ -172,10 +174,12 @@ def toric() -> list[Check]:
         t, stats = toric_invariants(p), polygon_stats(p)
         ends = cor_doubleprime(stats.tdet) + cor_doubleprime(stats.bdet)
         blown_up = t.c2 + sum(i * n for i, n in t.S_i.items())
+        rebuilt = from_vertices(p.vertices())
         checks += [
             (f"polygon {index}: corner determinants sum to 12 - K^2 + corrections",
              stats.det == 12 - t.Ksq + ends),
             (f"polygon {index}: blown-up Euler number", t.c2tilde == blown_up),
+            (f"polygon {index}: rebuilt from its vertices", rebuilt == p),
         ]
     return checks
 

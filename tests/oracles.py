@@ -11,10 +11,11 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from typing import Iterator, NamedTuple, Sequence
 from unittest import mock
 
@@ -32,10 +33,14 @@ from longedge.orderings import LinearForm, _counts, fit_templates, p_counts, phi
 from longedge.polygon import (
     HTPolygon,
     InternalVertex,
+    PolygonStats,
     Reordering,
     _runs,
-    _side_windows,
+    beta_stats,
+    internal_vertices,
+    polygon_stats,
     reorderings,
+    toric_invariants,
 )
 
 
@@ -552,6 +557,167 @@ def template_sums_by_fractions(
             f"the two formulas for L disagree at delta={delta}: {l} vs {l_alt}"
         )
     return a, l, h, d, c
+
+
+def vertices_by_chains(p: HTPolygon) -> tuple[tuple[int, int], ...]:
+    """HTPolygon.vertices as a chain-walking implementation: the corner
+    lattice points, counterclockwise from the top left, from every row of
+    both chains."""
+    m = p.height
+    xl = [0]
+    xr = [p.dt]
+    for l, r in zip(p.left, p.right):
+        xl.append(xl[-1] + l)
+        xr.append(xr[-1] + r)
+    corners: list[tuple[int, int]] = []
+    # down the left chain, then across the bottom, then up the right chain
+    for i in range(m + 1):
+        y = m - i
+        if 0 < i < m and p.left[i - 1] == p.left[i]:
+            continue
+        corners.append((xl[i], y))
+    if p.db > 0:
+        corners.append((xr[m], 0))
+    for i in range(m, -1, -1):
+        y = m - i
+        if 0 < i < m and p.right[i - 1] == p.right[i]:
+            continue
+        if (xr[i], y) != corners[-1] and (xr[i], y) != corners[0]:
+            corners.append((xr[i], y))
+    return tuple(corners)
+
+
+def _side_windows(values: Sequence[int], side: str):
+    """Per-internal-vertex (vertex, adjacent value pair) for one chain."""
+    runs = _runs(values)
+    out = []
+    level = 0
+    for (a, la), (b, _) in zip(runs, runs[1:]):
+        level += la
+        det = b - a if side == "left" else a - b
+        out.append((InternalVertex(side, level, det), (a, b)))
+    return out
+
+
+def internal_vertices_by_chains(p: HTPolygon) -> tuple[InternalVertex, ...]:
+    """polygon.internal_vertices as a chain-walking implementation: the
+    direction-change vertices on both chains, top to bottom per side."""
+    return tuple(
+        v
+        for side, values in (("left", p.left), ("right", p.right))
+        for v, _ in _side_windows(values, side)
+    )
+
+
+def polygon_stats_by_chains(p: HTPolygon) -> PolygonStats:
+    """polygon.polygon_stats as a chain-walking implementation: corner
+    determinants case by case, and each edge with its internal ends."""
+    area, ll, height, _ = beta_stats(p.beta())  # idet comes from the vertices
+
+    internal = internal_vertices_by_chains(p)
+    tdet = (p.right[0] - p.left[0]) if p.dt == 0 else 0
+    bdet = (p.left[-1] - p.right[-1]) if p.db == 0 else 0
+    corner_dets = []
+    for end_det, width in ((tdet, p.dt), (bdet, p.db)):
+        if width > 0:
+            corner_dets.extend((1, 1))
+        else:
+            corner_dets.append(end_det)
+
+    vprime = Counter(v.det for v in internal)
+    v_all = vprime + Counter(corner_dets)
+
+    edges = []  # (lattice length, touches: number of internal endpoints)
+    if p.dt > 0:
+        edges.append((p.dt, 0))
+    if p.db > 0:
+        edges.append((p.db, 0))
+    for values in (p.left, p.right):
+        runs = _runs(values)
+        k = len(runs)
+        for j, (_, length) in enumerate(runs):
+            touches = (j > 0) + (j < k - 1)
+            edges.append((length, touches))
+
+    return PolygonStats(
+        area=area,
+        ll=ll,
+        height=height,
+        idet=sum(v.det for v in internal),
+        det=sum(v_all.elements()),
+        tdet=tdet,
+        bdet=bdet,
+        v=dict(sorted(v_all.items())),
+        vprime=dict(sorted(vprime.items())),
+        min_edge=min(length for length, _ in edges),
+        ell=min((length for length, t in edges if t > 0), default=inf),
+    )
+
+
+def _normal_rays(p: HTPolygon) -> list[tuple[int, int]]:
+    """Primitive outward edge normals in counterclockwise order."""
+    rays = [(-1, -value) for value, _ in _runs(p.left)]
+    if p.db > 0:
+        rays.append((0, -1))
+    rays.extend((1, value) for value, _ in reversed(_runs(p.right)))
+    if p.dt > 0:
+        rays.append((0, 1))
+    return rays
+
+
+def ksq_by_chains(p: HTPolygon) -> Fraction:
+    """ToricInvariants.Ksq as a chain-walking implementation: the fan's rays
+    listed from each chain's runs, and K^2 summed over them."""
+    rays = _normal_rays(p)
+    n = len(rays)
+
+    def det2(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    ksq = Fraction(0)
+    for i in range(n):
+        d_before = det2(rays[i - 1], rays[i])
+        d_after = det2(rays[i], rays[(i + 1) % n])
+        d_skip = det2(rays[i - 1], rays[(i + 1) % n])
+        ksq += (
+            Fraction(1, d_before)
+            + Fraction(1, d_after)
+            - Fraction(d_skip, d_before * d_after)
+        )
+    return ksq
+
+
+def boundary_differences(p: HTPolygon) -> list[str]:
+    """The names of the invariants of p that differ from their chain-walking
+    implementations: vertices, internal_vertices, polygon_stats and the K^2
+    of toric_invariants."""
+    pairs = {
+        "vertices": (p.vertices(), vertices_by_chains(p)),
+        "internal_vertices": (internal_vertices(p), internal_vertices_by_chains(p)),
+        "polygon_stats": (polygon_stats(p), polygon_stats_by_chains(p)),
+        "Ksq": (toric_invariants(p).Ksq, ksq_by_chains(p)),
+    }
+    return [name for name, (found, expected) in pairs.items() if found != expected]
+
+
+def drawn_polygons(
+    seed: int, count: int, max_height: int, span: int, max_top: int
+) -> Iterator[HTPolygon]:
+    """count polygons of a seeded draw: height 1..max_height, directions in
+    -span..span and top width 0..max_top; a draw whose widths are not a
+    polygon's is drawn again."""
+    rng = random.Random(seed)
+    while count:
+        m = rng.randint(1, max_height)
+        dt = rng.randint(0, max_top)
+        left = sorted(rng.randint(-span, span) for _ in range(m))
+        right = sorted((rng.randint(-span, span) for _ in range(m)), reverse=True)
+        try:
+            p = HTPolygon(dt, tuple(left), tuple(right))
+        except ValueError:
+            continue
+        count -= 1
+        yield p
 
 
 def reversal_cogenus(p: HTPolygon, left: Sequence[int], right: Sequence[int]) -> int:

@@ -23,7 +23,13 @@ from longedge.polygon import (
 from longedge.series import RatSeries, partition_series_in_power
 from longedge.suites import SHARP, TRAPEZOID, TWO_SIDED, rectangle, triangle
 
-from oracles import recombine_vlocal, reversal_cogenus, vlocal_decompose
+from oracles import (
+    boundary_differences,
+    drawn_polygons,
+    recombine_vlocal,
+    reversal_cogenus,
+    vlocal_decompose,
+)
 
 
 @st.composite
@@ -199,6 +205,34 @@ class TestStats:
         m = len(p.left)
         for i, width in enumerate(beta):
             assert width >= min(p.dt + i, edge_floor, p.db + m - i)
+
+
+class TestBoundary:
+    """vertices, internal_vertices, polygon_stats and K^2 read one boundary
+    list; each must equal its chain-walking implementation."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            HTPolygon(0, (-1, -1, 1, 1), (1, 1, -1, -1)),  # a diamond: dt = db = 0
+            HTPolygon(3, (-2,), (1,)),  # height 1
+            HTPolygon(2, (-1, -1), (1, 1)),  # one run per chain
+            SHARP,
+            TWO_SIDED,
+        ],
+    )
+    def test_explicit_cases(self, p):
+        assert boundary_differences(p) == []
+
+    @given(st.one_of(polygons(), polygons(max_height=12, span=6)))
+    def test_drawn_polygons(self, p):
+        assert boundary_differences(p) == []
+
+    def test_seeded_draw(self):
+        # the draw CI compares over 20,000 polygons, cut short
+        drawn = list(drawn_polygons(1, 300, max_height=15, span=6, max_top=5))
+        assert len(drawn) == 300
+        assert [p for p in drawn if boundary_differences(p)] == []
 
 
 class TestToric:
